@@ -48,12 +48,9 @@ from .operators import (
     annihilation,
     atom_sigma,
     bogoliubov_b,
-    displacement,
-    displacement_defect,
     identity,
     lift,
     number_operator,
-    parity,
 )
 from .solvers import (
     DensityMatrix,

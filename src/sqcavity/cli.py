@@ -10,7 +10,7 @@ import sys
 from dataclasses import replace
 
 from .errors import ConfigError, CutoffTooSmallError, SimulationError
-from .sweep import MODES, SweepConfig, load_config, run
+from .sweep import _PARSERS, MODES, SweepConfig, load_config, run
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -19,45 +19,33 @@ def build_parser() -> argparse.ArgumentParser:
         description="Steady-state sweeps of a squeezed-vacuum-driven atom-cavity system.",
     )
     parser.add_argument("--config", help="path to a flat key = value config file")
+    # every other flag stores into the SweepConfig field named by its dest
     parser.add_argument("--mode", choices=MODES, help="sweep mode")
-    parser.add_argument("--r", help="comma-separated squeezing strengths, e.g. 0.25,0.5,1.0")
+    parser.add_argument("--r", dest="r_values", metavar="R",
+                        help="comma-separated squeezing strengths, e.g. 0.25,0.5,1.0")
     parser.add_argument("--g0", type=float, help="atom-cavity coupling in units of kappa")
     parser.add_argument("--gamma", type=float, help="atomic damping in units of kappa")
     parser.add_argument("--phi", type=float, help="squeezing phase in radians")
-    parser.add_argument("--no-atom", action="store_true", help="empty-cavity model")
-    parser.add_argument("--cutoff", type=int, help="Fock-space truncation")
+    parser.add_argument("--no-atom", dest="atom_present", action="store_false", default=None,
+                        help="empty-cavity model")
+    parser.add_argument("--cutoff", dest="fock_cutoff", metavar="CUTOFF", type=int,
+                        help="Fock-space truncation")
     parser.add_argument("--guard", type=int, help="guard levels for the tail check")
     parser.add_argument("--epsilon", type=float, help="truncation adequacy threshold")
-    parser.add_argument("--out", help="output file (or directory for multi-file modes)")
+    parser.add_argument("--out", dest="output_path", metavar="OUT",
+                        help="output file (or directory for multi-file modes)")
     return parser
 
 
 def resolve_config(args: argparse.Namespace) -> SweepConfig:
     config = load_config(args.config) if args.config else SweepConfig()
-    overrides = {}
-    if args.mode is not None:
-        overrides["mode"] = args.mode
-    if args.r is not None:
+    overrides = {key: value for key, value in vars(args).items()
+                 if key != "config" and value is not None}
+    if "r_values" in overrides:
         try:
-            overrides["r_values"] = tuple(float(x) for x in args.r.replace(",", " ").split())
+            overrides["r_values"] = _PARSERS["r_values"](overrides["r_values"])
         except ValueError as exc:
             raise ConfigError(f"bad --r value: {exc}") from exc
-    if args.g0 is not None:
-        overrides["g0"] = args.g0
-    if args.gamma is not None:
-        overrides["gamma"] = args.gamma
-    if args.phi is not None:
-        overrides["phi"] = args.phi
-    if args.no_atom:
-        overrides["atom_present"] = False
-    if args.cutoff is not None:
-        overrides["fock_cutoff"] = args.cutoff
-    if args.guard is not None:
-        overrides["guard"] = args.guard
-    if args.epsilon is not None:
-        overrides["epsilon"] = args.epsilon
-    if args.out is not None:
-        overrides["output_path"] = args.out
     return replace(config, **overrides).validate()
 
 

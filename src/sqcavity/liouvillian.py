@@ -25,6 +25,7 @@ forms kappa and gamma are amplitude rates: photon energy decays at
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -149,12 +150,12 @@ def spost(op: np.ndarray) -> sp.csr_matrix:
     return sp.kron(sp.csr_matrix(op.T), sp.identity(d, format="csr"), format="csr")
 
 
-def _field_annihilation(space: Space) -> Operator:
-    """Annihilation operator embedded in the requested space."""
+def _embed_field(space: Space, field_op) -> Operator:
+    """`field_op(fock_cutoff)` embedded in a field or composite space."""
     if isinstance(space, SpaceDims):
-        return lift(annihilation(space.fock_cutoff), "field", space)
+        return lift(field_op(space.fock_cutoff), "field", space)
     if isinstance(space, FieldSpace):
-        return annihilation(space.fock_cutoff)
+        return field_op(space.fock_cutoff)
     raise InvalidDimensionError(f"expected a field or composite space, got {space}")
 
 
@@ -168,23 +169,22 @@ def _rate_scale(params: SystemParams, n_th: float, m_abs: float) -> float:
     )
 
 
-def build_hamiltonian(params: SystemParams, space: Space) -> Operator:
-    """Rotating-frame Hamiltonian on a composite or (atom-free) field space."""
-    if isinstance(space, FieldSpace):
-        if params.atom_present:
-            raise InvalidDimensionError("field-only space requires atom_present=False")
-        a = annihilation(space.fock_cutoff)
-        return params.delta_C * (a.dag() @ a)
-    if not isinstance(space, SpaceDims):
-        raise InvalidDimensionError(f"cannot build a Hamiltonian on {space}")
-    a = _field_annihilation(space)
-    h = params.delta_C * (a.dag() @ a)
+def _hamiltonian(params: SystemParams, x: Operator) -> Operator:
+    """delta_C x†x (+ delta_A sigma_ee + g0 (sigma_eg x + h.c.)) on x's space."""
+    h = params.delta_C * (x.dag() @ x)
     if params.atom_present:
-        s_ee = lift(atom_sigma("e", "e"), "atom", space)
-        s_eg = lift(atom_sigma("e", "g"), "atom", space)
-        coupling = s_eg @ a
+        if not isinstance(x.space, SpaceDims):
+            raise InvalidDimensionError("field-only space requires atom_present=False")
+        s_ee = lift(atom_sigma("e", "e"), "atom", x.space)
+        s_eg = lift(atom_sigma("e", "g"), "atom", x.space)
+        coupling = s_eg @ x
         h = h + params.delta_A * s_ee + params.g0 * (coupling + coupling.dag())
     return h
+
+
+def build_hamiltonian(params: SystemParams, space: Space) -> Operator:
+    """Rotating-frame Hamiltonian on a composite or (atom-free) field space."""
+    return _hamiltonian(params, _embed_field(space, annihilation))
 
 
 def atom_dissipator(gamma: float, dims: SpaceDims) -> Superoperator:
@@ -197,19 +197,23 @@ def atom_dissipator(gamma: float, dims: SpaceDims) -> Superoperator:
     return Superoperator(dims.dim, m, dims, rate_scale=gamma)
 
 
-def cavity_squeezed_dissipator(kappa: float, bath: SqueezedBath, space: Space) -> Superoperator:
-    """Cavity damping into the broadband squeezed bath (all four lines)."""
-    if kappa <= 0:
-        raise ValueError(f"kappa must be > 0, got {kappa}")
-    a = _field_annihilation(space).matrix
+def _cavity_dissipator(kappa: float, c: Operator, n_th: float, m_corr: complex) -> Superoperator:
+    """Cavity damping through the jump operator c into a bath with (N, M)."""
+    a = c.matrix
     ad = a.conj().T
-    n_th, m_corr = bath.n_th, bath.m_corr
     m = -kappa * (1.0 + n_th) * (spre(ad @ a) - 2.0 * sandwich(a, ad) + spost(ad @ a))
     m = m - kappa * n_th * (spre(a @ ad) - 2.0 * sandwich(ad, a) + spost(a @ ad))
     m = m + kappa * m_corr * (spre(ad @ ad) - 2.0 * sandwich(ad, ad) + spost(ad @ ad))
     m = m + kappa * np.conj(m_corr) * (spre(a @ a) - 2.0 * sandwich(a, a) + spost(a @ a))
     rate = kappa * (1.0 + 2.0 * n_th + 2.0 * abs(m_corr))
-    return Superoperator(space.dim, m, space, rate_scale=rate)
+    return Superoperator(c.space.dim, m, c.space, rate_scale=rate)
+
+
+def cavity_squeezed_dissipator(kappa: float, bath: SqueezedBath, space: Space) -> Superoperator:
+    """Cavity damping into the broadband squeezed bath (all four lines)."""
+    if kappa <= 0:
+        raise ValueError(f"kappa must be > 0, got {kappa}")
+    return _cavity_dissipator(kappa, _embed_field(space, annihilation), bath.n_th, bath.m_corr)
 
 
 def hamiltonian_superoperator(h: Operator) -> Superoperator:
@@ -218,20 +222,22 @@ def hamiltonian_superoperator(h: Operator) -> Superoperator:
     return Superoperator(h.space.dim, m, h.space)
 
 
+def _assemble(params: SystemParams, x: Operator, c: Operator, n_th: float, m_corr: complex,
+              rate_scale: float) -> Superoperator:
+    """-i[H, .] with x the field operator in H, plus the cavity dissipator
+    with jump c and bath (N, M), plus the atomic dissipator."""
+    total = hamiltonian_superoperator(_hamiltonian(params, x))
+    total = total + _cavity_dissipator(params.kappa, c, n_th, m_corr)
+    if params.atom_present:
+        total = total + atom_dissipator(params.gamma, x.space)
+    return Superoperator(total.dim, total.matrix, x.space, rate_scale=rate_scale)
+
+
 def build_liouvillian(params: SystemParams, bath: SqueezedBath, space: Space) -> Superoperator:
     """Full generator: coherent part plus atomic and cavity dissipators."""
-    h = build_hamiltonian(params, space)
-    total = hamiltonian_superoperator(h) + cavity_squeezed_dissipator(params.kappa, bath, space)
-    if params.atom_present:
-        if not isinstance(space, SpaceDims):
-            raise InvalidDimensionError("atom_present=True requires a composite space")
-        total = total + atom_dissipator(params.gamma, space)
-    return Superoperator(
-        total.dim,
-        total.matrix,
-        space,
-        rate_scale=_rate_scale(params, bath.n_th, abs(bath.m_corr)),
-    )
+    a = _embed_field(space, annihilation)
+    n_th, m_corr = bath.n_th, bath.m_corr
+    return _assemble(params, a, a, n_th, m_corr, _rate_scale(params, n_th, abs(m_corr)))
 
 
 def build_bogoliubov_liouvillian(params: SystemParams, r: float, space: Space) -> Superoperator:
@@ -247,29 +253,6 @@ def build_bogoliubov_liouvillian(params: SystemParams, r: float, space: Space) -
             "the squeezed-frame generator is only defined at delta_A = delta_C = 0"
         )
     ch, sh = float(np.cosh(r)), float(np.sinh(r))
-    if isinstance(space, SpaceDims):
-        b = lift(bogoliubov_b(r, space.fock_cutoff), "field", space).matrix
-    elif isinstance(space, FieldSpace):
-        if params.atom_present:
-            raise InvalidDimensionError("field-only space requires atom_present=False")
-        b = bogoliubov_b(r, space.fock_cutoff).matrix
-    else:
-        raise InvalidDimensionError(f"expected a field or composite space, got {space}")
-    bd = b.conj().T
-    kappa = params.kappa
-    m = -kappa * (spre(bd @ b) - 2.0 * sandwich(b, bd) + spost(bd @ b))
-    total = Superoperator(space.dim, m, space)
-    if params.atom_present:
-        s_eg = lift(atom_sigma("e", "g"), "atom", space).matrix
-        h_int = params.g0 * (s_eg @ (ch * b + sh * bd))
-        h_int = h_int + h_int.conj().T
-        total = total + Superoperator(
-            space.dim, -1j * (spre(h_int) - spost(h_int)), space
-        )
-        total = total + atom_dissipator(params.gamma, space)
-    return Superoperator(
-        total.dim,
-        total.matrix,
-        space,
-        rate_scale=_rate_scale(params, sh * sh, ch * sh),
-    )
+    b = _embed_field(space, partial(bogoliubov_b, r))
+    return _assemble(params, ch * b + sh * b.dag(), b, 0.0, 0.0,
+                     _rate_scale(params, sh * sh, ch * sh))

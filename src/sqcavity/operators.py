@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import InvalidDimensionError, InvalidLabelError
 
@@ -32,8 +31,8 @@ class AtomSpace:
 
 
 @dataclass(frozen=True)
-class FieldSpace:
-    """Single cavity mode truncated to Fock states |0> .. |fock_cutoff-1>."""
+class _Truncated:
+    """A space holding the cavity mode truncated to |0> .. |fock_cutoff-1>."""
 
     fock_cutoff: int
 
@@ -42,6 +41,11 @@ class FieldSpace:
             raise InvalidDimensionError(
                 f"fock_cutoff must be >= 2, got {self.fock_cutoff}"
             )
+
+
+@dataclass(frozen=True)
+class FieldSpace(_Truncated):
+    """Single cavity mode truncated to Fock states |0> .. |fock_cutoff-1>."""
 
     @property
     def dim(self) -> int:
@@ -49,27 +53,12 @@ class FieldSpace:
 
 
 @dataclass(frozen=True)
-class SpaceDims:
-    """Composite atom ⊗ field space."""
-
-    fock_cutoff: int
-    atom_dim: int = 2
-
-    def __post_init__(self):
-        if self.fock_cutoff < 2:
-            raise InvalidDimensionError(
-                f"fock_cutoff must be >= 2, got {self.fock_cutoff}"
-            )
-        if self.atom_dim != 2:
-            raise InvalidDimensionError("only a two-level atom is supported")
-
-    @property
-    def total_dim(self) -> int:
-        return self.atom_dim * self.fock_cutoff
+class SpaceDims(_Truncated):
+    """Composite two-level atom ⊗ field space."""
 
     @property
     def dim(self) -> int:
-        return self.total_dim
+        return 2 * self.fock_cutoff
 
 
 Space = AtomSpace | FieldSpace | SpaceDims
@@ -171,44 +160,10 @@ def lift(op: Operator, subsystem: str, dims: SpaceDims) -> Operator:
                 f"field operator cutoff {op.space.fock_cutoff} does not match dims "
                 f"cutoff {dims.fock_cutoff}"
             )
-        m = np.kron(np.eye(dims.atom_dim, dtype=complex), op.matrix)
+        m = np.kron(np.eye(2, dtype=complex), op.matrix)
     else:
         raise InvalidLabelError(f"unknown subsystem {subsystem!r}; use 'atom' or 'field'")
     return Operator(dims, m)
-
-
-def displacement(alpha: complex, fock_cutoff: int, pad: int = 20) -> Operator:
-    """Displacement operator D(alpha) = exp(alpha a† - alpha* a).
-
-    The exponential is evaluated on a padded space of dimension
-    fock_cutoff + pad and then truncated back, so that the truncation
-    error is pushed into the discarded guard block.
-    """
-    if pad < 0:
-        raise InvalidDimensionError(f"pad must be >= 0, got {pad}")
-    alpha = complex(alpha)
-    if not np.isfinite(alpha.real) or not np.isfinite(alpha.imag):
-        raise ValueError("alpha must be finite")
-    big = fock_cutoff + pad
-    a = annihilation(big).matrix
-    gen = alpha * a.conj().T - np.conj(alpha) * a
-    d_big = expm(gen)
-    return Operator(FieldSpace(fock_cutoff), d_big[:fock_cutoff, :fock_cutoff])
-
-
-def displacement_defect(d_op: Operator, pad_guard: int = 10) -> float:
-    """Unitarity diagnostic max|(D†D - I)| over the first
-    fock_cutoff - pad_guard columns of a truncated displacement operator."""
-    n = d_op.space.dim
-    keep = max(1, n - pad_guard)
-    err = d_op.matrix.conj().T @ d_op.matrix - np.eye(n)
-    return float(np.abs(err[:, :keep]).max())
-
-
-def parity(fock_cutoff: int) -> Operator:
-    """Photon-number parity diag((-1)^n)."""
-    signs = np.where(np.arange(fock_cutoff) % 2 == 0, 1.0, -1.0).astype(complex)
-    return Operator(FieldSpace(fock_cutoff), np.diag(signs))
 
 
 def bogoliubov_b(r: float, fock_cutoff: int) -> Operator:

@@ -63,7 +63,7 @@ def photon_populations(rho: DensityMatrix) -> np.ndarray:
     """Photon-number populations P(n), tracing over the atom if present."""
     diag = rho.matrix.diagonal().real
     if isinstance(rho.space, SpaceDims):
-        return diag.reshape(rho.space.atom_dim, rho.space.fock_cutoff).sum(axis=0)
+        return diag.reshape(2, rho.space.fock_cutoff).sum(axis=0)
     return diag
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, UnsupportedFrameError
+from .errors import ConfigError, InvalidDimensionError, SimulationError, UnsupportedFrameError
 from .liouvillian import (
     SqueezedBath,
     SystemParams,
@@ -23,7 +23,9 @@ from .liouvillian import (
     build_liouvillian,
 )
 from .observables import (
+    WignerGrid,
     atom_excited_population,
+    expectation,
     mean_photon_number,
     pair_amplitude,
     partial_trace_atom,
@@ -31,9 +33,8 @@ from .observables import (
     purity,
     wigner,
 )
-from .operators import FieldSpace, SpaceDims, bogoliubov_b, lift
+from .operators import FieldSpace, Space, SpaceDims, bogoliubov_b, lift
 from .solvers import default_guard, steady_state
-from . import observables
 
 MODES = ("moments_sweep", "distribution", "wigner", "bogoliubov_check")
 BOGOLIUBOV_TOL = 1e-4
@@ -74,24 +75,36 @@ class SweepConfig:
             config = replace(config, r_values=values)
         if not config.r_values:
             raise ConfigError("r_values must be non-empty")
-        return config._validate_scalars()
-
-    def _validate_scalars(self) -> "SweepConfig":
-        if any(r < 0 for r in self.r_values):
-            raise ConfigError("all r_values must be >= 0")
-        if self.fock_cutoff < 2:
-            raise ConfigError(f"fock_cutoff must be >= 2, got {self.fock_cutoff}")
-        if self.kappa <= 0:
-            raise ConfigError(f"kappa must be > 0, got {self.kappa}")
-        if self.gamma < 0 or self.g0 < 0:
-            raise ConfigError("gamma and g0 must be >= 0")
-        if self.epsilon <= 0:
+        for r in config.r_values:
+            config.model(r)
+        if config.epsilon <= 0:
             raise ConfigError("epsilon must be > 0")
-        if self.guard is not None and not 0 < self.guard < self.fock_cutoff:
+        if config.guard is not None and not 0 < config.guard < config.fock_cutoff:
             raise ConfigError("guard must satisfy 0 < guard < fock_cutoff")
-        if self.wigner_points < 2 or self.wigner_extent <= 0:
+        if config.wigner_points < 2 or config.wigner_extent <= 0:
             raise ConfigError("wigner grid must have extent > 0 and at least 2 points")
-        return self
+        return config
+
+    def model(self, r: float) -> tuple[SystemParams, SqueezedBath, Space]:
+        """The configured model at squeezing strength r. The model classes
+        check their own parameters; their errors surface as ConfigError."""
+        try:
+            params = SystemParams(
+                delta_A=self.delta_a,
+                delta_C=self.delta_c,
+                g0=self.g0,
+                gamma=self.gamma,
+                kappa=self.kappa,
+                atom_present=self.atom_present,
+            )
+            if not self.atom_present:
+                # g0 and gamma are checked above even though the empty
+                # cavity drops them
+                params = replace(params, g0=0.0, gamma=0.0)
+            space = (SpaceDims if self.atom_present else FieldSpace)(self.fock_cutoff)
+            return params, SqueezedBath(r=r, phi=self.phi), space
+        except (ValueError, InvalidDimensionError) as exc:
+            raise ConfigError(str(exc)) from exc
 
     def resolved(self) -> dict:
         """All settings with defaults expanded, for the output header echo."""
@@ -184,30 +197,28 @@ def _worker_count(n_points: int) -> int:
 
 
 def _map_points(fn, points):
-    """Evaluate fn over sweep points, preserving input order. Any failure
-    aborts the whole sweep before anything is written."""
+    """Evaluate fn over sweep points r, preserving input order. Any failure
+    aborts the whole sweep before anything is written; its message names
+    the failing r."""
+
+    def at_point(r):
+        try:
+            return fn(r)
+        except SimulationError as exc:
+            if exc.args:
+                exc.args = (f"at r = {r!r}: {exc.args[0]}", *exc.args[1:])
+            raise
+
     workers = _worker_count(len(points))
     if workers == 1:
-        return [fn(p) for p in points]
+        return [at_point(p) for p in points]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, points))
+        return list(pool.map(at_point, points))
 
 
 def solve_point(config: SweepConfig, r: float):
     """Steady state of the configured model at one squeezing strength."""
-    params = SystemParams(
-        delta_A=config.delta_a,
-        delta_C=config.delta_c,
-        g0=config.g0 if config.atom_present else 0.0,
-        gamma=config.gamma if config.atom_present else 0.0,
-        kappa=config.kappa,
-        atom_present=config.atom_present,
-    )
-    if config.atom_present:
-        space = SpaceDims(config.fock_cutoff)
-    else:
-        space = FieldSpace(config.fock_cutoff)
-    L = build_liouvillian(params, SqueezedBath(r=r, phi=config.phi), space)
+    L = build_liouvillian(*config.model(r))
     return steady_state(L, guard=config.guard, epsilon=config.epsilon)
 
 
@@ -260,7 +271,7 @@ def run_distribution(config: SweepConfig) -> dict[float, dict]:
     return data
 
 
-def run_wigner(config: SweepConfig) -> dict[float, "observables.WignerGrid"]:
+def run_wigner(config: SweepConfig) -> dict[float, WignerGrid]:
     """Wigner grid file per r; first row and column carry the axes."""
     axis = np.linspace(-config.wigner_extent, config.wigner_extent, config.wigner_points)
 
@@ -275,15 +286,11 @@ def run_wigner(config: SweepConfig) -> dict[float, "observables.WignerGrid"]:
     data = {}
     for r, grid in zip(config.r_values, results):
         tag = f"g0{config.g0:g}" if config.atom_present else "empty"
-        path = out_dir / f"wigner_r{r:g}_{tag}.csv"
-        lines = list(_header_lines(config))
-        lines.append(f"# r = {r!r}")
-        lines.append("# first row: p axis; first column: q axis; values[i,j] = W(q_i, p_j)")
-        first = ",".join(["0.0"] + [FLOAT_FMT % p for p in grid.p_axis])
-        lines.append(first)
-        for i, q in enumerate(grid.q_axis):
-            lines.append(",".join([FLOAT_FMT % q] + [FLOAT_FMT % v for v in grid.values[i]]))
-        _atomic_write(path, "\n".join(lines) + "\n")
+        extra = [f"# r = {r!r}",
+                 "# first row: p axis; first column: q axis; values[i,j] = W(q_i, p_j)"]
+        p_row = ["0.0"] + [FLOAT_FMT % p for p in grid.p_axis]
+        rows = [[q, *values] for q, values in zip(grid.q_axis, grid.values)]
+        _write_csv(out_dir / f"wigner_r{r:g}_{tag}.csv", config, p_row, rows, extra)
         data[r] = grid
     return data
 
@@ -296,17 +303,7 @@ def run_bogoliubov_check(config: SweepConfig) -> list[dict]:
         )
 
     def point(r):
-        params = SystemParams(
-            g0=config.g0 if config.atom_present else 0.0,
-            gamma=config.gamma if config.atom_present else 0.0,
-            kappa=config.kappa,
-            atom_present=config.atom_present,
-        )
-        if config.atom_present:
-            space = SpaceDims(config.fock_cutoff)
-        else:
-            space = FieldSpace(config.fock_cutoff)
-        bath = SqueezedBath(r=r, phi=0.0)
+        params, bath, space = config.model(r)
         rho_lab = steady_state(build_liouvillian(params, bath, space),
                                guard=config.guard, epsilon=config.epsilon)
         rho_bog = steady_state(build_bogoliubov_liouvillian(params, r, space),
@@ -318,8 +315,6 @@ def run_bogoliubov_check(config: SweepConfig) -> list[dict]:
         n_op = a_from_b.dag() @ a_from_b
         if config.atom_present:
             n_op = lift(n_op, "field", space)
-        from .observables import expectation
-
         mean_bog = expectation(rho_bog, n_op).real
         disc = abs(mean_lab - mean_bog)
         if config.atom_present:
@@ -370,8 +365,16 @@ def _write_csv(path: Path, config: SweepConfig, columns, rows, extra_header=None
 
 
 def _atomic_write(path: Path, text: str):
-    """Write via a temp file so failed sweeps never leave partial output."""
+    """Write via a temp file of its own in the same directory, so failed or
+    concurrent sweeps never leave partial or interleaved output."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    # a unique name, opened like any new file so the output keeps the
+    # umask-given permissions (tempfile.mkstemp would make it 0600)
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with tmp.open("x") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

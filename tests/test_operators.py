@@ -10,12 +10,9 @@ from sqcavity import (
     annihilation,
     atom_sigma,
     bogoliubov_b,
-    displacement,
-    displacement_defect,
     identity,
     lift,
     number_operator,
-    parity,
 )
 from conftest import squeezed_state_vector
 
@@ -106,43 +103,6 @@ class TestLift:
         x = lift(atom_sigma("e", "g"), "atom", dims)
         y = lift(annihilation(4), "field", dims)
         assert np.array_equal((x @ y).matrix, (y @ x).matrix)
-
-
-class TestDisplacement:
-    def test_zero_displacement_is_identity(self):
-        assert np.allclose(displacement(0.0, 12, pad=5).matrix, np.eye(12))
-
-    def test_vacuum_overlap(self):
-        # <0|D(alpha)|0> = exp(-|alpha|^2 / 2)
-        d = displacement(1.0, 40, pad=20)
-        assert abs(d.matrix[0, 0] - np.exp(-0.5)) < 1e-8
-
-    def test_inverse_property_on_guarded_block(self):
-        alpha = 0.7 - 0.4j
-        n, guard = 40, 20
-        prod = (displacement(alpha, n) @ displacement(-alpha, n)).matrix
-        block = prod[: n - guard, : n - guard]
-        assert np.abs(block - np.eye(n - guard)).max() < 1e-8
-
-    def test_unitarity_defect_shrinks_with_guard(self):
-        d = displacement(1.2j, 40, pad=20)
-        defects = [displacement_defect(d, pad_guard=g) for g in (15, 20, 25, 30)]
-        assert defects == sorted(defects, reverse=True)
-        assert defects[-1] < 1e-10
-
-
-class TestParity:
-    def test_alternating_signs(self):
-        assert np.allclose(parity(3).matrix, np.diag([1, -1, 1]))
-
-    def test_involution(self):
-        p = parity(9)
-        assert np.array_equal((p @ p).matrix, np.eye(9))
-
-    def test_vacuum_parity(self):
-        vac = np.zeros((5, 5))
-        vac[0, 0] = 1
-        assert np.trace(parity(5).matrix @ vac) == 1
 
 
 class TestBogoliubov:

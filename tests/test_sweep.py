@@ -1,9 +1,14 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from sqcavity import ConfigError, SweepConfig, load_config
-from sqcavity.cli import main
+from sqcavity import ConfigError, CutoffTooSmallError, SweepConfig, load_config
+from sqcavity.cli import build_parser, main, resolve_config
 from sqcavity.sweep import (
+    _atomic_write,
     default_r_grid,
     run_bogoliubov_check,
     run_distribution,
@@ -207,3 +212,85 @@ class TestCli:
             "--mode", "bogoliubov_check", "--no-atom", "--r", "0.3", "--phi", "0.5",
             "--cutoff", "20", "--out", str(tmp_path / "b.csv"),
         ]) == 3
+
+    def test_malformed_r_exit_code(self, capsys):
+        assert main(["--r", "0.1,abc"]) == 2
+        assert "bad --r value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, cfg_text", [
+        (["--no-atom", "--g0", "-1"], None),
+        (["--gamma", "-0.5"], None),
+        (["--cutoff", "1"], None),
+        (["--r", "0.2,-0.1"], None),
+        (["--guard", "60"], None),
+        (["--epsilon", "0"], None),
+        ([], "kappa = 0\n"),
+        ([], "atom_present = false\ngamma = -1\n"),
+    ])
+    def test_invalid_model_parameters_exit_code(self, tmp_path, argv, cfg_text, capsys):
+        if cfg_text is not None:
+            argv = ["--config", write_config(tmp_path / "bad.cfg", cfg_text), *argv]
+        assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_sweep_error_names_failing_point(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SIM_THREADS", "2")
+        cfg = SweepConfig(r_values=(0.1, 1.2), atom_present=False, fock_cutoff=20,
+                          output_path=str(tmp_path / "m.csv")).validate()
+        with pytest.raises(CutoffTooSmallError) as info:
+            run_moments_sweep(cfg)
+        assert str(info.value).startswith("at r = 1.2: tail mass")
+        assert info.value.suggested_cutoff == 30
+        assert info.value.tail_mass > cfg.epsilon
+        assert main(["--no-atom", "--r", "0.1,1.2", "--cutoff", "20",
+                     "--out", str(tmp_path / "m.csv")]) == 4
+        assert "at r = 1.2:" in capsys.readouterr().err
+
+
+# each CLI flag with a value, and the SweepConfig field it must land in
+CLI_FLAGS = [
+    (["--mode", "wigner"], "mode", "wigner"),
+    (["--r", "0.1, 0.2"], "r_values", (0.1, 0.2)),
+    (["--g0", "3.5"], "g0", 3.5),
+    (["--gamma", "0.5"], "gamma", 0.5),
+    (["--phi", "0.25"], "phi", 0.25),
+    (["--no-atom"], "atom_present", False),
+    (["--cutoff", "30"], "fock_cutoff", 30),
+    (["--guard", "5"], "guard", 5),
+    (["--epsilon", "1e-6"], "epsilon", 1e-6),
+    (["--out", "x.csv"], "output_path", "x.csv"),
+]
+
+
+@pytest.mark.parametrize("argv, field, value", CLI_FLAGS)
+def test_cli_flag_sets_its_config_field(argv, field, value):
+    config = resolve_config(build_parser().parse_args(argv))
+    assert getattr(config, field) == value
+    assert config == replace(SweepConfig(), **{field: value}).validate()
+
+
+def test_cli_flag_table_covers_every_flag():
+    flags = {opt for action in build_parser()._actions for opt in action.option_strings}
+    assert flags - {"-h", "--help", "--config"} == {argv[0] for argv, _, _ in CLI_FLAGS}
+
+
+def test_concurrent_writes_leave_one_complete_file(tmp_path):
+    path = tmp_path / "out.csv"
+    texts = [f"writer {k}\n" * 20000 for k in range(8)]
+
+    def writer(text):
+        for _ in range(25):
+            _atomic_write(path, text)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(texts)) as pool:
+            futures = [pool.submit(writer, text) for text in texts]
+            for future in futures:
+                future.result(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert path.read_text() in texts
+    assert list(tmp_path.glob("*.tmp")) == []
