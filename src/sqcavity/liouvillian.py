@@ -32,13 +32,13 @@ import scipy.sparse as sp
 
 from .errors import InvalidDimensionError, UnsupportedFrameError
 from .operators import (
-    FieldSpace,
     Operator,
     Space,
     SpaceDims,
     annihilation,
     atom_sigma,
     bogoliubov_b,
+    embed_field,
     lift,
 )
 
@@ -150,15 +150,6 @@ def spost(op: np.ndarray) -> sp.csr_matrix:
     return sp.kron(sp.csr_matrix(op.T), sp.identity(d, format="csr"), format="csr")
 
 
-def _embed_field(space: Space, field_op) -> Operator:
-    """`field_op(fock_cutoff)` embedded in a field or composite space."""
-    if isinstance(space, SpaceDims):
-        return lift(field_op(space.fock_cutoff), "field", space)
-    if isinstance(space, FieldSpace):
-        return field_op(space.fock_cutoff)
-    raise InvalidDimensionError(f"expected a field or composite space, got {space}")
-
-
 def _rate_scale(params: SystemParams, n_th: float, m_abs: float) -> float:
     return max(
         abs(params.delta_A),
@@ -184,7 +175,7 @@ def _hamiltonian(params: SystemParams, x: Operator) -> Operator:
 
 def build_hamiltonian(params: SystemParams, space: Space) -> Operator:
     """Rotating-frame Hamiltonian on a composite or (atom-free) field space."""
-    return _hamiltonian(params, _embed_field(space, annihilation))
+    return _hamiltonian(params, embed_field(space, annihilation))
 
 
 def atom_dissipator(gamma: float, dims: SpaceDims) -> Superoperator:
@@ -213,7 +204,7 @@ def cavity_squeezed_dissipator(kappa: float, bath: SqueezedBath, space: Space) -
     """Cavity damping into the broadband squeezed bath (all four lines)."""
     if kappa <= 0:
         raise ValueError(f"kappa must be > 0, got {kappa}")
-    return _cavity_dissipator(kappa, _embed_field(space, annihilation), bath.n_th, bath.m_corr)
+    return _cavity_dissipator(kappa, embed_field(space, annihilation), bath.n_th, bath.m_corr)
 
 
 def hamiltonian_superoperator(h: Operator) -> Superoperator:
@@ -235,7 +226,7 @@ def _assemble(params: SystemParams, x: Operator, c: Operator, n_th: float, m_cor
 
 def build_liouvillian(params: SystemParams, bath: SqueezedBath, space: Space) -> Superoperator:
     """Full generator: coherent part plus atomic and cavity dissipators."""
-    a = _embed_field(space, annihilation)
+    a = embed_field(space, annihilation)
     n_th, m_corr = bath.n_th, bath.m_corr
     return _assemble(params, a, a, n_th, m_corr, _rate_scale(params, n_th, abs(m_corr)))
 
@@ -253,6 +244,6 @@ def build_bogoliubov_liouvillian(params: SystemParams, r: float, space: Space) -
             "the squeezed-frame generator is only defined at delta_A = delta_C = 0"
         )
     ch, sh = float(np.cosh(r)), float(np.sinh(r))
-    b = _embed_field(space, partial(bogoliubov_b, r))
+    b = embed_field(space, partial(bogoliubov_b, r))
     return _assemble(params, ch * b + sh * b.dag(), b, 0.0, 0.0,
                      _rate_scale(params, sh * sh, ch * sh))

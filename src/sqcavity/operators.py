@@ -166,6 +166,15 @@ def lift(op: Operator, subsystem: str, dims: SpaceDims) -> Operator:
     return Operator(dims, m)
 
 
+def embed_field(space: Space, field_op) -> Operator:
+    """`field_op(fock_cutoff)` embedded in a field or composite space."""
+    if isinstance(space, SpaceDims):
+        return lift(field_op(space.fock_cutoff), "field", space)
+    if isinstance(space, FieldSpace):
+        return field_op(space.fock_cutoff)
+    raise InvalidDimensionError(f"expected a field or composite space, got {space}")
+
+
 def bogoliubov_b(r: float, fock_cutoff: int) -> Operator:
     """Squeezed-frame mode b = cosh(r) a - sinh(r) a† (phase 0)."""
     if r < 0:

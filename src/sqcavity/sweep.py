@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ from .observables import (
     purity,
     wigner,
 )
-from .operators import FieldSpace, Space, SpaceDims, bogoliubov_b, lift
+from .operators import FieldSpace, Operator, Space, SpaceDims, bogoliubov_b, embed_field
 from .solvers import default_guard, steady_state
 
 MODES = ("moments_sweep", "distribution", "wigner", "bogoliubov_check")
@@ -278,7 +279,7 @@ def run_wigner(config: SweepConfig) -> dict[float, WignerGrid]:
     def point(r):
         rho = solve_point(config, r)
         field = partial_trace_atom(rho) if config.atom_present else rho
-        return wigner(field, axis, axis, epsilon=config.epsilon)
+        return wigner(field, axis, axis, guard=config.guard, epsilon=config.epsilon)
 
     results = _map_points(point, list(config.r_values))
     out_dir = config.effective_output_path()
@@ -295,6 +296,13 @@ def run_wigner(config: SweepConfig) -> dict[float, WignerGrid]:
     return data
 
 
+def _n_from_b(r: float, fock_cutoff: int) -> Operator:
+    """a†a rebuilt from the squeezed-frame mode: a = cosh(r) b + sinh(r) b†."""
+    b = bogoliubov_b(r, fock_cutoff)
+    a = np.cosh(r) * b + np.sinh(r) * b.dag()
+    return a.dag() @ a
+
+
 def run_bogoliubov_check(config: SweepConfig) -> list[dict]:
     """Solve the lab and squeezed frames at each r and compare observables."""
     if config.phi != 0.0 or config.delta_a != 0.0 or config.delta_c != 0.0:
@@ -309,13 +317,7 @@ def run_bogoliubov_check(config: SweepConfig) -> list[dict]:
         rho_bog = steady_state(build_bogoliubov_liouvillian(params, r, space),
                                guard=config.guard, epsilon=config.epsilon)
         mean_lab = mean_photon_number(rho_lab)
-        # reconstruct a from the squeezed-frame mode: a = cosh(r) b + sinh(r) b†
-        b = bogoliubov_b(r, config.fock_cutoff)
-        a_from_b = np.cosh(r) * b + np.sinh(r) * b.dag()
-        n_op = a_from_b.dag() @ a_from_b
-        if config.atom_present:
-            n_op = lift(n_op, "field", space)
-        mean_bog = expectation(rho_bog, n_op).real
+        mean_bog = expectation(rho_bog, embed_field(space, partial(_n_from_b, r))).real
         disc = abs(mean_lab - mean_bog)
         if config.atom_present:
             disc = max(disc, abs(atom_excited_population(rho_lab)

@@ -211,7 +211,7 @@ def test_criterion_08_wigner_function_validity():
 
         vac = steady_state(build_liouvillian(
             SystemParams(atom_present=False), SqueezedBath(0.0), FieldSpace(20)))
-        grid_vac = wigner(vac, axis, axis, pad=30)
+        grid_vac = wigner(vac, axis, axis)
         assert abs(grid_vac.values[50, 50] - 1 / np.pi) < 1e-6
         assert abs(wigner_integral(grid_vac) - 1.0) < 1e-3
 

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy.special import eval_laguerre
 
 from sqcavity import (
     CorruptedStateError,
     CutoffTooSmallError,
+    DensityMatrix,
     FieldSpace,
     InvalidDimensionError,
     SpaceDims,
@@ -190,6 +192,35 @@ class TestWigner:
         axis = np.linspace(-5.0, 5.0, 81)
         _, _, var_q, var_p = quadrature_moments(wigner(rho, axis, axis))
         assert (var_q + var_p - 1) / 2 == pytest.approx(mean_photon_number(rho), abs=1e-3)
+
+    @pytest.mark.parametrize("n", [10, 40])
+    def test_fock_state_closed_form(self, n):
+        axis = np.linspace(-5.0, 5.0, 41)
+        grid = wigner(fock_state(FieldSpace(60), n), axis, axis)
+        rr = axis[:, None] ** 2 + axis[None, :] ** 2  # 2|alpha|^2
+        expected = (-1) ** n * np.exp(-rr) * eval_laguerre(n, 2 * rr) / np.pi
+        assert np.abs(grid.values - expected).max() < 1e-10
+
+    def test_coherent_state_closed_form(self):
+        # a complex amplitude pins the conjugation and the (q, p) orientation
+        beta = 1.2 + 0.7j
+        n = np.arange(60)
+        log_fact = np.cumsum(np.log(np.maximum(n, 1)))
+        amps = np.exp(-abs(beta) ** 2 / 2 - log_fact / 2) * beta ** n
+        rho = make_density_matrix(FieldSpace(60), np.outer(amps, amps.conj()))
+        q = np.linspace(-5.0, 5.0, 41)
+        p = np.linspace(-5.0, 5.0, 37)
+        grid = wigner(rho, q, p)
+        q0, p0 = np.sqrt(2) * beta.real, np.sqrt(2) * beta.imag
+        expected = np.exp(-((q[:, None] - q0) ** 2 + (p[None, :] - p0) ** 2)) / np.pi
+        assert np.abs(grid.values - expected).max() < 1e-10
+
+    def test_non_hermitian_state_rejected(self):
+        m = np.zeros((10, 10), dtype=complex)
+        m[0, 0] = m[1, 1] = 0.5
+        m[0, 1] = 0.1j  # with rho_10 = 0
+        with pytest.raises(CorruptedStateError):
+            wigner(DensityMatrix(FieldSpace(10), m), [0.0, 0.5], [0.0, 0.5])
 
     def test_leaky_state_rejected(self):
         rho = steady_state(

@@ -206,6 +206,14 @@ class TestCli:
         ]) == 4
         assert not (tmp_path / "x.csv").exists()  # no partial output
 
+    def test_wigner_mode_uses_configured_guard(self, tmp_path):
+        # the tail mass is 1.9e-9 over the top 4 levels but 1.7e-8 over the
+        # default guard band of 8
+        argv = ["--no-atom", "--r", "0.7", "--cutoff", "40", "--guard", "4"]
+        assert main([*argv, "--mode", "moments_sweep", "--out", str(tmp_path / "m.csv")]) == 0
+        assert main([*argv, "--mode", "wigner", "--out", str(tmp_path / "wg")]) == 0
+        assert (tmp_path / "wg" / "wigner_r0.7_empty.csv").exists()
+
     def test_solver_error_exit_code(self, tmp_path):
         # bogoliubov mode at nonzero phase surfaces an unsupported-frame error
         assert main([
