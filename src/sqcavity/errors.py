@@ -33,12 +33,21 @@ class NonUniqueSteadyStateError(SolverError):
 
 
 class CutoffTooSmallError(SolverError):
-    """Photon-number population leaked into the truncation guard band."""
+    """Photon-number population leaked into the truncation guard band.
+
+    The message ends with the suggested cutoff whenever one is set, so a
+    sweep that knows r can replace the suggestion after the fact."""
 
     def __init__(self, message, suggested_cutoff=None, tail_mass=None):
         super().__init__(message)
         self.suggested_cutoff = suggested_cutoff
         self.tail_mass = tail_mass
+
+    def __str__(self):
+        text = super().__str__()
+        if self.suggested_cutoff is not None:
+            text += f"; retry with cutoff >= {self.suggested_cutoff}"
+        return text
 
 
 class StepTooLargeError(SolverError):

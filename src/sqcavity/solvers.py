@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,6 +37,7 @@ class StateDiagnostics:
     hermiticity_error: float
     min_eigenvalue: float
     tail_mass: float
+    residual: float | None = None  # max |L vec(rho)|, set by steady_state
 
 
 @dataclass(frozen=True)
@@ -133,25 +134,57 @@ def suggest_fock_cutoff(r: float, epsilon: float = DEFAULT_EPSILON,
     return max(n_min, min(n, n_max))
 
 
+def _parity_sectors(space: Space, dim: int) -> np.ndarray:
+    """Sector of each vec index i + dim*j: 0 where |i> and |j> have equal
+    excitation parity (a†a, plus sigma_ee on the composite space), 1 where
+    they differ."""
+    n = np.arange(dim)
+    if isinstance(space, SpaceDims):
+        n = n // space.fock_cutoff + n % space.fock_cutoff
+    elif not isinstance(space, FieldSpace):
+        raise SolverError(
+            f"steady_state needs a generator on a field or composite space, got {space}; "
+            "build it with build_liouvillian or build_bogoliubov_liouvillian"
+        )
+    parity = n % 2
+    return (parity[:, None] ^ parity[None, :]).reshape(-1, order="F")
+
+
 def steady_state(L: Superoperator, guard: int | None = None,
                  epsilon: float = DEFAULT_EPSILON, check_tail: bool = True) -> DensityMatrix:
     """Solve L vec(rho) = 0 with the unit-trace constraint.
 
-    The first row of L is replaced by vec(I)^T and the right-hand side by
-    the first unit vector, keeping the system square; the solution is then
-    hermitized, renormalized, and validated. The residual of the original
-    generator must stay below RESIDUAL_TOL, otherwise the kernel is
-    considered degenerate.
+    Every jump operator flips the excitation parity P = (-1)^(a†a + sigma_ee)
+    and H conserves it, so L has no entries between the sector where ket
+    and bra have equal parity and the one where they differ (a weak
+    symmetry, Buca & Prosen, New J. Phys. 14, 073007 (2012)), and the
+    steady state lives in the equal-parity sector. Only that block of L,
+    d²/2 unknowns, is factorized: its rho_00 row is replaced by the trace
+    row and the right-hand side by the first unit vector, keeping the
+    system square. The solution is scattered into a full rho whose
+    cross-sector entries are exactly zero, then hermitized, renormalized,
+    and validated. The residual of the full generator must stay below
+    RESIDUAL_TOL, otherwise the kernel is considered degenerate.
     """
     if L.trace_residual() > 1e-10:
         raise SolverError("generator is not trace-preserving; refusing to solve")
     d = L.dim
-    n = d * d
+    sector = _parity_sectors(L.space, d)
+    coo = L.matrix.tocoo()
+    if np.any(sector[coo.row] != sector[coo.col]):
+        raise SolverError(
+            "generator couples the two excitation-parity sectors (a coherent drive or a "
+            "parity-breaking jump operator); this solver needs a generator that commutes "
+            "with rho -> P rho P, P = (-1)^(a†a + sigma_ee)"
+        )
+    even = np.flatnonzero(sector == 0)  # starts with rho_00 at index 0
+    block = L.matrix[even][:, even]
     tr = sp.csr_matrix(
-        (np.ones(d), (np.zeros(d, dtype=int), np.arange(d) * (d + 1))), shape=(1, n)
+        (np.ones(d), (np.zeros(d, dtype=int), np.searchsorted(even, np.arange(d) * (d + 1)))),
+        shape=(1, even.size),
     )
-    system = sp.vstack([tr, L.matrix[1:, :]], format="csc")
-    rhs = np.zeros(n, dtype=complex)
+    system = sp.vstack([tr, block[1:, :]], format="csc")
+    rhs = np.zeros(even.size, dtype=complex)
     rhs[0] = 1.0
     try:
         sol = spsolve(system, rhs)
@@ -159,23 +192,24 @@ def steady_state(L: Superoperator, guard: int | None = None,
         raise NonUniqueSteadyStateError(f"sparse LU solve failed: {exc}") from exc
     if not np.all(np.isfinite(sol)):
         raise NonUniqueSteadyStateError("sparse LU solve returned non-finite entries")
-    rho = make_density_matrix(L.space, unvec(sol, d), guard)
+    full = np.zeros(d * d, dtype=complex)
+    full[even] = sol
+    rho = make_density_matrix(L.space, unvec(full, d), guard)
     residual = float(np.abs(L.matrix @ vec(rho.matrix)).max())
     if residual > RESIDUAL_TOL:
         raise NonUniqueSteadyStateError(
             f"steady-state residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e}; "
             "the kernel may be degenerate"
         )
-    if check_tail and L.space is not None:
+    rho = replace(rho, diagnostics=replace(rho.diagnostics, residual=residual))
+    if check_tail:
         report = check_truncation(rho, guard, epsilon)
         if not report.adequate:
             current = rho.fock_cutoff
-            suggested = int(math.ceil(current * 1.5 / 10.0) * 10)
             raise CutoffTooSmallError(
                 f"tail mass {report.tail_mass:.3e} over the top {report.guard} Fock "
-                f"levels exceeds {epsilon:.0e} at cutoff {current}; retry with "
-                f"cutoff >= {suggested}",
-                suggested_cutoff=suggested,
+                f"levels exceeds {epsilon:.0e} at cutoff {current}",
+                suggested_cutoff=int(math.ceil(current * 1.5 / 10.0) * 10),
                 tail_mass=report.tail_mass,
             )
     return rho

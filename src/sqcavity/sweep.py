@@ -16,7 +16,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, InvalidDimensionError, SimulationError, UnsupportedFrameError
+from .errors import (
+    ConfigError,
+    CutoffTooSmallError,
+    InvalidDimensionError,
+    SimulationError,
+    UnsupportedFrameError,
+)
 from .liouvillian import (
     SqueezedBath,
     SystemParams,
@@ -35,7 +41,7 @@ from .observables import (
     wigner,
 )
 from .operators import FieldSpace, Operator, Space, SpaceDims, bogoliubov_b, embed_field
-from .solvers import default_guard, steady_state
+from .solvers import default_guard, steady_state, suggest_fock_cutoff
 
 MODES = ("moments_sweep", "distribution", "wigner", "bogoliubov_check")
 BOGOLIUBOV_TOL = 1e-4
@@ -197,19 +203,25 @@ def _worker_count(n_points: int) -> int:
     return max(1, min(workers, n_points))
 
 
-def _map_points(fn, points):
-    """Evaluate fn over sweep points r, preserving input order. Any failure
-    aborts the whole sweep before anything is written; its message names
-    the failing r."""
+def _map_points(config: SweepConfig, fn):
+    """Evaluate fn over the sweep points r of config, preserving input
+    order. Any failure aborts the whole sweep before anything is written;
+    its message names the failing r, and a truncation error suggests the
+    cutoff `suggest_fock_cutoff` gives for that r."""
 
     def at_point(r):
         try:
             return fn(r)
         except SimulationError as exc:
+            if isinstance(exc, CutoffTooSmallError):
+                suggested = suggest_fock_cutoff(r, config.epsilon)
+                if suggested > config.fock_cutoff:
+                    exc.suggested_cutoff = suggested
             if exc.args:
                 exc.args = (f"at r = {r!r}: {exc.args[0]}", *exc.args[1:])
             raise
 
+    points = list(config.r_values)
     workers = _worker_count(len(points))
     if workers == 1:
         return [at_point(p) for p in points]
@@ -244,7 +256,7 @@ MOMENTS_COLUMNS = ("r", "mean_n", "P0", "P1", "abs_aa", "arg_aa", "rho_ee", "pur
 
 
 def run_moments_sweep(config: SweepConfig) -> list[dict]:
-    rows = _map_points(lambda r: _moments_row(config, r), list(config.r_values))
+    rows = _map_points(config, partial(_moments_row, config))
     path = config.effective_output_path()
     _write_csv(path, config, MOMENTS_COLUMNS, [[row[c] for c in MOMENTS_COLUMNS] for row in rows])
     return rows
@@ -260,7 +272,7 @@ def run_distribution(config: SweepConfig) -> dict[float, dict]:
         return {"probabilities": dist.probabilities[: config.fock_cutoff - guard],
                 "tail_mass": dist.tail_mass}
 
-    results = _map_points(point, list(config.r_values))
+    results = _map_points(config, point)
     out_dir = config.effective_output_path()
     out_dir.mkdir(parents=True, exist_ok=True)
     data = {}
@@ -281,7 +293,7 @@ def run_wigner(config: SweepConfig) -> dict[float, WignerGrid]:
         field = partial_trace_atom(rho) if config.atom_present else rho
         return wigner(field, axis, axis, guard=config.guard, epsilon=config.epsilon)
 
-    results = _map_points(point, list(config.r_values))
+    results = _map_points(config, point)
     out_dir = config.effective_output_path()
     out_dir.mkdir(parents=True, exist_ok=True)
     data = {}
@@ -325,7 +337,7 @@ def run_bogoliubov_check(config: SweepConfig) -> list[dict]:
         return {"r": r, "mean_n_lab": mean_lab, "mean_n_bog": mean_bog,
                 "discrepancy": disc, "passed": disc < BOGOLIUBOV_TOL}
 
-    rows = _map_points(point, list(config.r_values))
+    rows = _map_points(config, point)
     columns = ("r", "mean_n_lab", "mean_n_bog", "discrepancy", "passed")
     csv_rows = [[row["r"], row["mean_n_lab"], row["mean_n_bog"], row["discrepancy"],
                  int(row["passed"])] for row in rows]

@@ -7,6 +7,8 @@ plain numpy only, so they stay independent of the code paths they check.
 import numpy as np
 import pytest
 
+from sqcavity import SpaceDims
+
 
 def squeezed_photon_numbers(r: float, nmax: int) -> np.ndarray:
     """Exact photon distribution of a squeezed vacuum with strength r.
@@ -29,6 +31,16 @@ def squeezed_state_vector(r: float, dim: int) -> np.ndarray:
     amps = np.sqrt(squeezed_photon_numbers(r, dim))
     psi[: dim] = amps
     return psi / np.linalg.norm(psi)
+
+
+def parity_mismatch(space) -> np.ndarray:
+    """Boolean d×d mask, True where ket |i> and bra <j| have different
+    excitation parity a†a (+ sigma_ee on the atom ⊗ field space, whose flat
+    index is alpha * fock_cutoff + n)."""
+    n = np.arange(space.dim)
+    if isinstance(space, SpaceDims):
+        n = n // space.fock_cutoff + n % space.fock_cutoff
+    return (n[:, None] - n[None, :]) % 2 == 1
 
 
 @pytest.fixture

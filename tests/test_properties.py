@@ -18,6 +18,7 @@ from sqcavity import (
     build_bogoliubov_liouvillian,
     build_liouvillian,
 )
+from conftest import parity_mismatch
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -44,12 +45,8 @@ def assert_generator_properties(L):
     idx = np.arange(d * d)
     swap = (idx // d) + d * (idx % d)
     assert np.abs(m[np.ix_(swap, swap)].conj() - m).max() < 1e-12 * scale
-    # parity sectors: vec index i + d*j has parity p_i p_j
-    n = np.arange(d)
-    if isinstance(L.space, SpaceDims):
-        n = n // L.space.fock_cutoff + n % L.space.fock_cutoff
-    p = np.where(n % 2 == 0, 1, -1)
-    sector = np.outer(p, p).reshape(-1, order="F")
+    # parity sectors: vec index i + d*j is entry (i, j) of rho
+    sector = parity_mismatch(L.space).reshape(-1, order="F")
     coo = L.matrix.tocoo()
     assert np.all(sector[coo.row] == sector[coo.col])
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
 from sqcavity import (
     CorruptedStateError,
@@ -12,16 +13,23 @@ from sqcavity import (
     StepTooLargeError,
     Superoperator,
     SystemParams,
+    annihilation,
+    build_bogoliubov_liouvillian,
     build_liouvillian,
     check_truncation,
     evolve,
     make_density_matrix,
     mean_photon_number,
+    solvers,
     steady_state,
     suggest_fock_cutoff,
+    unvec,
     vec,
 )
-from conftest import squeezed_photon_numbers
+from sqcavity.liouvillian import hamiltonian_superoperator
+from sqcavity.operators import embed_field
+from sqcavity.solvers import RESIDUAL_TOL
+from conftest import parity_mismatch, squeezed_photon_numbers
 
 
 def empty_cavity_liouvillian(r, cutoff, kappa=1.0):
@@ -68,6 +76,7 @@ class TestSteadyState:
         with pytest.raises(CutoffTooSmallError) as info:
             steady_state(empty_cavity_liouvillian(1.0, 40), guard=8)
         assert info.value.suggested_cutoff > 40
+        assert str(info.value).endswith(f"retry with cutoff >= {info.value.suggested_cutoff}")
         assert info.value.tail_mass > 1e-8
 
     def test_diagnostics_recorded(self):
@@ -77,6 +86,87 @@ class TestSteadyState:
         assert np.abs(rho.matrix - rho.matrix.conj().T).max() < 1e-10
         assert d.min_eigenvalue > -1e-8
         assert d.tail_mass < 1e-8
+
+
+def full_system_state(L):
+    """The plain solve: the whole d²×d² generator with its first row
+    replaced by the trace row, normalized but not otherwise processed."""
+    d = L.dim
+    system = sp.lil_matrix(L.matrix)
+    system[0, :] = np.eye(d).reshape(1, -1, order="F")
+    rhs = np.zeros(d * d, dtype=complex)
+    rhs[0] = 1.0
+    rho = unvec(spsolve(system.tocsc(), rhs), d)
+    rho = 0.5 * (rho + rho.conj().T)
+    return rho / rho.trace().real
+
+
+ATOM = SystemParams(g0=15.0, gamma=1.0)
+
+SECTOR_CASES = {
+    "atom": lambda: build_liouvillian(ATOM, SqueezedBath(0.6), SpaceDims(24)),
+    "empty": lambda: empty_cavity_liouvillian(0.8, 40),
+    "empty_odd_cutoff": lambda: empty_cavity_liouvillian(0.5, 31),
+    "phase": lambda: build_liouvillian(ATOM, SqueezedBath(0.5, phi=1.1), SpaceDims(24)),
+    "detuned": lambda: build_liouvillian(
+        SystemParams(delta_A=1.5, delta_C=-0.7, g0=15.0, gamma=1.0), SqueezedBath(0.4),
+        SpaceDims(24)),
+    "bogoliubov_atom": lambda: build_bogoliubov_liouvillian(ATOM, 0.5, SpaceDims(24)),
+    "bogoliubov_empty": lambda: build_bogoliubov_liouvillian(
+        SystemParams(atom_present=False), 0.8, FieldSpace(40)),
+}
+
+
+class TestSectorSolve:
+    """steady_state factorizes only the equal-parity block of L; each case
+    is checked against the plain solve of the whole system."""
+
+    @pytest.mark.parametrize("case", sorted(SECTOR_CASES))
+    def test_matches_full_system_solve(self, case):
+        L = SECTOR_CASES[case]()
+        rho = steady_state(L, check_tail=False)
+        assert np.abs(rho.matrix - full_system_state(L)).max() <= 1e-12
+
+    @pytest.mark.parametrize("case", sorted(SECTOR_CASES))
+    def test_cross_sector_entries_are_exactly_zero(self, case):
+        L = SECTOR_CASES[case]()
+        rho = steady_state(L, check_tail=False)
+        assert np.all(rho.matrix[parity_mismatch(L.space)] == 0)
+
+    @pytest.mark.parametrize("case", ["atom", "empty"])
+    def test_lu_receives_half_the_unknowns(self, case, monkeypatch):
+        L = SECTOR_CASES[case]()
+        shapes = []
+
+        def recording_spsolve(system, rhs):
+            shapes.append(system.shape)
+            return spsolve(system, rhs)
+
+        monkeypatch.setattr(solvers, "spsolve", recording_spsolve)
+        steady_state(L, check_tail=False)
+        assert shapes == [(L.dim**2 // 2, L.dim**2 // 2)]
+
+    @pytest.mark.parametrize("space", [SpaceDims(6), FieldSpace(8)])
+    def test_coherent_drive_refused_before_factorizing(self, space, monkeypatch):
+        # -i[eps (a + a†), .] mixes the parity sectors
+        params = SystemParams(g0=2.0, gamma=1.0, atom_present=isinstance(space, SpaceDims))
+        L = build_liouvillian(params, SqueezedBath(0.3), space)
+        a = embed_field(space, annihilation)
+        driven = L + hamiltonian_superoperator(0.5 * (a + a.dag()))
+        monkeypatch.setattr(solvers, "spsolve", lambda *args: pytest.fail("factorized"))
+        with pytest.raises(SolverError, match="parity"):
+            steady_state(driven)
+
+    def test_generator_without_field_space_refused(self):
+        with pytest.raises(SolverError, match="field or composite space"):
+            steady_state(Superoperator(3, sp.csr_matrix((9, 9))))
+
+    def test_residual_recorded(self):
+        L = SECTOR_CASES["atom"]()
+        rho = steady_state(L)
+        residual = np.abs(L.matrix @ vec(rho.matrix)).max()
+        assert rho.diagnostics.residual == residual
+        assert residual <= RESIDUAL_TOL
 
 
 class TestTruncationCheck:

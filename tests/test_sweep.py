@@ -249,11 +249,15 @@ class TestCli:
         with pytest.raises(CutoffTooSmallError) as info:
             run_moments_sweep(cfg)
         assert str(info.value).startswith("at r = 1.2: tail mass")
-        assert info.value.suggested_cutoff == 30
+        # the rule of suggest_fock_cutoff(1.2, 1e-8), not 1.5 x the cutoff
+        assert info.value.suggested_cutoff == 130
+        assert str(info.value).endswith("retry with cutoff >= 130")
         assert info.value.tail_mass > cfg.epsilon
         assert main(["--no-atom", "--r", "0.1,1.2", "--cutoff", "20",
                      "--out", str(tmp_path / "m.csv")]) == 4
-        assert "at r = 1.2:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "at r = 1.2:" in err
+        assert err.rstrip().endswith("retry with cutoff >= 130")
 
 
 # each CLI flag with a value, and the SweepConfig field it must land in
