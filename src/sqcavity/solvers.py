@@ -33,11 +33,21 @@ def default_guard(fock_cutoff: int) -> int:
 
 @dataclass(frozen=True)
 class StateDiagnostics:
+    """Checks of one state, measured on it before it was returned.
+
+    `trace_error` is |tr rho - 1| of the raw input. For a state from
+    `steady_state` it is round-off by construction, because the trace row
+    of the solved system fixes tr rho = 1; there `residual`,
+    max |L vec(rho)| against the full generator, is the figure of the
+    solve's quality, and `lu_unknowns` is the size of the factorized block.
+    """
+
     trace_error: float
     hermiticity_error: float
     min_eigenvalue: float
     tail_mass: float
-    residual: float | None = None  # max |L vec(rho)|, set by steady_state
+    residual: float | None = None  # set by steady_state
+    lu_unknowns: int | None = None  # set by steady_state
 
 
 @dataclass(frozen=True)
@@ -201,7 +211,8 @@ def steady_state(L: Superoperator, guard: int | None = None,
             f"steady-state residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e}; "
             "the kernel may be degenerate"
         )
-    rho = replace(rho, diagnostics=replace(rho.diagnostics, residual=residual))
+    rho = replace(rho, diagnostics=replace(rho.diagnostics, residual=residual,
+                                           lu_unknowns=int(even.size)))
     if check_tail:
         report = check_truncation(rho, guard, epsilon)
         if not report.adequate:

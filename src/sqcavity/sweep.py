@@ -8,7 +8,9 @@ and two runs with the same config are bit-identical.
 
 from __future__ import annotations
 
+import logging
 import os
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
@@ -16,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._blas import thread_budget
 from .errors import (
     ConfigError,
     CutoffTooSmallError,
@@ -46,6 +49,8 @@ from .solvers import default_guard, steady_state, suggest_fock_cutoff
 MODES = ("moments_sweep", "distribution", "wigner", "bogoliubov_check")
 BOGOLIUBOV_TOL = 1e-4
 FLOAT_FMT = "%.12e"
+
+log = logging.getLogger(__name__)
 
 
 def default_r_grid() -> list[float]:
@@ -204,35 +209,59 @@ def _worker_count(n_points: int) -> int:
 
 
 def _map_points(config: SweepConfig, fn):
-    """Evaluate fn over the sweep points r of config, preserving input
-    order. Any failure aborts the whole sweep before anything is written;
-    its message names the failing r, and a truncation error suggests the
-    cutoff `suggest_fock_cutoff` gives for that r."""
+    """Evaluate fn over the sweep points r of config and return the results
+    in input order. Points are solved from the largest r down: the photon
+    tail grows with r, so a cutoff too small fails on the first solve. Any
+    failure aborts the whole sweep before anything is written; its message
+    names the failing r, and a truncation error suggests the cutoff
+    `suggest_fock_cutoff` gives for the largest r, which covers the sweep.
+    The points run inside `thread_budget`, which divides the cores between
+    the workers and the LU's BLAS threads."""
+    points = list(config.r_values)
+    covering_cutoff = suggest_fock_cutoff(max(points), config.epsilon)
 
     def at_point(r):
         try:
             return fn(r)
         except SimulationError as exc:
-            if isinstance(exc, CutoffTooSmallError):
-                suggested = suggest_fock_cutoff(r, config.epsilon)
-                if suggested > config.fock_cutoff:
-                    exc.suggested_cutoff = suggested
+            if isinstance(exc, CutoffTooSmallError) and covering_cutoff > config.fock_cutoff:
+                exc.suggested_cutoff = covering_cutoff
             if exc.args:
                 exc.args = (f"at r = {r!r}: {exc.args[0]}", *exc.args[1:])
             raise
 
-    points = list(config.r_values)
+    order = sorted(range(len(points)), key=points.__getitem__, reverse=True)
     workers = _worker_count(len(points))
-    if workers == 1:
-        return [at_point(p) for p in points]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(at_point, points))
+    with thread_budget(workers) as blas_threads:
+        log.debug("sweep of %d points, %d worker threads; %s", len(points), workers,
+                  "BLAS thread control unavailable" if blas_threads is None
+                  else "BLAS threads: numpy %d, scipy %d" % blas_threads)
+        if workers == 1:
+            results = [at_point(points[k]) for k in order]
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(at_point, [points[k] for k in order]))
+    solved = dict(zip(order, results))
+    return [solved[k] for k in range(len(points))]
 
 
 def solve_point(config: SweepConfig, r: float):
     """Steady state of the configured model at one squeezing strength."""
-    L = build_liouvillian(*config.model(r))
-    return steady_state(L, guard=config.guard, epsilon=config.epsilon)
+    return _solve(config, r, build_liouvillian, *config.model(r))
+
+
+def _solve(config: SweepConfig, r: float, build, *model):
+    """Steady state of the generator build(*model), with one DEBUG record
+    of what was solved, how well and in how many seconds."""
+    start = time.perf_counter()
+    rho = steady_state(build(*model), guard=config.guard, epsilon=config.epsilon)
+    diag = rho.diagnostics
+    log.debug("solved r = %r: cutoff %d, guard %d, %d LU unknowns, residual %.3e, "
+              "min eigenvalue %.3e, tail mass %.3e, %.3f s", r, config.fock_cutoff,
+              config.guard if config.guard is not None else default_guard(config.fock_cutoff),
+              diag.lu_unknowns, diag.residual, diag.min_eigenvalue, diag.tail_mass,
+              time.perf_counter() - start)
+    return rho
 
 
 def _moments_row(config: SweepConfig, r: float) -> dict:
@@ -324,10 +353,8 @@ def run_bogoliubov_check(config: SweepConfig) -> list[dict]:
 
     def point(r):
         params, bath, space = config.model(r)
-        rho_lab = steady_state(build_liouvillian(params, bath, space),
-                               guard=config.guard, epsilon=config.epsilon)
-        rho_bog = steady_state(build_bogoliubov_liouvillian(params, r, space),
-                               guard=config.guard, epsilon=config.epsilon)
+        rho_lab = _solve(config, r, build_liouvillian, params, bath, space)
+        rho_bog = _solve(config, r, build_bogoliubov_liouvillian, params, r, space)
         mean_lab = mean_photon_number(rho_lab)
         mean_bog = expectation(rho_bog, embed_field(space, partial(_n_from_b, r))).real
         disc = abs(mean_lab - mean_bog)

@@ -1,3 +1,4 @@
+import logging
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -5,7 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sqcavity import ConfigError, CutoffTooSmallError, SweepConfig, load_config
+from sqcavity import ConfigError, CutoffTooSmallError, SweepConfig, _blas, load_config, solvers
+from sqcavity import sweep as sweep_module
 from sqcavity.cli import build_parser, main, resolve_config
 from sqcavity.sweep import (
     _atomic_write,
@@ -306,3 +308,153 @@ def test_concurrent_writes_leave_one_complete_file(tmp_path):
         sys.setswitchinterval(interval)
     assert path.read_text() in texts
     assert list(tmp_path.glob("*.tmp")) == []
+
+
+def test_truncation_fails_on_the_largest_r_first(tmp_path, monkeypatch, capsys):
+    # the tail grows with r: the first solve, at r = 1.2, fails, and the
+    # suggestion covers the whole sweep
+    monkeypatch.setenv("SIM_THREADS", "1")
+    solved = []
+    real = sweep_module.steady_state
+
+    def spy(L, **kwargs):
+        solved.append(L)
+        return real(L, **kwargs)
+
+    monkeypatch.setattr(sweep_module, "steady_state", spy)
+    assert main(["--no-atom", "--r", "0.1,0.9,1.2", "--cutoff", "20",
+                 "--out", str(tmp_path / "m.csv")]) == 4
+    assert len(solved) == 1
+    err = capsys.readouterr().err
+    assert "at r = 1.2:" in err
+    assert err.rstrip().endswith("retry with cutoff >= 130")
+    assert not (tmp_path / "m.csv").exists()
+
+
+def test_rows_keep_input_order(tmp_path):
+    cfg = SweepConfig(r_values=(0.3, 0.0, 0.5, 0.1), atom_present=False, fock_cutoff=30,
+                      output_path=str(tmp_path / "m.csv")).validate()
+    rows = run_moments_sweep(cfg)
+    assert [row["r"] for row in rows] == [0.3, 0.0, 0.5, 0.1]
+    for row in rows:
+        assert row["mean_n"] == pytest.approx(np.sinh(row["r"]) ** 2, abs=1e-8)
+
+
+def test_sweep_logs_one_record_per_sweep_and_per_point(tmp_path, caplog):
+    cfg = SweepConfig(r_values=(0.1, 0.3), atom_present=False, fock_cutoff=25,
+                      output_path=str(tmp_path / "m.csv")).validate()
+    with caplog.at_level(logging.DEBUG, logger="sqcavity.sweep"):
+        run_moments_sweep(cfg)
+    records = [r.getMessage() for r in caplog.records if r.name == "sqcavity.sweep"]
+    assert len(records) == 3
+    assert records[0].startswith("sweep of 2 points, 1 worker threads; BLAS ")
+    # largest r first; 25² / 2 parity-sector unknowns, rounded up
+    for message, r in zip(records[1:], (0.3, 0.1)):
+        assert message.startswith(f"solved r = {r!r}: cutoff 25, guard 5, 313 LU unknowns, "
+                                  "residual ")
+        for field in ("min eigenvalue ", "tail mass "):
+            assert field in message
+        assert message.endswith(" s")
+
+
+def atom_sweep(tmp_path, name):
+    return SweepConfig(r_values=(0.1, 0.4, 0.2, 0.6), fock_cutoff=30,
+                       output_path=str(tmp_path / name)).validate()
+
+
+def test_one_and_two_workers_agree(tmp_path, monkeypatch):
+    monkeypatch.setenv("SIM_THREADS", "1")
+    one = run_moments_sweep(atom_sweep(tmp_path, "one.csv"))
+    monkeypatch.setenv("SIM_THREADS", "2")
+    two = run_moments_sweep(atom_sweep(tmp_path, "two.csv"))
+    for row_one, row_two in zip(one, two, strict=True):
+        for column in sweep_module.MOMENTS_COLUMNS:
+            assert abs(row_one[column] - row_two[column]) <= 1e-15
+
+
+BLAS = _blas._budget()
+needs_blas = pytest.mark.skipif(
+    BLAS is None, reason="numpy's and scipy's OpenBLAS not found (e.g. MKL or another "
+                         "wheel layout), so the sweep leaves BLAS threads alone")
+
+
+def blas_threads():
+    return tuple(pool.get() for pool in BLAS.pools)
+
+
+@pytest.fixture
+def blas_spy(monkeypatch):
+    """BLAS thread counts (numpy, scipy) seen by every LU solve; the counts
+    at the start of the test are restored after it."""
+    before = blas_threads()
+    seen = []
+    real = solvers.spsolve
+
+    def spy(*args, **kwargs):
+        seen.append(blas_threads())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "spsolve", spy)
+    yield seen
+    for pool, threads in zip(BLAS.pools, before):
+        pool.set(threads)
+
+
+@needs_blas
+def test_two_workers_share_the_cores_with_blas(tmp_path, monkeypatch, blas_spy):
+    monkeypatch.setenv("SIM_THREADS", "2")
+    before = blas_threads()
+    run_moments_sweep(atom_sweep(tmp_path, "m.csv"))
+    # numpy gets 1 thread, scipy cores // workers: 1 on two cores
+    scipy_threads = max(1, min(before[1], _blas._cores() // 2))
+    assert blas_spy == [(1, scipy_threads)] * 4
+    assert blas_threads() == before
+
+
+@needs_blas
+def test_blas_threads_restored_after_a_failing_sweep(tmp_path, monkeypatch, blas_spy):
+    monkeypatch.setenv("SIM_THREADS", "2")
+    before = blas_threads()
+    cfg = SweepConfig(r_values=(0.1, 1.2), atom_present=False, fock_cutoff=20,
+                      output_path=str(tmp_path / "m.csv")).validate()
+    with pytest.raises(CutoffTooSmallError):
+        run_moments_sweep(cfg)
+    assert blas_spy and all(numpy_threads == 1 for numpy_threads, _ in blas_spy)
+    assert blas_threads() == before
+
+
+@needs_blas
+def test_blas_threads_never_raised(tmp_path, monkeypatch, blas_spy):
+    # one worker would give scipy every core, but the count was lowered first
+    monkeypatch.setenv("SIM_THREADS", "1")
+    for pool in BLAS.pools:
+        pool.set(1)
+    run_moments_sweep(atom_sweep(tmp_path, "m.csv"))
+    assert blas_spy == [(1, 1)] * 4
+    assert blas_threads() == (1, 1)
+
+
+@needs_blas
+def test_concurrent_sweeps_restore_blas_threads(tmp_path, monkeypatch, blas_spy):
+    # overlapping sweeps share one saved state; the last one out restores it
+    monkeypatch.setenv("SIM_THREADS", "2")
+    before = blas_threads()
+
+    def sweep(k):
+        cfg = SweepConfig(r_values=(0.05, 0.1, 0.15), atom_present=False, fock_cutoff=16,
+                          output_path=str(tmp_path / f"m{k}.csv")).validate()
+        for _ in range(5):
+            run_moments_sweep(cfg)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(sweep, k) for k in range(6)]
+            for future in futures:
+                future.result(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(blas_spy) == 6 * 5 * 3
+    assert all(numpy_threads == 1 for numpy_threads, _ in blas_spy)
+    assert blas_threads() == before
