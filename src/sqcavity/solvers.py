@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu
 
 from .errors import (
     CorruptedStateError,
@@ -17,7 +17,7 @@ from .errors import (
     SolverError,
     StepTooLargeError,
 )
-from .liouvillian import Superoperator, trace_row, unvec, vec
+from .liouvillian import Superoperator, unvec, vec
 from .operators import FieldSpace, Space, SpaceDims
 
 DEFAULT_EPSILON = 1e-8
@@ -39,7 +39,8 @@ class StateDiagnostics:
     `steady_state` it is round-off by construction, because the trace row
     of the solved system fixes tr rho = 1; there `residual`,
     max |L vec(rho)| against the full generator, is the figure of the
-    solve's quality, and `lu_unknowns` is the size of the factorized block.
+    solve's quality, `lu_unknowns` is the size of the factorized block and
+    `lu_fill` the number of entries SuperLU stores for its L and U factors.
     """
 
     trace_error: float
@@ -48,6 +49,7 @@ class StateDiagnostics:
     tail_mass: float
     residual: float | None = None  # set by steady_state
     lu_unknowns: int | None = None  # set by steady_state
+    lu_fill: int | None = None  # set by steady_state
 
 
 @dataclass(frozen=True)
@@ -144,20 +146,64 @@ def suggest_fock_cutoff(r: float, epsilon: float = DEFAULT_EPSILON,
     return max(n_min, min(n, n_max))
 
 
-def _parity_sectors(space: Space, dim: int) -> np.ndarray:
-    """Sector of each vec index i + dim*j: 0 where |i> and |j> have equal
-    excitation parity (a†a, plus sigma_ee on the composite space), 1 where
-    they differ."""
+def _excitations(space: Space, dim: int) -> np.ndarray:
+    """Excitation number of each basis state: a†a, plus sigma_ee on the
+    composite space."""
     n = np.arange(dim)
     if isinstance(space, SpaceDims):
-        n = n // space.fock_cutoff + n % space.fock_cutoff
-    elif not isinstance(space, FieldSpace):
-        raise SolverError(
-            f"steady_state needs a generator on a field or composite space, got {space}; "
-            "build it with build_liouvillian or build_bogoliubov_liouvillian"
-        )
-    parity = n % 2
-    return (parity[:, None] ^ parity[None, :]).reshape(-1, order="F")
+        return n // space.fock_cutoff + n % space.fock_cutoff
+    if isinstance(space, FieldSpace):
+        return n
+    raise SolverError(
+        f"steady_state needs a generator on a field or composite space, got {space}; "
+        "build it with build_liouvillian or build_bogoliubov_liouvillian"
+    )
+
+
+_ND_LEAF = 64
+
+
+def _bisect(k: np.ndarray, s: np.ndarray, idx: np.ndarray):
+    """Split the unknowns idx of the (k, s) grid at the midpoint line of its
+    longer side into (lower half, upper half, separator line)."""
+    c = k[idx] if np.ptp(k[idx]) >= np.ptp(s[idx]) else s[idx]
+    mid = (c.min() + c.max()) // 2
+    return idx[c < mid], idx[c > mid], idx[c == mid]
+
+
+def _nested_dissection(k: np.ndarray, s: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Nested-dissection order of the unknowns idx on a grid where every
+    coupling moves at most 1 in k and 1 in s: each half is numbered before
+    the line that separates it from the other, down to _ND_LEAF unknowns
+    (George, SIAM J. Numer. Anal. 10, 345 (1973))."""
+    if idx.size <= _ND_LEAF:
+        return idx
+    low, high, separator = _bisect(k, s, idx)
+    return np.concatenate([_nested_dissection(k, s, low), _nested_dissection(k, s, high),
+                           separator])
+
+
+def _sector_order(n: np.ndarray, even: np.ndarray) -> np.ndarray:
+    """The vec indices `even` of the equal-parity sector, for excitation
+    numbers n of the basis states, in the order they are factorized:
+    nested dissection, with rho_00 (even[0]) last.
+
+    Every term of the generator moves an entry rho_(N_i, N_j) by at most 2
+    in N_i and in N_j, keeping their parity, so on this sector
+    k = (N_i - N_j)/2 and s = (N_i + N_j)/2 move by at most 1: the block is
+    a 2-D grid problem.
+    """
+    n_i, n_j = n[even % n.size], n[even // n.size]
+    k, s = (n_i - n_j) // 2, (n_i + n_j) // 2
+    return even[np.append(_nested_dissection(k, s, np.arange(1, even.size)), 0)]
+
+
+def spsolve(system: sp.csc_matrix, rhs: np.ndarray) -> tuple[np.ndarray, int]:
+    """Solve system @ x = rhs by a sparse LU in the given order of the
+    unknowns; return x and the number of entries stored for L and U."""
+    lu = splu(system, permc_spec="NATURAL", diag_pivot_thresh=0.1,
+              options=dict(SymmetricMode=True))
+    return lu.solve(rhs), int(lu.nnz)
 
 
 def steady_state(L: Superoperator, guard: int | None = None,
@@ -169,17 +215,19 @@ def steady_state(L: Superoperator, guard: int | None = None,
     and bra have equal parity and the one where they differ (a weak
     symmetry, Buca & Prosen, New J. Phys. 14, 073007 (2012)), and the
     steady state lives in the equal-parity sector. Only that block of L,
-    d²/2 unknowns, is factorized: its rho_00 row is replaced by the trace
-    row and the right-hand side by the first unit vector, keeping the
-    system square. The solution is scattered into a full rho whose
-    cross-sector entries are exactly zero, then hermitized, renormalized,
-    and validated. The residual of the full generator must stay below
-    RESIDUAL_TOL, otherwise the kernel is considered degenerate.
+    d²/2 unknowns, is factorized, in nested-dissection order with rho_00
+    last: its rho_00 row is replaced by the trace row and the right-hand
+    side by the last unit vector, keeping the system square. The solution
+    is scattered into a full rho whose cross-sector entries are exactly
+    zero, then hermitized, renormalized, and validated. The residual of the
+    full generator must stay below RESIDUAL_TOL, otherwise the kernel is
+    considered degenerate.
     """
     if L.trace_residual() > 1e-10:
         raise SolverError("generator is not trace-preserving; refusing to solve")
     d = L.dim
-    sector = _parity_sectors(L.space, d)
+    n = _excitations(L.space, d)
+    sector = ((n[:, None] - n[None, :]) % 2).reshape(-1, order="F")
     coo = L.matrix.tocoo()
     if np.any(sector[coo.row] != sector[coo.col]):
         raise SolverError(
@@ -187,23 +235,20 @@ def steady_state(L: Superoperator, guard: int | None = None,
             "parity-breaking jump operator); this solver needs a generator that commutes "
             "with rho -> P rho P, P = (-1)^(a†a + sigma_ee)"
         )
-    even = np.flatnonzero(sector == 0)  # starts with rho_00 at index 0
-    block = L.matrix[even][:, even]
-    tr = sp.csr_matrix(
-        (np.ones(d), (np.zeros(d, dtype=int), np.searchsorted(even, np.arange(d) * (d + 1)))),
-        shape=(1, even.size),
-    )
-    system = sp.vstack([tr, block[1:, :]], format="csc")
-    rhs = np.zeros(even.size, dtype=complex)
-    rhs[0] = 1.0
+    order = _sector_order(n, np.flatnonzero(sector == 0))
+    diagonal = np.flatnonzero(order % (d + 1) == 0)
+    tr = sp.csr_matrix((np.ones(d), (np.zeros(d, dtype=int), diagonal)), shape=(1, order.size))
+    system = sp.vstack([L.matrix[order[:-1]][:, order], tr], format="csc")
+    rhs = np.zeros(order.size, dtype=complex)
+    rhs[-1] = 1.0
     try:
-        sol = spsolve(system, rhs)
+        sol, fill = spsolve(system, rhs)
     except Exception as exc:  # pragma: no cover - solver backend failure
         raise NonUniqueSteadyStateError(f"sparse LU solve failed: {exc}") from exc
     if not np.all(np.isfinite(sol)):
         raise NonUniqueSteadyStateError("sparse LU solve returned non-finite entries")
     full = np.zeros(d * d, dtype=complex)
-    full[even] = sol
+    full[order] = sol
     rho = make_density_matrix(L.space, unvec(full, d), guard)
     residual = float(np.abs(L.matrix @ vec(rho.matrix)).max())
     if residual > RESIDUAL_TOL:
@@ -212,7 +257,7 @@ def steady_state(L: Superoperator, guard: int | None = None,
             "the kernel may be degenerate"
         )
     rho = replace(rho, diagnostics=replace(rho.diagnostics, residual=residual,
-                                           lu_unknowns=int(even.size)))
+                                           lu_unknowns=int(order.size), lu_fill=fill))
     if check_tail:
         report = check_truncation(rho, guard, epsilon)
         if not report.adequate:

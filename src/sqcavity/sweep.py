@@ -91,8 +91,11 @@ class SweepConfig:
             config.model(r)
         if config.epsilon <= 0:
             raise ConfigError("epsilon must be > 0")
-        if config.guard is not None and not 0 < config.guard < config.fock_cutoff:
-            raise ConfigError("guard must satisfy 0 < guard < fock_cutoff")
+        guard = config.effective_guard()
+        if not 0 < guard < config.fock_cutoff:
+            source = "guard" if config.guard is not None else "default guard max(4, cutoff // 5)"
+            raise ConfigError(f"{source} = {guard} must satisfy 0 < guard < fock_cutoff = "
+                              f"{config.fock_cutoff}")
         if config.wigner_points < 2 or config.wigner_extent <= 0:
             raise ConfigError("wigner grid must have extent > 0 and at least 2 points")
         return config
@@ -131,12 +134,15 @@ class SweepConfig:
             "delta_c": repr(self.delta_c),
             "atom_present": str(self.atom_present).lower(),
             "fock_cutoff": str(self.fock_cutoff),
-            "guard": str(self.guard if self.guard is not None else default_guard(self.fock_cutoff)),
+            "guard": str(self.effective_guard()),
             "epsilon": repr(self.epsilon),
             "wigner_extent": repr(self.wigner_extent),
             "wigner_points": str(self.wigner_points),
             "output_path": str(self.effective_output_path()),
         }
+
+    def effective_guard(self) -> int:
+        return self.guard if self.guard is not None else default_guard(self.fock_cutoff)
 
     def effective_output_path(self) -> Path:
         if self.output_path:
@@ -257,10 +263,9 @@ def _solve(config: SweepConfig, r: float, build, *model):
     rho = steady_state(build(*model), guard=config.guard, epsilon=config.epsilon)
     diag = rho.diagnostics
     log.debug("solved r = %r: cutoff %d, guard %d, %d LU unknowns, residual %.3e, "
-              "min eigenvalue %.3e, tail mass %.3e, %.3f s", r, config.fock_cutoff,
-              config.guard if config.guard is not None else default_guard(config.fock_cutoff),
-              diag.lu_unknowns, diag.residual, diag.min_eigenvalue, diag.tail_mass,
-              time.perf_counter() - start)
+              "min eigenvalue %.3e, tail mass %.3e, LU fill %d, %.3f s", r, config.fock_cutoff,
+              config.effective_guard(), diag.lu_unknowns, diag.residual, diag.min_eigenvalue,
+              diag.tail_mass, diag.lu_fill, time.perf_counter() - start)
     return rho
 
 
@@ -293,7 +298,7 @@ def run_moments_sweep(config: SweepConfig) -> list[dict]:
 
 def run_distribution(config: SweepConfig) -> dict[float, dict]:
     """One {n, P(n)} file per r, reported up to the guard band."""
-    guard = config.guard if config.guard is not None else default_guard(config.fock_cutoff)
+    guard = config.effective_guard()
 
     def point(r):
         rho = solve_point(config, r)

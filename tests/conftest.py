@@ -33,13 +33,19 @@ def squeezed_state_vector(r: float, dim: int) -> np.ndarray:
     return psi / np.linalg.norm(psi)
 
 
-def parity_mismatch(space) -> np.ndarray:
-    """Boolean d×d mask, True where ket |i> and bra <j| have different
-    excitation parity a†a (+ sigma_ee on the atom ⊗ field space, whose flat
-    index is alpha * fock_cutoff + n)."""
+def excitation_numbers(space) -> np.ndarray:
+    """a†a (+ sigma_ee on the atom ⊗ field space, whose flat index is
+    alpha * fock_cutoff + n) of each basis state."""
     n = np.arange(space.dim)
     if isinstance(space, SpaceDims):
         n = n // space.fock_cutoff + n % space.fock_cutoff
+    return n
+
+
+def parity_mismatch(space) -> np.ndarray:
+    """Boolean d×d mask, True where ket |i> and bra <j| have different
+    excitation parity."""
+    n = excitation_numbers(space)
     return (n[:, None] - n[None, :]) % 2 == 1
 
 

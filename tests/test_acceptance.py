@@ -1,9 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Steady-state sweeps reuse a session cache; per-point Fock cutoffs follow
-the squeezed-vacuum tail estimate, capped at 200 for composite solves
-(the sparse LU at dimension 400 is the practical limit of this machine).
-Every accepted state's diagnostics are collected and re-checked at the end.
+the squeezed-vacuum tail estimate with the default guard band, with and
+without the atom. Every accepted state's diagnostics are collected and
+re-checked at the end.
 """
 
 from contextlib import contextmanager
@@ -41,7 +41,6 @@ from sqcavity.sweep import default_r_grid
 from conftest import squeezed_photon_numbers
 
 GAMMA = 1.0
-ATOM_CUTOFF_CAP = 200
 
 
 @contextmanager
@@ -64,23 +63,20 @@ def solve_point(store, atom, g0, r, phi=0.0):
     key = (atom, g0, r, phi)
     if key in store["points"]:
         return store["points"][key]
+    cutoff = suggest_fock_cutoff(r)
     if atom:
-        cutoff = min(suggest_fock_cutoff(r), ATOM_CUTOFF_CAP)
-        guard = 8 if cutoff >= 120 else None
         space = SpaceDims(cutoff)
         params = SystemParams(g0=g0, gamma=GAMMA)
     else:
-        cutoff = suggest_fock_cutoff(r)
-        guard = None
         space = FieldSpace(cutoff)
         params = SystemParams(atom_present=False)
     L = build_liouvillian(params, SqueezedBath(r=r, phi=phi), space)
-    rho = steady_state(L, guard=guard)
-    dist = photon_distribution(rho, guard=guard)
+    rho = steady_state(L)
+    dist = photon_distribution(rho)
     aa = pair_amplitude(rho)
     point = {
         "cutoff": cutoff,
-        "guard": guard if guard is not None else max(4, cutoff // 5),
+        "guard": max(4, cutoff // 5),  # the default guard band
         "mean_n": mean_photon_number(rho),
         "P": dist.probabilities,
         "abs_aa": abs(aa),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu, spsolve
 
 from sqcavity import (
     CorruptedStateError,
@@ -29,7 +29,7 @@ from sqcavity import (
 from sqcavity.liouvillian import hamiltonian_superoperator
 from sqcavity.operators import embed_field
 from sqcavity.solvers import RESIDUAL_TOL
-from conftest import parity_mismatch, squeezed_photon_numbers
+from conftest import excitation_numbers, parity_mismatch, squeezed_photon_numbers
 
 
 def empty_cavity_liouvillian(r, cutoff, kappa=1.0):
@@ -105,6 +105,7 @@ ATOM = SystemParams(g0=15.0, gamma=1.0)
 
 SECTOR_CASES = {
     "atom": lambda: build_liouvillian(ATOM, SqueezedBath(0.6), SpaceDims(24)),
+    "atom_odd_cutoff": lambda: build_liouvillian(ATOM, SqueezedBath(0.7), SpaceDims(23)),
     "empty": lambda: empty_cavity_liouvillian(0.8, 40),
     "empty_odd_cutoff": lambda: empty_cavity_liouvillian(0.5, 31),
     "phase": lambda: build_liouvillian(ATOM, SqueezedBath(0.5, phi=1.1), SpaceDims(24)),
@@ -136,15 +137,20 @@ class TestSectorSolve:
     @pytest.mark.parametrize("case", ["atom", "empty"])
     def test_lu_receives_half_the_unknowns(self, case, monkeypatch):
         L = SECTOR_CASES[case]()
-        shapes = []
+        shapes, fills = [], []
+        real = solvers.spsolve
 
         def recording_spsolve(system, rhs):
             shapes.append(system.shape)
-            return spsolve(system, rhs)
+            sol, fill = real(system, rhs)
+            fills.append(fill)
+            return sol, fill
 
         monkeypatch.setattr(solvers, "spsolve", recording_spsolve)
-        steady_state(L, check_tail=False)
+        rho = steady_state(L, check_tail=False)
         assert shapes == [(L.dim**2 // 2, L.dim**2 // 2)]
+        assert fills == [rho.diagnostics.lu_fill]
+        assert rho.diagnostics.lu_fill > L.dim**2 // 2
 
     @pytest.mark.parametrize("space", [SpaceDims(6), FieldSpace(8)])
     def test_coherent_drive_refused_before_factorizing(self, space, monkeypatch):
@@ -167,6 +173,77 @@ class TestSectorSolve:
         residual = np.abs(L.matrix @ vec(rho.matrix)).max()
         assert rho.diagnostics.residual == residual
         assert residual <= RESIDUAL_TOL
+
+
+def colamd_block_solve(L):
+    """The parity block solved as before nested dissection: even sector in
+    vec order, trace row in place of rho_00's row, COLAMD column order.
+    Returns the normalized rho and SuperLU's fill."""
+    d = L.dim
+    even = np.flatnonzero(~parity_mismatch(L.space).reshape(-1, order="F"))
+    block = L.matrix[even][:, even].tolil()
+    block[0, :] = np.isin(even, np.arange(d) * (d + 1)).astype(float)
+    rhs = np.zeros(even.size, dtype=complex)
+    rhs[0] = 1.0
+    lu = splu(block.tocsc(), permc_spec="COLAMD")
+    full = np.zeros(d * d, dtype=complex)
+    full[even] = lu.solve(rhs)
+    rho = unvec(full, d)
+    rho = 0.5 * (rho + rho.conj().T)
+    return rho / rho.trace().real, lu.nnz
+
+
+def grid_coordinates(space):
+    """Excitation numbers of the basis states, the even-sector vec indices,
+    and their (k, s) = ((N_i - N_j)/2, (N_i + N_j)/2)."""
+    n = excitation_numbers(space)
+    even = np.flatnonzero(~parity_mismatch(space).reshape(-1, order="F"))
+    n_i, n_j = n[even % space.dim], n[even // space.dim]
+    return n, even, (n_i - n_j) // 2, (n_i + n_j) // 2
+
+
+class TestNestedDissectionOrder:
+    """The even block is factorized in nested-dissection order on its
+    (k, s) grid; each separator must cut every coupling between its two
+    halves, or the order would not bound the fill."""
+
+    @pytest.mark.parametrize("case", sorted(SECTOR_CASES))
+    def test_order_is_a_permutation_with_rho_00_last(self, case):
+        space = SECTOR_CASES[case]().space
+        n, even, _, _ = grid_coordinates(space)
+        order = solvers._sector_order(n, even)
+        assert np.array_equal(np.sort(order), even)
+        assert order[-1] == 0
+
+    @pytest.mark.parametrize("case", sorted(SECTOR_CASES))
+    def test_every_separator_separates(self, case):
+        L = SECTOR_CASES[case]()
+        n, even, k, s = grid_coordinates(L.space)
+        block = L.matrix[even][:, even].tocoo()
+        splits = []
+
+        def dissect(idx):
+            if idx.size <= solvers._ND_LEAF:
+                return idx
+            low, high, separator = solvers._bisect(k, s, idx)
+            assert low.size and high.size and separator.size
+            splits.append((low, high))
+            return np.concatenate([dissect(low), dissect(high), separator])
+
+        order = even[np.append(dissect(np.arange(1, even.size)), 0)]
+        assert np.array_equal(order, solvers._sector_order(n, even))
+        assert len(splits) >= 3
+        for low, high in splits:
+            side = np.zeros(even.size, dtype=int)
+            side[low], side[high] = 1, 2
+            assert not np.any(side[block.row] * side[block.col] == 2)
+
+    def test_matches_colamd_at_cutoff_60(self):
+        L = build_liouvillian(ATOM, SqueezedBath(0.8), SpaceDims(60))
+        rho = steady_state(L, check_tail=False)
+        expected, colamd_fill = colamd_block_solve(L)
+        assert np.abs(rho.matrix - expected).max() <= 1e-12
+        assert rho.diagnostics.lu_fill < colamd_fill
 
 
 class TestTruncationCheck:

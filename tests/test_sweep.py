@@ -244,6 +244,15 @@ class TestCli:
         assert capsys.readouterr().err.startswith("config error:")
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("cutoff", [2, 4])
+    def test_cutoff_within_the_default_guard_exit_code(self, tmp_path, cutoff, capsys):
+        assert main(["--no-atom", "--cutoff", str(cutoff), "--r", "0.1",
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: default guard")
+        assert f"= 4 must satisfy 0 < guard < fock_cutoff = {cutoff}" in err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_sweep_error_names_failing_point(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SIM_THREADS", "2")
         cfg = SweepConfig(r_values=(0.1, 1.2), atom_present=False, fock_cutoff=20,
@@ -352,7 +361,7 @@ def test_sweep_logs_one_record_per_sweep_and_per_point(tmp_path, caplog):
     for message, r in zip(records[1:], (0.3, 0.1)):
         assert message.startswith(f"solved r = {r!r}: cutoff 25, guard 5, 313 LU unknowns, "
                                   "residual ")
-        for field in ("min eigenvalue ", "tail mass "):
+        for field in ("min eigenvalue ", "tail mass ", "LU fill "):
             assert field in message
         assert message.endswith(" s")
 
