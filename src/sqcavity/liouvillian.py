@@ -135,19 +135,21 @@ def trace_row(dim: int) -> np.ndarray:
     return row
 
 
-def sandwich(left: np.ndarray, right: np.ndarray) -> sp.csr_matrix:
-    """Superoperator of rho -> left @ rho @ right under column stacking."""
-    return sp.kron(sp.csr_matrix(right.T), sp.csr_matrix(left), format="csr")
-
-
-def spre(op: np.ndarray) -> sp.csr_matrix:
-    d = op.shape[0]
-    return sp.kron(sp.identity(d, format="csr"), sp.csr_matrix(op), format="csr")
-
-
-def spost(op: np.ndarray) -> sp.csr_matrix:
-    d = op.shape[0]
-    return sp.kron(sp.csr_matrix(op.T), sp.identity(d, format="csr"), format="csr")
+def _lindblad(space: Space, K, jumps=()) -> sp.csr_matrix:
+    """Superoperator of rho -> K rho + rho K† + sum_j w_j A_j rho B_j for the
+    jumps (w_j, A_j, B_j), summed once from the Kronecker products I ⊗ K,
+    conj(K) ⊗ I and B_jᵀ ⊗ A_j. Jumps of zero weight are skipped and exact
+    zeros dropped, so the pattern holds only the couplings present."""
+    d = space.dim
+    eye = sp.identity(d, dtype=complex, format="coo")
+    K = sp.coo_matrix(K)
+    terms = [sp.kron(eye, K, format="coo"), sp.kron(K.conj(), eye, format="coo")]
+    terms += [w * sp.kron(sp.coo_matrix(B).T, A, format="coo") for w, A, B in jumps if w != 0]
+    m = sp.csr_matrix((np.concatenate([t.data for t in terms]),
+                       (np.concatenate([t.row for t in terms]),
+                        np.concatenate([t.col for t in terms]))), shape=(d * d, d * d))
+    m.eliminate_zeros()
+    return m
 
 
 def _rate_scale(params: SystemParams, n_th: float, m_abs: float) -> float:
@@ -184,18 +186,17 @@ def atom_dissipator(gamma: float, dims: SpaceDims) -> Superoperator:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     s_ge = lift(atom_sigma("g", "e"), "atom", dims).matrix
     s_ee = lift(atom_sigma("e", "e"), "atom", dims).matrix
-    m = gamma * (2.0 * sandwich(s_ge, s_ge.conj().T) - spre(s_ee) - spost(s_ee))
+    m = _lindblad(dims, -gamma * s_ee, [(2.0 * gamma, s_ge, s_ge.conj().T)])
     return Superoperator(dims.dim, m, dims, rate_scale=gamma)
 
 
 def _cavity_dissipator(kappa: float, c: Operator, n_th: float, m_corr: complex) -> Superoperator:
     """Cavity damping through the jump operator c into a bath with (N, M)."""
-    a = c.matrix
-    ad = a.conj().T
-    m = -kappa * (1.0 + n_th) * (spre(ad @ a) - 2.0 * sandwich(a, ad) + spost(ad @ a))
-    m = m - kappa * n_th * (spre(a @ ad) - 2.0 * sandwich(ad, a) + spost(a @ ad))
-    m = m + kappa * m_corr * (spre(ad @ ad) - 2.0 * sandwich(ad, ad) + spost(ad @ ad))
-    m = m + kappa * np.conj(m_corr) * (spre(a @ a) - 2.0 * sandwich(a, a) + spost(a @ a))
+    a = sp.csr_matrix(c.matrix)
+    ad = a.conj().T.tocsr()
+    jumps = [(2.0 * kappa * (1.0 + n_th), a, ad), (2.0 * kappa * n_th, ad, a),
+             (-2.0 * kappa * m_corr, ad, ad), (-2.0 * kappa * np.conj(m_corr), a, a)]
+    m = _lindblad(c.space, -0.5 * sum(w * (B @ A) for w, A, B in jumps), jumps)
     rate = kappa * (1.0 + 2.0 * n_th + 2.0 * abs(m_corr))
     return Superoperator(c.space.dim, m, c.space, rate_scale=rate)
 
@@ -208,9 +209,8 @@ def cavity_squeezed_dissipator(kappa: float, bath: SqueezedBath, space: Space) -
 
 
 def hamiltonian_superoperator(h: Operator) -> Superoperator:
-    """Coherent part -i[H, .] as a superoperator."""
-    m = -1j * (spre(h.matrix) - spost(h.matrix))
-    return Superoperator(h.space.dim, m, h.space)
+    """Coherent part -i[H, .] of a Hermitian H as a superoperator."""
+    return Superoperator(h.space.dim, _lindblad(h.space, -1j * h.matrix), h.space)
 
 
 def _assemble(params: SystemParams, x: Operator, c: Operator, n_th: float, m_corr: complex,

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import math
+import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -39,8 +41,9 @@ class StateDiagnostics:
     `steady_state` it is round-off by construction, because the trace row
     of the solved system fixes tr rho = 1; there `residual`,
     max |L vec(rho)| against the full generator, is the figure of the
-    solve's quality, `lu_unknowns` is the size of the factorized block and
-    `lu_fill` the number of entries SuperLU stores for its L and U factors.
+    solve's quality, `lu_unknowns` is the size of the factorized block,
+    `lu_fill` the number of entries SuperLU stores for its L and U factors
+    and `lu_seconds` the time spent in `spsolve`.
     """
 
     trace_error: float
@@ -50,6 +53,7 @@ class StateDiagnostics:
     residual: float | None = None  # set by steady_state
     lu_unknowns: int | None = None  # set by steady_state
     lu_fill: int | None = None  # set by steady_state
+    lu_seconds: float | None = None  # set by steady_state
 
 
 @dataclass(frozen=True)
@@ -146,21 +150,21 @@ def suggest_fock_cutoff(r: float, epsilon: float = DEFAULT_EPSILON,
     return max(n_min, min(n, n_max))
 
 
-def _excitations(space: Space, dim: int) -> np.ndarray:
+def _excitations(space: Space) -> np.ndarray:
     """Excitation number of each basis state: a†a, plus sigma_ee on the
     composite space."""
-    n = np.arange(dim)
     if isinstance(space, SpaceDims):
+        n = np.arange(space.dim)
         return n // space.fock_cutoff + n % space.fock_cutoff
     if isinstance(space, FieldSpace):
-        return n
+        return np.arange(space.dim)
     raise SolverError(
         f"steady_state needs a generator on a field or composite space, got {space}; "
         "build it with build_liouvillian or build_bogoliubov_liouvillian"
     )
 
 
-_ND_LEAF = 64
+_ND_LEAF = 16
 
 
 def _bisect(k: np.ndarray, s: np.ndarray, idx: np.ndarray):
@@ -198,6 +202,17 @@ def _sector_order(n: np.ndarray, even: np.ndarray) -> np.ndarray:
     return even[np.append(_nested_dissection(k, s, np.arange(1, even.size)), 0)]
 
 
+@functools.lru_cache(maxsize=4)
+def _space_order(space: Space) -> np.ndarray:
+    """`_sector_order` of the equal-parity sector of space, computed once
+    per space for the sweep points that share it; read-only."""
+    n = _excitations(space)
+    even = np.flatnonzero(((n[:, None] + n[None, :]) % 2 == 0).reshape(-1, order="F"))
+    order = _sector_order(n, even)
+    order.flags.writeable = False
+    return order
+
+
 def spsolve(system: sp.csc_matrix, rhs: np.ndarray) -> tuple[np.ndarray, int]:
     """Solve system @ x = rhs by a sparse LU in the given order of the
     unknowns; return x and the number of entries stored for L and U."""
@@ -226,25 +241,33 @@ def steady_state(L: Superoperator, guard: int | None = None,
     if L.trace_residual() > 1e-10:
         raise SolverError("generator is not trace-preserving; refusing to solve")
     d = L.dim
-    n = _excitations(L.space, d)
-    sector = ((n[:, None] - n[None, :]) % 2).reshape(-1, order="F")
-    coo = L.matrix.tocoo()
-    if np.any(sector[coo.row] != sector[coo.col]):
+    order = _space_order(L.space)
+    m = order.size
+    pos = np.full(d * d, -1)
+    pos[order] = np.arange(m)
+    row = np.repeat(pos, np.diff(L.matrix.indptr))
+    col = pos[L.matrix.indices]
+    if np.any((row < 0) != (col < 0)):
         raise SolverError(
             "generator couples the two excitation-parity sectors (a coherent drive or a "
             "parity-breaking jump operator); this solver needs a generator that commutes "
             "with rho -> P rho P, P = (-1)^(a†a + sigma_ee)"
         )
-    order = _sector_order(n, np.flatnonzero(sector == 0))
-    diagonal = np.flatnonzero(order % (d + 1) == 0)
-    tr = sp.csr_matrix((np.ones(d), (np.zeros(d, dtype=int), diagonal)), shape=(1, order.size))
-    system = sp.vstack([L.matrix[order[:-1]][:, order], tr], format="csc")
-    rhs = np.zeros(order.size, dtype=complex)
+    # the block without rho_00's row, which is last, and the trace row in its place
+    keep = (row >= 0) & (row < m - 1)
+    system = sp.csc_matrix(
+        (np.concatenate([L.matrix.data[keep], np.ones(d)]),
+         (np.concatenate([row[keep], np.full(d, m - 1)]),
+          np.concatenate([col[keep], pos[:: d + 1]]))),
+        shape=(m, m))
+    rhs = np.zeros(m, dtype=complex)
     rhs[-1] = 1.0
+    start = time.perf_counter()
     try:
         sol, fill = spsolve(system, rhs)
     except Exception as exc:  # pragma: no cover - solver backend failure
         raise NonUniqueSteadyStateError(f"sparse LU solve failed: {exc}") from exc
+    lu_seconds = time.perf_counter() - start
     if not np.all(np.isfinite(sol)):
         raise NonUniqueSteadyStateError("sparse LU solve returned non-finite entries")
     full = np.zeros(d * d, dtype=complex)
@@ -257,7 +280,8 @@ def steady_state(L: Superoperator, guard: int | None = None,
             "the kernel may be degenerate"
         )
     rho = replace(rho, diagnostics=replace(rho.diagnostics, residual=residual,
-                                           lu_unknowns=int(order.size), lu_fill=fill))
+                                           lu_unknowns=m, lu_fill=fill,
+                                           lu_seconds=lu_seconds))
     if check_tail:
         report = check_truncation(rho, guard, epsilon)
         if not report.adequate:

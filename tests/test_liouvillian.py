@@ -1,23 +1,31 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from sqcavity import (
     FieldSpace,
     SpaceDims,
     SqueezedBath,
+    Superoperator,
     SystemParams,
     UnsupportedFrameError,
+    annihilation,
     atom_dissipator,
+    atom_sigma,
     build_bogoliubov_liouvillian,
     build_hamiltonian,
     build_liouvillian,
     cavity_squeezed_dissipator,
+    lift,
     steady_state,
     unvec,
     vec,
 )
+from sqcavity import liouvillian
 from sqcavity.liouvillian import hamiltonian_superoperator, trace_row
+from sqcavity.operators import embed_field
 from conftest import squeezed_state_vector
+from test_solvers import ATOM, SECTOR_CASES
 
 
 def random_hermitian(rng, d):
@@ -218,3 +226,105 @@ class TestBogoliubovFrame:
         psi = squeezed_state_vector(r, 40)
         fidelity = (psi.conj() @ rho.matrix @ psi).real
         assert fidelity > 1 - 1e-8
+
+
+# The term builders as they were before the one-pass assembly: every term
+# a separate left, right or sandwich Kronecker product, summed pairwise.
+
+def spre(op):
+    return sp.kron(sp.identity(op.shape[0], format="csr"), sp.csr_matrix(op), format="csr")
+
+
+def spost(op):
+    return sp.kron(sp.csr_matrix(op.T), sp.identity(op.shape[0], format="csr"), format="csr")
+
+
+def sandwich(left, right):
+    return sp.kron(sp.csr_matrix(right.T), sp.csr_matrix(left), format="csr")
+
+
+def reference_hamiltonian_superoperator(h):
+    return Superoperator(h.space.dim, -1j * (spre(h.matrix) - spost(h.matrix)), h.space)
+
+
+def reference_atom_dissipator(gamma, dims):
+    s_ge = lift(atom_sigma("g", "e"), "atom", dims).matrix
+    s_ee = lift(atom_sigma("e", "e"), "atom", dims).matrix
+    m = gamma * (2.0 * sandwich(s_ge, s_ge.conj().T) - spre(s_ee) - spost(s_ee))
+    return Superoperator(dims.dim, m, dims, rate_scale=gamma)
+
+
+def reference_cavity_dissipator(kappa, c, n_th, m_corr):
+    a = c.matrix
+    ad = a.conj().T
+    m = -kappa * (1.0 + n_th) * (spre(ad @ a) - 2.0 * sandwich(a, ad) + spost(ad @ a))
+    m = m - kappa * n_th * (spre(a @ ad) - 2.0 * sandwich(ad, a) + spost(a @ ad))
+    m = m + kappa * m_corr * (spre(ad @ ad) - 2.0 * sandwich(ad, ad) + spost(ad @ ad))
+    m = m + kappa * np.conj(m_corr) * (spre(a @ a) - 2.0 * sandwich(a, a) + spost(a @ a))
+    return Superoperator(c.space.dim, m, c.space)
+
+
+def use_reference_terms(monkeypatch):
+    """Make the package's builders assemble from the reference terms."""
+    monkeypatch.setattr(liouvillian, "hamiltonian_superoperator",
+                        reference_hamiltonian_superoperator)
+    monkeypatch.setattr(liouvillian, "atom_dissipator", reference_atom_dissipator)
+    monkeypatch.setattr(liouvillian, "_cavity_dissipator", reference_cavity_dissipator)
+
+
+def assert_same_generator(fast, reference):
+    """Same stored pattern, no explicit zeros, values equal to round-off."""
+    fast, reference = fast.matrix, reference.matrix
+    assert fast.nnz == reference.nnz == reference.count_nonzero()
+    assert np.array_equal(fast.indptr, reference.indptr)
+    assert np.array_equal(fast.indices, reference.indices)
+    assert np.all(np.abs(fast.data - reference.data) <= 1e-13 * np.abs(reference.data))
+
+
+R_ZERO_CASES = {
+    "atom": (ATOM, SpaceDims(24)),
+    "empty": (SystemParams(atom_present=False), FieldSpace(40)),
+}
+
+
+class TestOnePassAssembly:
+    """Each term is summed once from its Kronecker products; the generators
+    must keep the pattern and values of the term-by-term construction."""
+
+    @pytest.mark.parametrize("case", sorted(SECTOR_CASES))
+    def test_sector_cases_match_reference(self, case, monkeypatch):
+        fast = SECTOR_CASES[case]()
+        use_reference_terms(monkeypatch)
+        assert_same_generator(fast, SECTOR_CASES[case]())
+
+    @pytest.mark.parametrize("case", sorted(R_ZERO_CASES))
+    def test_vacuum_bath_keeps_the_sparser_pattern(self, case, monkeypatch):
+        params, space = R_ZERO_CASES[case]
+        fast = build_liouvillian(params, SqueezedBath(0.0), space)
+        fast_cavity = cavity_squeezed_dissipator(params.kappa, SqueezedBath(0.0), space)
+        squeezed = build_liouvillian(params, SqueezedBath(0.5), space)
+        assert fast.matrix.nnz < squeezed.matrix.nnz
+        use_reference_terms(monkeypatch)
+        assert_same_generator(fast, build_liouvillian(params, SqueezedBath(0.0), space))
+        a = embed_field(space, annihilation)
+        assert_same_generator(fast_cavity, reference_cavity_dissipator(params.kappa, a, 0.0, 0.0))
+
+    def test_zero_weight_jumps_are_skipped(self, monkeypatch):
+        products = []
+        kron = sp.kron
+        monkeypatch.setattr(sp, "kron", lambda *args, **kw: products.append(1) or kron(*args, **kw))
+        # I ⊗ K and conj(K) ⊗ I, then one product per jump of nonzero weight
+        cavity_squeezed_dissipator(1.0, SqueezedBath(0.0), FieldSpace(8))
+        assert len(products) == 2 + 1
+        cavity_squeezed_dissipator(1.0, SqueezedBath(0.5), FieldSpace(8))
+        assert len(products) == 3 + 2 + 4
+
+    def test_single_terms_match_reference(self):
+        dims = SpaceDims(12)
+        h = build_hamiltonian(SystemParams(delta_A=1.5, delta_C=-0.7, g0=15.0), dims)
+        assert_same_generator(hamiltonian_superoperator(h), reference_hamiltonian_superoperator(h))
+        assert_same_generator(atom_dissipator(0.8, dims), reference_atom_dissipator(0.8, dims))
+        a = embed_field(dims, annihilation)
+        bath = SqueezedBath(0.6, 1.1)
+        assert_same_generator(cavity_squeezed_dissipator(1.0, bath, dims),
+                              reference_cavity_dissipator(1.0, a, bath.n_th, bath.m_corr))

@@ -238,6 +238,44 @@ class TestNestedDissectionOrder:
             side[low], side[high] = 1, 2
             assert not np.any(side[block.row] * side[block.col] == 2)
 
+    @pytest.mark.parametrize("space", [FieldSpace(90), FieldSpace(240), SpaceDims(60),
+                                       SpaceDims(61), SpaceDims(150), SpaceDims(240)],
+                             ids=repr)
+    def test_every_split_is_proper_at_the_production_leaf(self, space):
+        _, even, k, s = grid_coordinates(space)
+
+        def dissect(idx):
+            if idx.size <= solvers._ND_LEAF:
+                return
+            low, high, separator = solvers._bisect(k, s, idx)
+            assert low.size and high.size and separator.size
+            dissect(low)
+            dissect(high)
+
+        dissect(np.arange(1, even.size))
+
+    def test_cached_order_is_read_only_and_reused(self):
+        space = SpaceDims(30)
+        order = solvers._space_order(space)
+        n, even, _, _ = grid_coordinates(space)
+        assert np.array_equal(order, solvers._sector_order(n, even))
+        assert solvers._space_order(SpaceDims(30)) is order
+        with pytest.raises(ValueError):
+            order[0] = order[1]
+
+    def test_field_and_composite_spaces_get_their_own_orders(self):
+        for space in (FieldSpace(20), SpaceDims(20), FieldSpace(20)):
+            n, even, _, _ = grid_coordinates(space)
+            assert np.array_equal(solvers._space_order(space), solvers._sector_order(n, even))
+
+    def test_cold_and_warm_cache_give_identical_states(self):
+        L = SECTOR_CASES["atom"]()
+        solvers._space_order.cache_clear()
+        cold = steady_state(L, check_tail=False)
+        warm = steady_state(L, check_tail=False)
+        assert solvers._space_order.cache_info().hits >= 1
+        assert cold.matrix.tobytes() == warm.matrix.tobytes()
+
     def test_matches_colamd_at_cutoff_60(self):
         L = build_liouvillian(ATOM, SqueezedBath(0.8), SpaceDims(60))
         rho = steady_state(L, check_tail=False)
