@@ -18,11 +18,8 @@ from .liouvillian import (
     SqueezedBath,
     Superoperator,
     SystemParams,
-    atom_dissipator,
     build_bogoliubov_liouvillian,
-    build_hamiltonian,
     build_liouvillian,
-    cavity_squeezed_dissipator,
     unvec,
     vec,
 )

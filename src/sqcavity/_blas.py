@@ -5,7 +5,8 @@ the dense d×d kernels (eigvalsh, products), scipy's is the one SuperLU
 calls. Each starts with one thread per core, so sweep threads and the two
 pools oversubscribe the cores, and an idle pool spins on a core another
 one needs. `thread_budget` pins numpy's pool to one thread and gives
-scipy's `cores // workers` for the span of a sweep; it never raises a
+scipy's `cores // workers` for the span of a sweep, or of one
+`steady_state` call (one worker) outside a sweep; it never raises a
 count above its value at entry, so OPENBLAS_NUM_THREADS still caps it.
 """
 

@@ -1,4 +1,4 @@
-"""Hamiltonian, dissipators, and Liouvillian assembly.
+"""The model's generator, assembled in one Lindblad-form pass.
 
 The model is a two-level atom coupled to a single lossy cavity mode that
 is driven by a broadband squeezed vacuum. In the rotating frame of the
@@ -16,14 +16,22 @@ with
              +kappa M*   (a a rho - 2 a rho a + rho a a)
 
 where N = sinh²(r) and M = cosh(r) sinh(r) e^{i phi} characterise the
-squeezed bath. Superoperators act on column-stacked density matrices:
-vec stacks columns, so A rho B maps to (B^T ⊗ A) vec(rho). With these
-forms kappa and gamma are amplitude rates: photon energy decays at
-2 kappa and the excited-state population at 2 gamma.
+squeezed bath. All three terms are one sum
+
+    rho -> K rho + rho K† + sum_j w_j A_j rho B_j,  K = -iH - ½ sum_j w_j B_j A_j
+
+over the jumps (w_j, A_j, B_j) = (2 kappa (1+N), a, a†), (2 kappa N, a†, a),
+(-2 kappa M, a†, a†), (-2 kappa M*, a, a) and (2 gamma, sigma_ge, sigma_eg)
+(Lindblad, Commun. Math. Phys. 48, 119 (1976)), built once per generator.
+Superoperators act on column-stacked density matrices: vec stacks
+columns, so A rho B maps to (B^T ⊗ A) vec(rho). With these forms kappa and
+gamma are amplitude rates: photon energy decays at 2 kappa and the
+excited-state population at 2 gamma.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -60,6 +68,9 @@ class SystemParams:
     atom_present: bool = True
 
     def __post_init__(self):
+        for name in ("delta_A", "delta_C", "g0", "gamma", "kappa"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.kappa <= 0:
             raise ValueError(f"kappa must be > 0, got {self.kappa}")
         if self.gamma < 0 or self.g0 < 0:
@@ -74,6 +85,8 @@ class SqueezedBath:
     phi: float = 0.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.r) and math.isfinite(self.phi)):
+            raise ValueError(f"r and phi must be finite, got r = {self.r}, phi = {self.phi}")
         if self.r < 0:
             raise ValueError(f"squeezing strength must be >= 0, got {self.r}")
 
@@ -108,15 +121,6 @@ class Superoperator:
     def trace_residual(self) -> float:
         """max |vec(I)^T L|; zero for any trace-preserving generator."""
         return float(np.abs(trace_row(self.dim) @ self.matrix).max())
-
-    def __add__(self, other: "Superoperator") -> "Superoperator":
-        if self.dim != other.dim:
-            raise InvalidDimensionError("adding superoperators of different dimension")
-        scale = max(
-            (s for s in (self.rate_scale, other.rate_scale) if s is not None),
-            default=None,
-        )
-        return Superoperator(self.dim, self.matrix + other.matrix, self.space or other.space, scale)
 
 
 def vec(rho: np.ndarray) -> np.ndarray:
@@ -162,66 +166,38 @@ def _rate_scale(params: SystemParams, n_th: float, m_abs: float) -> float:
     )
 
 
-def _hamiltonian(params: SystemParams, x: Operator) -> Operator:
-    """delta_C x†x (+ delta_A sigma_ee + g0 (sigma_eg x + h.c.)) on x's space."""
-    h = params.delta_C * (x.dag() @ x)
+def _hamiltonian(params: SystemParams, x: Operator) -> sp.csr_matrix:
+    """delta_C x†x (+ delta_A sigma_ee + g0 (sigma_eg x + h.c.)) on x's space,
+    as a sparse matrix."""
+    xs = sp.csr_matrix(x.matrix)
+    h = params.delta_C * (xs.conj().T @ xs)
     if params.atom_present:
         if not isinstance(x.space, SpaceDims):
             raise InvalidDimensionError("field-only space requires atom_present=False")
-        s_ee = lift(atom_sigma("e", "e"), "atom", x.space)
-        s_eg = lift(atom_sigma("e", "g"), "atom", x.space)
-        coupling = s_eg @ x
-        h = h + params.delta_A * s_ee + params.g0 * (coupling + coupling.dag())
+        s_ee = sp.csr_matrix(lift(atom_sigma("e", "e"), "atom", x.space).matrix)
+        s_eg = sp.csr_matrix(lift(atom_sigma("e", "g"), "atom", x.space).matrix)
+        coupling = s_eg @ xs
+        h = h + params.delta_A * s_ee + params.g0 * (coupling + coupling.conj().T)
     return h
-
-
-def build_hamiltonian(params: SystemParams, space: Space) -> Operator:
-    """Rotating-frame Hamiltonian on a composite or (atom-free) field space."""
-    return _hamiltonian(params, embed_field(space, annihilation))
-
-
-def atom_dissipator(gamma: float, dims: SpaceDims) -> Superoperator:
-    """Spontaneous-emission term gamma (2 s_ge rho s_eg - s_ee rho - rho s_ee)."""
-    if gamma < 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
-    s_ge = lift(atom_sigma("g", "e"), "atom", dims).matrix
-    s_ee = lift(atom_sigma("e", "e"), "atom", dims).matrix
-    m = _lindblad(dims, -gamma * s_ee, [(2.0 * gamma, s_ge, s_ge.conj().T)])
-    return Superoperator(dims.dim, m, dims, rate_scale=gamma)
-
-
-def _cavity_dissipator(kappa: float, c: Operator, n_th: float, m_corr: complex) -> Superoperator:
-    """Cavity damping through the jump operator c into a bath with (N, M)."""
-    a = sp.csr_matrix(c.matrix)
-    ad = a.conj().T.tocsr()
-    jumps = [(2.0 * kappa * (1.0 + n_th), a, ad), (2.0 * kappa * n_th, ad, a),
-             (-2.0 * kappa * m_corr, ad, ad), (-2.0 * kappa * np.conj(m_corr), a, a)]
-    m = _lindblad(c.space, -0.5 * sum(w * (B @ A) for w, A, B in jumps), jumps)
-    rate = kappa * (1.0 + 2.0 * n_th + 2.0 * abs(m_corr))
-    return Superoperator(c.space.dim, m, c.space, rate_scale=rate)
-
-
-def cavity_squeezed_dissipator(kappa: float, bath: SqueezedBath, space: Space) -> Superoperator:
-    """Cavity damping into the broadband squeezed bath (all four lines)."""
-    if kappa <= 0:
-        raise ValueError(f"kappa must be > 0, got {kappa}")
-    return _cavity_dissipator(kappa, embed_field(space, annihilation), bath.n_th, bath.m_corr)
-
-
-def hamiltonian_superoperator(h: Operator) -> Superoperator:
-    """Coherent part -i[H, .] of a Hermitian H as a superoperator."""
-    return Superoperator(h.space.dim, _lindblad(h.space, -1j * h.matrix), h.space)
 
 
 def _assemble(params: SystemParams, x: Operator, c: Operator, n_th: float, m_corr: complex,
               rate_scale: float) -> Superoperator:
-    """-i[H, .] with x the field operator in H, plus the cavity dissipator
-    with jump c and bath (N, M), plus the atomic dissipator."""
-    total = hamiltonian_superoperator(_hamiltonian(params, x))
-    total = total + _cavity_dissipator(params.kappa, c, n_th, m_corr)
+    """The whole generator in one Lindblad form, rho -> K rho + rho K† +
+    sum_j w_j A_j rho B_j with K = -iH - ½ sum_j w_j B_j A_j: x is the field
+    operator in H, c the cavity's jump operator into a bath with (N, M), and
+    the atom, when present, decays through sigma_ge."""
+    h = _hamiltonian(params, x)
+    kappa = params.kappa
+    a = sp.csr_matrix(c.matrix)
+    ad = a.conj().T.tocsr()
+    jumps = [(2.0 * kappa * (1.0 + n_th), a, ad), (2.0 * kappa * n_th, ad, a),
+             (-2.0 * kappa * m_corr, ad, ad), (-2.0 * kappa * np.conj(m_corr), a, a)]
     if params.atom_present:
-        total = total + atom_dissipator(params.gamma, x.space)
-    return Superoperator(total.dim, total.matrix, x.space, rate_scale=rate_scale)
+        s_ge = sp.csr_matrix(lift(atom_sigma("g", "e"), "atom", x.space).matrix)
+        jumps.append((2.0 * params.gamma, s_ge, s_ge.conj().T.tocsr()))
+    K = -1j * h - 0.5 * sum(w * (B @ A) for w, A, B in jumps)
+    return Superoperator(x.space.dim, _lindblad(x.space, K, jumps), x.space, rate_scale)
 
 
 def build_liouvillian(params: SystemParams, bath: SqueezedBath, space: Space) -> Superoperator:

@@ -11,6 +11,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from ._blas import thread_budget
 from .errors import (
     CorruptedStateError,
     CutoffTooSmallError,
@@ -134,6 +135,8 @@ def suggest_fock_cutoff(r: float, epsilon: float = DEFAULT_EPSILON,
     if r <= 0:
         return n_min
     t2 = math.tanh(r) ** 2
+    if t2 >= 1.0:  # r above about 19.1, where tanh²r rounds to 1
+        return n_max
     p = 1.0 / math.cosh(r)
     target = epsilon / 10.0
     n_star = 2
@@ -238,8 +241,8 @@ def steady_state(L: Superoperator, guard: int | None = None,
     full generator must stay below RESIDUAL_TOL, otherwise the kernel is
     considered degenerate.
     """
-    if L.trace_residual() > 1e-10:
-        raise SolverError("generator is not trace-preserving; refusing to solve")
+    if not L.trace_residual() <= 1e-10:
+        raise SolverError("generator is not trace-preserving or not finite; refusing to solve")
     d = L.dim
     order = _space_order(L.space)
     m = order.size
@@ -262,18 +265,22 @@ def steady_state(L: Superoperator, guard: int | None = None,
         shape=(m, m))
     rhs = np.zeros(m, dtype=complex)
     rhs[-1] = 1.0
-    start = time.perf_counter()
-    try:
-        sol, fill = spsolve(system, rhs)
-    except Exception as exc:  # pragma: no cover - solver backend failure
-        raise NonUniqueSteadyStateError(f"sparse LU solve failed: {exc}") from exc
-    lu_seconds = time.perf_counter() - start
-    if not np.all(np.isfinite(sol)):
-        raise NonUniqueSteadyStateError("sparse LU solve returned non-finite entries")
-    full = np.zeros(d * d, dtype=complex)
-    full[order] = sol
-    rho = make_density_matrix(L.space, unvec(full, d), guard)
-    residual = float(np.abs(L.matrix @ vec(rho.matrix)).max())
+    # numpy's OpenBLAS pool on one thread, whose idle workers otherwise spin
+    # on the cores the LU runs on; scipy's keeps its count. Inside a sweep,
+    # which holds the budget already, this changes nothing.
+    with thread_budget(1):
+        start = time.perf_counter()
+        try:
+            sol, fill = spsolve(system, rhs)
+        except Exception as exc:  # pragma: no cover - solver backend failure
+            raise NonUniqueSteadyStateError(f"sparse LU solve failed: {exc}") from exc
+        lu_seconds = time.perf_counter() - start
+        if not np.all(np.isfinite(sol)):
+            raise NonUniqueSteadyStateError("sparse LU solve returned non-finite entries")
+        full = np.zeros(d * d, dtype=complex)
+        full[order] = sol
+        rho = make_density_matrix(L.space, unvec(full, d), guard)
+        residual = float(np.abs(L.matrix @ vec(rho.matrix)).max())
     if residual > RESIDUAL_TOL:
         raise NonUniqueSteadyStateError(
             f"steady-state residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e}; "

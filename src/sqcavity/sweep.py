@@ -9,6 +9,7 @@ and two runs with the same config are bit-identical.
 from __future__ import annotations
 
 import logging
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -89,15 +90,15 @@ class SweepConfig:
             raise ConfigError("r_values must be non-empty")
         for r in config.r_values:
             config.model(r)
-        if config.epsilon <= 0:
-            raise ConfigError("epsilon must be > 0")
+        if not 0 < config.epsilon < math.inf:
+            raise ConfigError(f"epsilon must be finite and > 0, got {config.epsilon}")
         guard = config.effective_guard()
         if not 0 < guard < config.fock_cutoff:
             source = "guard" if config.guard is not None else "default guard max(4, cutoff // 5)"
             raise ConfigError(f"{source} = {guard} must satisfy 0 < guard < fock_cutoff = "
                               f"{config.fock_cutoff}")
-        if config.wigner_points < 2 or config.wigner_extent <= 0:
-            raise ConfigError("wigner grid must have extent > 0 and at least 2 points")
+        if config.wigner_points < 2 or not 0 < config.wigner_extent < math.inf:
+            raise ConfigError("wigner grid must have a finite extent > 0 and at least 2 points")
         return config
 
     def model(self, r: float) -> tuple[SystemParams, SqueezedBath, Space]:

@@ -10,19 +10,16 @@ from sqcavity import (
     SystemParams,
     UnsupportedFrameError,
     annihilation,
-    atom_dissipator,
     atom_sigma,
     build_bogoliubov_liouvillian,
-    build_hamiltonian,
     build_liouvillian,
-    cavity_squeezed_dissipator,
     lift,
     steady_state,
     unvec,
     vec,
 )
 from sqcavity import liouvillian
-from sqcavity.liouvillian import hamiltonian_superoperator, trace_row
+from sqcavity.liouvillian import trace_row
 from sqcavity.operators import embed_field
 from conftest import squeezed_state_vector
 from test_solvers import ATOM, SECTOR_CASES
@@ -50,43 +47,63 @@ class TestSqueezedBath:
             SqueezedBath(r=-0.2)
 
 
+def hamiltonian(params, space):
+    return liouvillian._hamiltonian(params, embed_field(space, annihilation)).toarray()
+
+
 class TestHamiltonian:
     def test_all_zero_params(self):
-        h = build_hamiltonian(SystemParams(), SpaceDims(4))
-        assert np.all(h.matrix == 0)
+        h = hamiltonian(SystemParams(), SpaceDims(4))
+        assert np.all(h == 0)
 
     def test_single_excitation_coupling(self):
         # resonant g0=1, N_max=2: |g,1> at index 1 couples to |e,0> at index 2
-        h = build_hamiltonian(SystemParams(g0=1.0), SpaceDims(2)).matrix
+        h = hamiltonian(SystemParams(g0=1.0), SpaceDims(2))
         expected = np.zeros((4, 4))
         expected[2, 1] = expected[1, 2] = 1.0
         assert np.allclose(h, expected)
 
     def test_vacuum_rabi_splitting(self):
         g0 = 7.3
-        h = build_hamiltonian(SystemParams(g0=g0), SpaceDims(2)).matrix
+        h = hamiltonian(SystemParams(g0=g0), SpaceDims(2))
         block = h[1:3, 1:3]
         assert np.allclose(np.sort(np.linalg.eigvalsh(block)), [-g0, g0])
 
     def test_hermitian(self):
-        h = build_hamiltonian(
-            SystemParams(delta_A=0.4, delta_C=-1.1, g0=3.0), SpaceDims(6)
-        ).matrix
+        h = hamiltonian(SystemParams(delta_A=0.4, delta_C=-1.1, g0=3.0), SpaceDims(6))
         assert np.abs(h - h.conj().T).max() == 0
 
     def test_empty_cavity_field_only(self):
         params = SystemParams(delta_C=2.5, atom_present=False)
-        h = build_hamiltonian(params, FieldSpace(4))
-        assert np.allclose(h.matrix, 2.5 * np.diag([0, 1, 2, 3]))
+        h = hamiltonian(params, FieldSpace(4))
+        assert np.allclose(h, 2.5 * np.diag([0, 1, 2, 3]))
+
+
+def atom_only(gamma, dims):
+    """The whole generator at g0 = 0 and r = 0: on |e,0><e,0| the vacuum
+    cavity and the zero Hamiltonian act as nothing, so only the atom's
+    decay is left."""
+    return build_liouvillian(SystemParams(gamma=gamma), SqueezedBath(0.0), dims)
+
+
+def cavity_only(kappa, bath, space):
+    """The whole generator of the empty cavity at zero detuning: its
+    squeezed-bath damping alone."""
+    return build_liouvillian(SystemParams(kappa=kappa, atom_present=False), bath, space)
 
 
 class TestAtomDissipator:
     def test_zero_gamma(self):
-        assert atom_dissipator(0.0, SpaceDims(3)).matrix.count_nonzero() == 0
+        # at gamma = 0 the atom adds nothing to the cavity's damping; at
+        # gamma > 0 it does
+        dims = SpaceDims(3)
+        cavity = cavity_only(1.0, SqueezedBath(0.0), dims).matrix
+        assert (atom_only(0.0, dims).matrix - cavity).count_nonzero() == 0
+        assert (atom_only(0.7, dims).matrix - cavity).count_nonzero() > 0
 
     def test_population_transfer_rates(self):
         dims = SpaceDims(2)
-        L = atom_dissipator(0.7, dims)
+        L = atom_only(0.7, dims)
         rho = np.zeros((4, 4), dtype=complex)
         rho[2, 2] = 1.0  # |e,0><e,0|
         drho = unvec(L.matrix @ vec(rho), 4)
@@ -94,14 +111,14 @@ class TestAtomDissipator:
         assert abs(drho[0, 0] - (+2 * 0.7)) < 1e-14
 
     def test_trace_preserving(self):
-        L = atom_dissipator(1.3, SpaceDims(5))
+        L = atom_only(1.3, SpaceDims(5))
         assert L.trace_residual() < 1e-12
 
 
 class TestCavityDissipator:
     def test_vacuum_bath_is_standard_decay(self, rng):
         space = FieldSpace(6)
-        L = cavity_squeezed_dissipator(1.0, SqueezedBath(0.0), space)
+        L = cavity_only(1.0, SqueezedBath(0.0), space)
         a = np.diag(np.sqrt(np.arange(1, 6)), k=1).astype(complex)
         rho = random_hermitian(rng, 6)
         expected = 2 * a @ rho @ a.conj().T - a.conj().T @ a @ rho - rho @ a.conj().T @ a
@@ -110,7 +127,7 @@ class TestCavityDissipator:
     def test_energy_decay_rate_convention(self):
         # single photon decays at 2*kappa in photon number
         kappa = 1.7
-        L = cavity_squeezed_dissipator(kappa, SqueezedBath(0.0), FieldSpace(4))
+        L = cavity_only(kappa, SqueezedBath(0.0), FieldSpace(4))
         rho = np.zeros((4, 4), dtype=complex)
         rho[1, 1] = 1.0
         drho = unvec(L.matrix @ vec(rho), 4)
@@ -122,10 +139,10 @@ class TestCavityDissipator:
         # two-photon correlation
         from sqcavity import mean_photon_number, pair_amplitude
 
-        L = cavity_squeezed_dissipator(1.0, SqueezedBath(1.0), FieldSpace(90))
+        L = cavity_only(1.0, SqueezedBath(1.0), FieldSpace(90))
         rho = steady_state(L, guard=10, epsilon=1e-8)
         assert abs(mean_photon_number(rho) - np.sinh(1.0) ** 2) < 1e-6
-        L2 = cavity_squeezed_dissipator(1.0, SqueezedBath(0.5), FieldSpace(50))
+        L2 = cavity_only(1.0, SqueezedBath(0.5), FieldSpace(50))
         rho2 = steady_state(L2)
         assert abs(abs(pair_amplitude(rho2)) - np.cosh(0.5) * np.sinh(0.5)) < 1e-6
 
@@ -189,18 +206,6 @@ class TestFullLiouvillian:
             out = unvec(L.matrix @ vec(rho), 10)
             assert np.abs(out - out.conj().T).max() < 1e-12
 
-    def test_additivity_of_parts(self):
-        params = SystemParams(g0=3.0, gamma=0.8, delta_A=0.5, delta_C=-0.5)
-        bath = SqueezedBath(0.6, 1.1)
-        dims = SpaceDims(6)
-        total = build_liouvillian(params, bath, dims)
-        parts = (
-            hamiltonian_superoperator(build_hamiltonian(params, dims)).matrix
-            + atom_dissipator(params.gamma, dims).matrix
-            + cavity_squeezed_dissipator(params.kappa, bath, dims).matrix
-        )
-        assert (total.matrix - parts).nnz == 0
-
     def test_left_null_vector_is_trace(self):
         L = build_liouvillian(SystemParams(g0=2.0, gamma=0.3), SqueezedBath(0.4), SpaceDims(4))
         assert np.abs(trace_row(8) @ L.matrix).max() < 1e-12
@@ -228,8 +233,9 @@ class TestBogoliubovFrame:
         assert fidelity > 1 - 1e-8
 
 
-# The term builders as they were before the one-pass assembly: every term
-# a separate left, right or sandwich Kronecker product, summed pairwise.
+# The generator as it was built before the one-pass assembly: a dense
+# Hamiltonian, and every term a separate left, right or sandwich Kronecker
+# product, summed pairwise.
 
 def spre(op):
     return sp.kron(sp.identity(op.shape[0], format="csr"), sp.csr_matrix(op), format="csr")
@@ -243,33 +249,43 @@ def sandwich(left, right):
     return sp.kron(sp.csr_matrix(right.T), sp.csr_matrix(left), format="csr")
 
 
-def reference_hamiltonian_superoperator(h):
-    return Superoperator(h.space.dim, -1j * (spre(h.matrix) - spost(h.matrix)), h.space)
+def reference_hamiltonian(params, x):
+    h = params.delta_C * (x.dag() @ x)
+    if params.atom_present:
+        s_ee = lift(atom_sigma("e", "e"), "atom", x.space)
+        s_eg = lift(atom_sigma("e", "g"), "atom", x.space)
+        coupling = s_eg @ x
+        h = h + params.delta_A * s_ee + params.g0 * (coupling + coupling.dag())
+    return h.matrix
 
 
-def reference_atom_dissipator(gamma, dims):
+def reference_atom_damping(gamma, dims):
     s_ge = lift(atom_sigma("g", "e"), "atom", dims).matrix
     s_ee = lift(atom_sigma("e", "e"), "atom", dims).matrix
-    m = gamma * (2.0 * sandwich(s_ge, s_ge.conj().T) - spre(s_ee) - spost(s_ee))
-    return Superoperator(dims.dim, m, dims, rate_scale=gamma)
+    return gamma * (2.0 * sandwich(s_ge, s_ge.conj().T) - spre(s_ee) - spost(s_ee))
 
 
-def reference_cavity_dissipator(kappa, c, n_th, m_corr):
+def reference_cavity_damping(kappa, c, n_th, m_corr):
     a = c.matrix
     ad = a.conj().T
     m = -kappa * (1.0 + n_th) * (spre(ad @ a) - 2.0 * sandwich(a, ad) + spost(ad @ a))
     m = m - kappa * n_th * (spre(a @ ad) - 2.0 * sandwich(ad, a) + spost(a @ ad))
     m = m + kappa * m_corr * (spre(ad @ ad) - 2.0 * sandwich(ad, ad) + spost(ad @ ad))
     m = m + kappa * np.conj(m_corr) * (spre(a @ a) - 2.0 * sandwich(a, a) + spost(a @ a))
-    return Superoperator(c.space.dim, m, c.space)
+    return m
+
+
+def reference_assemble(params, x, c, n_th, m_corr, rate_scale):
+    h = reference_hamiltonian(params, x)
+    m = -1j * (spre(h) - spost(h)) + reference_cavity_damping(params.kappa, c, n_th, m_corr)
+    if params.atom_present:
+        m = m + reference_atom_damping(params.gamma, x.space)
+    return Superoperator(x.space.dim, m, x.space, rate_scale)
 
 
 def use_reference_terms(monkeypatch):
     """Make the package's builders assemble from the reference terms."""
-    monkeypatch.setattr(liouvillian, "hamiltonian_superoperator",
-                        reference_hamiltonian_superoperator)
-    monkeypatch.setattr(liouvillian, "atom_dissipator", reference_atom_dissipator)
-    monkeypatch.setattr(liouvillian, "_cavity_dissipator", reference_cavity_dissipator)
+    monkeypatch.setattr(liouvillian, "_assemble", reference_assemble)
 
 
 def assert_same_generator(fast, reference):
@@ -288,7 +304,7 @@ R_ZERO_CASES = {
 
 
 class TestOnePassAssembly:
-    """Each term is summed once from its Kronecker products; the generators
+    """The whole generator is summed once from its Kronecker products; it
     must keep the pattern and values of the term-by-term construction."""
 
     @pytest.mark.parametrize("case", sorted(SECTOR_CASES))
@@ -301,30 +317,28 @@ class TestOnePassAssembly:
     def test_vacuum_bath_keeps_the_sparser_pattern(self, case, monkeypatch):
         params, space = R_ZERO_CASES[case]
         fast = build_liouvillian(params, SqueezedBath(0.0), space)
-        fast_cavity = cavity_squeezed_dissipator(params.kappa, SqueezedBath(0.0), space)
+        fast_cavity = cavity_only(params.kappa, SqueezedBath(0.0), space)
         squeezed = build_liouvillian(params, SqueezedBath(0.5), space)
         assert fast.matrix.nnz < squeezed.matrix.nnz
         use_reference_terms(monkeypatch)
         assert_same_generator(fast, build_liouvillian(params, SqueezedBath(0.0), space))
-        a = embed_field(space, annihilation)
-        assert_same_generator(fast_cavity, reference_cavity_dissipator(params.kappa, a, 0.0, 0.0))
+        assert_same_generator(fast_cavity, cavity_only(params.kappa, SqueezedBath(0.0), space))
 
     def test_zero_weight_jumps_are_skipped(self, monkeypatch):
         products = []
         kron = sp.kron
         monkeypatch.setattr(sp, "kron", lambda *args, **kw: products.append(1) or kron(*args, **kw))
         # I ⊗ K and conj(K) ⊗ I, then one product per jump of nonzero weight
-        cavity_squeezed_dissipator(1.0, SqueezedBath(0.0), FieldSpace(8))
+        cavity_only(1.0, SqueezedBath(0.0), FieldSpace(8))
         assert len(products) == 2 + 1
-        cavity_squeezed_dissipator(1.0, SqueezedBath(0.5), FieldSpace(8))
+        cavity_only(1.0, SqueezedBath(0.5), FieldSpace(8))
         assert len(products) == 3 + 2 + 4
+        build_liouvillian(ATOM, SqueezedBath(0.5), SpaceDims(8))
+        assert len(products) == 9 + 2 + 5
 
-    def test_single_terms_match_reference(self):
-        dims = SpaceDims(12)
-        h = build_hamiltonian(SystemParams(delta_A=1.5, delta_C=-0.7, g0=15.0), dims)
-        assert_same_generator(hamiltonian_superoperator(h), reference_hamiltonian_superoperator(h))
-        assert_same_generator(atom_dissipator(0.8, dims), reference_atom_dissipator(0.8, dims))
-        a = embed_field(dims, annihilation)
-        bath = SqueezedBath(0.6, 1.1)
-        assert_same_generator(cavity_squeezed_dissipator(1.0, bath, dims),
-                              reference_cavity_dissipator(1.0, a, bath.n_th, bath.m_corr))
+    def test_all_terms_at_once_match_reference(self, monkeypatch):
+        params = SystemParams(delta_A=1.5, delta_C=-0.7, g0=15.0, gamma=0.8)
+        bath, dims = SqueezedBath(0.6, 1.1), SpaceDims(12)
+        fast = build_liouvillian(params, bath, dims)
+        use_reference_terms(monkeypatch)
+        assert_same_generator(fast, build_liouvillian(params, bath, dims))

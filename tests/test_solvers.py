@@ -26,7 +26,7 @@ from sqcavity import (
     unvec,
     vec,
 )
-from sqcavity.liouvillian import hamiltonian_superoperator
+from sqcavity.liouvillian import _lindblad
 from sqcavity.operators import embed_field
 from sqcavity.solvers import RESIDUAL_TOL
 from conftest import excitation_numbers, parity_mismatch, squeezed_photon_numbers
@@ -158,10 +158,19 @@ class TestSectorSolve:
         params = SystemParams(g0=2.0, gamma=1.0, atom_present=isinstance(space, SpaceDims))
         L = build_liouvillian(params, SqueezedBath(0.3), space)
         a = embed_field(space, annihilation)
-        driven = L + hamiltonian_superoperator(0.5 * (a + a.dag()))
+        driven = Superoperator(L.dim, L.matrix + _lindblad(space, -0.5j * (a + a.dag()).matrix),
+                               space)
         monkeypatch.setattr(solvers, "spsolve", lambda *args: pytest.fail("factorized"))
         with pytest.raises(SolverError, match="parity"):
             steady_state(driven)
+
+    def test_nan_generator_refused_before_factorizing(self, monkeypatch):
+        L = SECTOR_CASES["atom"]()
+        matrix = L.matrix.copy()
+        matrix.data[matrix.nnz // 2] = np.nan
+        monkeypatch.setattr(solvers, "spsolve", lambda *args: pytest.fail("factorized"))
+        with pytest.raises(SolverError, match="not finite"):
+            steady_state(Superoperator(L.dim, matrix, L.space))
 
     def test_generator_without_field_space_refused(self):
         with pytest.raises(SolverError, match="field or composite space"):
@@ -318,8 +327,10 @@ class TestSuggestedCutoff:
         assert pn[n - guard:].sum() < 1e-8
 
     def test_monotone_in_r(self):
-        cuts = [suggest_fock_cutoff(r) for r in (0.1, 0.5, 0.9, 1.3)]
+        # on to r = 30, past r ~ 19.1, where tanh²r rounds to 1.0
+        cuts = [suggest_fock_cutoff(r) for r in (0.1, 0.5, 0.9, 1.3, *np.linspace(1.5, 30, 571))]
         assert cuts == sorted(cuts)
+        assert suggest_fock_cutoff(20.0) == 400
 
 
 class TestEvolve:

@@ -7,7 +7,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sqcavity import ConfigError, CutoffTooSmallError, SweepConfig, _blas, load_config, solvers
+from sqcavity import (
+    ConfigError,
+    CutoffTooSmallError,
+    SpaceDims,
+    SqueezedBath,
+    SweepConfig,
+    SystemParams,
+    _blas,
+    build_liouvillian,
+    load_config,
+    solvers,
+    steady_state,
+)
 from sqcavity import sweep as sweep_module
 from sqcavity.cli import build_parser, main, resolve_config
 from sqcavity.sweep import (
@@ -237,6 +249,14 @@ class TestCli:
         (["--epsilon", "0"], None),
         ([], "kappa = 0\n"),
         ([], "atom_present = false\ngamma = -1\n"),
+        (["--g0", "nan"], None),
+        (["--gamma", "inf"], None),
+        (["--phi", "nan"], None),
+        (["--r", "nan"], None),
+        (["--r", "inf"], None),
+        (["--epsilon", "nan"], None),
+        ([], "wigner_extent = nan\n"),
+        ([], "kappa = inf\n"),
     ])
     def test_invalid_model_parameters_exit_code(self, tmp_path, argv, cfg_text, capsys):
         if cfg_text is not None:
@@ -270,6 +290,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert "at r = 1.2:" in err
         assert err.rstrip().endswith("retry with cutoff >= 130")
+
+    def test_squeezing_beyond_the_cutoff_rule_exit_code(self, tmp_path, capsys):
+        # above r ~ 19.1 tanh²r rounds to 1: the covering cutoff is the
+        # largest suggestion, not a division by zero, and the sweep fails
+        # on its first solve, where the round-off of the r = 20 generator
+        # exceeds steady_state's trace check
+        assert main(["--no-atom", "--r", "0.1,20", "--cutoff", "30",
+                     "--out", str(tmp_path / "m.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver error: at r = 20.0:")
+        assert not (tmp_path / "m.csv").exists()
 
 
 # each CLI flag with a value, and the SweepConfig field it must land in
@@ -467,4 +498,16 @@ def test_concurrent_sweeps_restore_blas_threads(tmp_path, monkeypatch, blas_spy)
         sys.setswitchinterval(interval)
     assert len(blas_spy) == 6 * 5 * 3
     assert all(numpy_threads == 1 for numpy_threads, _ in blas_spy)
+    assert blas_threads() == before
+
+
+@needs_blas
+def test_steady_state_alone_pins_numpy_blas(blas_spy):
+    numpy_pool, _ = BLAS.pools
+    numpy_pool.set(max(2, numpy_pool.get()))
+    before = blas_threads()
+    steady_state(build_liouvillian(SystemParams(g0=15.0, gamma=1.0), SqueezedBath(0.5),
+                                   SpaceDims(12)), check_tail=False)
+    # numpy's pool on 1 thread while the LU runs; scipy's keeps its count
+    assert blas_spy == [(1, before[1])]
     assert blas_threads() == before
