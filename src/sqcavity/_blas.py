@@ -1,13 +1,14 @@
-"""OpenBLAS thread budget of a sweep, set through ctypes.
+"""OpenBLAS threads of the solving threads, set through ctypes.
 
 numpy and scipy wheels each bundle an OpenBLAS of their own: numpy's runs
 the dense d×d kernels (eigvalsh, products), scipy's is the one SuperLU
-calls. Each starts with one thread per core, so sweep threads and the two
-pools oversubscribe the cores, and an idle pool spins on a core another
-one needs. `thread_budget` pins numpy's pool to one thread and gives
-scipy's `cores // workers` for the span of a sweep, or of one
-`steady_state` call (one worker) outside a sweep; it never raises a
-count above its value at entry, so OPENBLAS_NUM_THREADS still caps it.
+calls. Each starts with one thread per core, so the two pools, a sweep's
+worker threads and any other process on the machine oversubscribe the
+cores, and an idle pool spins on a core another thread needs; a second
+BLAS thread does not speed up the nested-dissection LU. `thread_budget`
+runs both pools on one thread for the span of a sweep, or of one
+`steady_state` call outside a sweep, so the parallelism of a sweep is its
+SIM_THREADS workers alone.
 """
 
 from __future__ import annotations
@@ -79,37 +80,26 @@ def _budget() -> _Budget | None:
         return None
 
 
-def _cores() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 @contextmanager
-def thread_budget(workers: int):
-    """Run the block with numpy's OpenBLAS on 1 thread and scipy's on
-    min(its count at entry, cores // workers), and yield those two counts;
-    yield None, changing nothing, where the libraries are not found. The
-    counts at entry are restored on the way out, on error too."""
+def thread_budget():
+    """Run the block with numpy's and scipy's OpenBLAS on 1 thread each and
+    yield True; yield False, changing nothing, where the libraries are not
+    found. The counts at entry are restored on the way out, on error too."""
     budget = _budget()
     if budget is None:
-        yield None
+        yield False
         return
-    numpy_pool, scipy_pool = budget.pools
     with budget.lock:
         if budget.active == 0:
-            budget.saved = (numpy_pool.get(), scipy_pool.get())
+            budget.saved = tuple(pool.get() for pool in budget.pools)
         budget.active += 1
-        counts = (1, max(1, min(scipy_pool.get(), _cores() // workers)))
-        numpy_pool.set(counts[0])
-        scipy_pool.set(counts[1])
+        for pool in budget.pools:
+            pool.set(1)
     try:
-        yield counts
+        yield True
     finally:
         with budget.lock:
             budget.active -= 1
             if budget.active == 0:
-                numpy_pool.set(budget.saved[0])
-                scipy_pool.set(budget.saved[1])
+                for pool, threads in zip(budget.pools, budget.saved):
+                    pool.set(threads)

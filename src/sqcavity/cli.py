@@ -53,11 +53,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = resolve_config(args)
+        result = run(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    try:
-        result = run(config)
     except CutoffTooSmallError as exc:
         print(f"truncation error: {exc}", file=sys.stderr)
         return 4

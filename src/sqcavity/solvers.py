@@ -92,8 +92,8 @@ def check_truncation(rho: DensityMatrix, guard: int | None = None,
     n = rho.fock_cutoff
     if guard is None:
         guard = default_guard(n)
-    if guard >= n:
-        raise ValueError(f"guard ({guard}) must be smaller than the cutoff ({n})")
+    if not 0 < guard < n:
+        raise ValueError(f"guard ({guard}) must satisfy 0 < guard < cutoff ({n})")
     tail = float(photon_populations(rho)[n - guard:].sum())
     return TailReport(tail_mass=tail, guard=guard, adequate=tail < epsilon)
 
@@ -118,8 +118,9 @@ def make_density_matrix(space: Space, raw: np.ndarray, guard: int | None = None)
         raise CorruptedStateError(
             f"minimum eigenvalue {min_eig:.3e} below tolerance {MIN_EIG_TOL:.0e}"
         )
-    probe = DensityMatrix(space, m)
-    tail = float(photon_populations(probe)[-(guard or default_guard(space.fock_cutoff)):].sum())
+    if guard is None:
+        guard = default_guard(space.fock_cutoff)
+    tail = float(photon_populations(DensityMatrix(space, m))[-guard:].sum())
     diags = StateDiagnostics(trace_err, herm_err, min_eig, tail)
     return DensityMatrix(space, m, diags)
 
@@ -225,7 +226,7 @@ def spsolve(system: sp.csc_matrix, rhs: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def steady_state(L: Superoperator, guard: int | None = None,
-                 epsilon: float = DEFAULT_EPSILON, check_tail: bool = True) -> DensityMatrix:
+                 epsilon: float = DEFAULT_EPSILON) -> DensityMatrix:
     """Solve L vec(rho) = 0 with the unit-trace constraint.
 
     Every jump operator flips the excitation parity P = (-1)^(a†a + sigma_ee)
@@ -239,9 +240,15 @@ def steady_state(L: Superoperator, guard: int | None = None,
     is scattered into a full rho whose cross-sector entries are exactly
     zero, then hermitized, renormalized, and validated. The residual of the
     full generator must stay below RESIDUAL_TOL, otherwise the kernel is
-    considered degenerate.
+    considered degenerate, and the tail over the top `guard` Fock levels
+    below epsilon (math.inf turns that check off).
+
+    L itself must be finite and trace-preserving: max |vec(I)^T L| at most
+    TRACE_TOL or, for large entries, whose round-off the trace row sums,
+    1e-14 max|L|.
     """
-    if not L.trace_residual() <= 1e-10:
+    scale = float(np.abs(L.matrix.data).max(initial=0.0))
+    if not (math.isfinite(scale) and L.trace_residual() <= max(TRACE_TOL, 1e-14 * scale)):
         raise SolverError("generator is not trace-preserving or not finite; refusing to solve")
     d = L.dim
     order = _space_order(L.space)
@@ -265,10 +272,11 @@ def steady_state(L: Superoperator, guard: int | None = None,
         shape=(m, m))
     rhs = np.zeros(m, dtype=complex)
     rhs[-1] = 1.0
-    # numpy's OpenBLAS pool on one thread, whose idle workers otherwise spin
-    # on the cores the LU runs on; scipy's keeps its count. Inside a sweep,
-    # which holds the budget already, this changes nothing.
-    with thread_budget(1):
+    # numpy's and scipy's OpenBLAS pools on one thread each: a second thread
+    # does not speed up this LU, and idle pool threads spin on the cores
+    # that other solving threads and processes need. Inside a sweep, which
+    # holds the budget already, this changes nothing.
+    with thread_budget():
         start = time.perf_counter()
         try:
             sol, fill = spsolve(system, rhs)
@@ -289,16 +297,15 @@ def steady_state(L: Superoperator, guard: int | None = None,
     rho = replace(rho, diagnostics=replace(rho.diagnostics, residual=residual,
                                            lu_unknowns=m, lu_fill=fill,
                                            lu_seconds=lu_seconds))
-    if check_tail:
-        report = check_truncation(rho, guard, epsilon)
-        if not report.adequate:
-            current = rho.fock_cutoff
-            raise CutoffTooSmallError(
-                f"tail mass {report.tail_mass:.3e} over the top {report.guard} Fock "
-                f"levels exceeds {epsilon:.0e} at cutoff {current}",
-                suggested_cutoff=int(math.ceil(current * 1.5 / 10.0) * 10),
-                tail_mass=report.tail_mass,
-            )
+    report = check_truncation(rho, guard, epsilon)
+    if not report.adequate:
+        current = rho.fock_cutoff
+        raise CutoffTooSmallError(
+            f"tail mass {report.tail_mass:.3e} over the top {report.guard} Fock "
+            f"levels exceeds {epsilon:.0e} at cutoff {current}",
+            suggested_cutoff=int(math.ceil(current * 1.5 / 10.0) * 10),
+            tail_mass=report.tail_mass,
+        )
     return rho
 
 

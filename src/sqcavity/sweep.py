@@ -222,8 +222,8 @@ def _map_points(config: SweepConfig, fn):
     failure aborts the whole sweep before anything is written; its message
     names the failing r, and a truncation error suggests the cutoff
     `suggest_fock_cutoff` gives for the largest r, which covers the sweep.
-    The points run inside `thread_budget`, which divides the cores between
-    the workers and the LU's BLAS threads."""
+    The points run inside `thread_budget`, so each worker runs its BLAS
+    calls on its own thread."""
     points = list(config.r_values)
     covering_cutoff = suggest_fock_cutoff(max(points), config.epsilon)
 
@@ -239,10 +239,10 @@ def _map_points(config: SweepConfig, fn):
 
     order = sorted(range(len(points)), key=points.__getitem__, reverse=True)
     workers = _worker_count(len(points))
-    with thread_budget(workers) as blas_threads:
+    with thread_budget() as pinned:
         log.debug("sweep of %d points, %d worker threads; %s", len(points), workers,
-                  "BLAS thread control unavailable" if blas_threads is None
-                  else "BLAS threads: numpy %d, scipy %d" % blas_threads)
+                  "BLAS threads: numpy 1, scipy 1" if pinned
+                  else "BLAS thread control unavailable")
         if workers == 1:
             results = [at_point(points[k]) for k in order]
         else:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.special import eval_laguerre
@@ -225,7 +227,7 @@ class TestWigner:
     def test_leaky_state_rejected(self):
         rho = steady_state(
             build_liouvillian(SystemParams(atom_present=False), SqueezedBath(1.0), FieldSpace(20)),
-            check_tail=False,
+            epsilon=math.inf,
         )
         with pytest.raises(CutoffTooSmallError):
             wigner(rho, [0.0], [0.0])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -72,6 +74,29 @@ class TestSteadyState:
         with pytest.raises(SolverError):
             steady_state(bad)
 
+    def test_trace_check_scales_with_the_generator(self, monkeypatch):
+        # at r = 6 the entries reach 4.6e6 and the trace row's round-off,
+        # 4.7e-10, exceeds TRACE_TOL: the generator is still accepted
+        L = empty_cavity_liouvillian(6.0, 30)
+        assert L.trace_residual() > solvers.TRACE_TOL
+        with pytest.raises(CutoffTooSmallError):
+            steady_state(L)
+        # a trace defect of 1e-12 of the largest entry is refused
+        matrix = L.matrix.copy()
+        matrix[0, 0] += 1e-12 * np.abs(matrix.data).max()
+        monkeypatch.setattr(solvers, "spsolve", lambda *args: pytest.fail("factorized"))
+        with pytest.raises(SolverError, match="not trace-preserving"):
+            steady_state(Superoperator(L.dim, matrix, L.space))
+
+    @pytest.mark.parametrize("guard", [0, -1])
+    def test_guard_below_one_refused(self, guard):
+        # without a guard this state fails the tail check with a tail of 9.5e-3
+        L = empty_cavity_liouvillian(1.2, 20)
+        with pytest.raises(CutoffTooSmallError):
+            steady_state(L)
+        with pytest.raises(ValueError, match="0 < guard < cutoff"):
+            steady_state(L, guard=guard)
+
     def test_cutoff_too_small_raises_with_suggestion(self):
         with pytest.raises(CutoffTooSmallError) as info:
             steady_state(empty_cavity_liouvillian(1.0, 40), guard=8)
@@ -125,13 +150,13 @@ class TestSectorSolve:
     @pytest.mark.parametrize("case", sorted(SECTOR_CASES))
     def test_matches_full_system_solve(self, case):
         L = SECTOR_CASES[case]()
-        rho = steady_state(L, check_tail=False)
+        rho = steady_state(L, epsilon=math.inf)
         assert np.abs(rho.matrix - full_system_state(L)).max() <= 1e-12
 
     @pytest.mark.parametrize("case", sorted(SECTOR_CASES))
     def test_cross_sector_entries_are_exactly_zero(self, case):
         L = SECTOR_CASES[case]()
-        rho = steady_state(L, check_tail=False)
+        rho = steady_state(L, epsilon=math.inf)
         assert np.all(rho.matrix[parity_mismatch(L.space)] == 0)
 
     @pytest.mark.parametrize("case", ["atom", "empty"])
@@ -147,7 +172,7 @@ class TestSectorSolve:
             return sol, fill
 
         monkeypatch.setattr(solvers, "spsolve", recording_spsolve)
-        rho = steady_state(L, check_tail=False)
+        rho = steady_state(L, epsilon=math.inf)
         assert shapes == [(L.dim**2 // 2, L.dim**2 // 2)]
         assert fills == [rho.diagnostics.lu_fill]
         assert rho.diagnostics.lu_fill > L.dim**2 // 2
@@ -280,14 +305,14 @@ class TestNestedDissectionOrder:
     def test_cold_and_warm_cache_give_identical_states(self):
         L = SECTOR_CASES["atom"]()
         solvers._space_order.cache_clear()
-        cold = steady_state(L, check_tail=False)
-        warm = steady_state(L, check_tail=False)
+        cold = steady_state(L, epsilon=math.inf)
+        warm = steady_state(L, epsilon=math.inf)
         assert solvers._space_order.cache_info().hits >= 1
         assert cold.matrix.tobytes() == warm.matrix.tobytes()
 
     def test_matches_colamd_at_cutoff_60(self):
         L = build_liouvillian(ATOM, SqueezedBath(0.8), SpaceDims(60))
-        rho = steady_state(L, check_tail=False)
+        rho = steady_state(L, epsilon=math.inf)
         expected, colamd_fill = colamd_block_solve(L)
         assert np.abs(rho.matrix - expected).max() <= 1e-12
         assert rho.diagnostics.lu_fill < colamd_fill
@@ -302,20 +327,21 @@ class TestTruncationCheck:
 
     def test_leaky_cutoff_flagged(self):
         # cutoff 40 at r=1 leaks ~3e-5 into the top 8 levels
-        rho = steady_state(empty_cavity_liouvillian(1.0, 40), check_tail=False)
+        rho = steady_state(empty_cavity_liouvillian(1.0, 40), epsilon=math.inf)
         report = check_truncation(rho, guard=8)
         expected_tail = squeezed_photon_numbers(1.0, 60)[32:40].sum()
         assert not report.adequate
         assert report.tail_mass == pytest.approx(expected_tail, rel=0.1)
 
     def test_generous_cutoff_adequate(self):
-        rho = steady_state(empty_cavity_liouvillian(1.0, 90), check_tail=False)
+        rho = steady_state(empty_cavity_liouvillian(1.0, 90), epsilon=math.inf)
         assert check_truncation(rho, guard=10).adequate
 
-    def test_guard_must_be_smaller_than_cutoff(self):
+    @pytest.mark.parametrize("guard", [6, 0, -1])
+    def test_guard_must_be_smaller_than_cutoff(self, guard):
         rho = fock_state(FieldSpace(6), 0)
-        with pytest.raises(ValueError):
-            check_truncation(rho, guard=6)
+        with pytest.raises(ValueError, match="0 < guard < cutoff"):
+            check_truncation(rho, guard=guard)
 
 
 class TestSuggestedCutoff:

@@ -1,4 +1,5 @@
 import logging
+import math
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -6,12 +7,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from sqcavity import (
     ConfigError,
     CutoffTooSmallError,
+    FieldSpace,
+    NonUniqueSteadyStateError,
     SpaceDims,
     SqueezedBath,
+    Superoperator,
     SweepConfig,
     SystemParams,
     _blas,
@@ -294,13 +299,31 @@ class TestCli:
     def test_squeezing_beyond_the_cutoff_rule_exit_code(self, tmp_path, capsys):
         # above r ~ 19.1 tanh²r rounds to 1: the covering cutoff is the
         # largest suggestion, not a division by zero, and the sweep fails
-        # on its first solve, where the round-off of the r = 20 generator
-        # exceeds steady_state's trace check
+        # on its first solve, where the r = 20 state that cutoff 30 gives
+        # has a minimum eigenvalue of about -1
         assert main(["--no-atom", "--r", "0.1,20", "--cutoff", "30",
                      "--out", str(tmp_path / "m.csv")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("solver error: at r = 20.0:")
         assert not (tmp_path / "m.csv").exists()
+
+    def test_strong_squeezing_reaches_the_truncation_check(self, tmp_path, capsys):
+        # the r = 6 generator has entries up to 4.6e6, and the round-off of
+        # its trace row, 4.7e-10, is within the scale of steady_state's
+        # trace check, so the cutoff is what fails
+        assert main(["--no-atom", "--r", "0.1,6", "--cutoff", "30",
+                     "--out", str(tmp_path / "m.csv")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("truncation error: at r = 6.0: tail mass")
+        assert err.rstrip().endswith("retry with cutoff >= 400")
+        assert not (tmp_path / "m.csv").exists()
+
+    def test_bad_worker_count_is_a_config_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SIM_THREADS", "abc")
+        out = tmp_path / "m.csv"
+        assert main(["--no-atom", "--r", "0.1", "--cutoff", "20", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: SIM_THREADS must be an integer")
+        assert not out.exists()
 
 
 # each CLI flag with a value, and the SweepConfig field it must land in
@@ -441,14 +464,21 @@ def blas_spy(monkeypatch):
         pool.set(threads)
 
 
+def raise_blas_threads():
+    """Set both pools to at least 2 threads, so that pinning them shows,
+    and return the counts."""
+    for pool in BLAS.pools:
+        pool.set(max(2, pool.get()))
+    return blas_threads()
+
+
 @needs_blas
-def test_two_workers_share_the_cores_with_blas(tmp_path, monkeypatch, blas_spy):
-    monkeypatch.setenv("SIM_THREADS", "2")
-    before = blas_threads()
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_each_worker_runs_blas_on_one_thread(tmp_path, monkeypatch, blas_spy, workers):
+    monkeypatch.setenv("SIM_THREADS", workers)
+    before = raise_blas_threads()
     run_moments_sweep(atom_sweep(tmp_path, "m.csv"))
-    # numpy gets 1 thread, scipy cores // workers: 1 on two cores
-    scipy_threads = max(1, min(before[1], _blas._cores() // 2))
-    assert blas_spy == [(1, scipy_threads)] * 4
+    assert blas_spy == [(1, 1)] * 4
     assert blas_threads() == before
 
 
@@ -502,12 +532,19 @@ def test_concurrent_sweeps_restore_blas_threads(tmp_path, monkeypatch, blas_spy)
 
 
 @needs_blas
-def test_steady_state_alone_pins_numpy_blas(blas_spy):
-    numpy_pool, _ = BLAS.pools
-    numpy_pool.set(max(2, numpy_pool.get()))
-    before = blas_threads()
+def test_steady_state_alone_pins_both_blas_pools(blas_spy):
+    before = raise_blas_threads()
     steady_state(build_liouvillian(SystemParams(g0=15.0, gamma=1.0), SqueezedBath(0.5),
-                                   SpaceDims(12)), check_tail=False)
-    # numpy's pool on 1 thread while the LU runs; scipy's keeps its count
-    assert blas_spy == [(1, before[1])]
+                                   SpaceDims(12)), epsilon=math.inf)
+    assert blas_spy == [(1, 1)]
+    assert blas_threads() == before
+
+
+@needs_blas
+def test_steady_state_alone_restores_blas_after_a_failing_solve(blas_spy):
+    before = raise_blas_threads()
+    # every state is steady under the zero generator, so its LU is singular
+    with pytest.raises(NonUniqueSteadyStateError, match="sparse LU solve failed"):
+        steady_state(Superoperator(4, sp.csr_matrix((16, 16)), FieldSpace(4)))
+    assert blas_spy == [(1, 1)]
     assert blas_threads() == before
