@@ -52,14 +52,13 @@ from .operators import (
 from .solvers import (
     DensityMatrix,
     StateDiagnostics,
-    TailReport,
     check_truncation,
-    default_guard,
     evolve,
     make_density_matrix,
     photon_populations,
     steady_state,
     suggest_fock_cutoff,
+    truncation_guard,
 )
 from .sweep import (
     SweepConfig,

@@ -116,6 +116,10 @@ class Superoperator:
             raise InvalidDimensionError(
                 f"superoperator matrix shape {m.shape} does not match dim {self.dim}"
             )
+        if self.space is not None and self.space.dim != self.dim:
+            raise InvalidDimensionError(
+                f"superoperator dim {self.dim} does not match its space {self.space}"
+            )
         object.__setattr__(self, "matrix", m)
 
     def trace_residual(self) -> float:

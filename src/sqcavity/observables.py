@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CorruptedStateError, CutoffTooSmallError, InvalidDimensionError
+from .errors import CorruptedStateError, InvalidDimensionError
 from .operators import (
     FieldSpace,
     Operator,
@@ -91,8 +91,7 @@ def photon_distribution(rho: DensityMatrix, guard: int | None = None) -> PhotonD
         raise CorruptedStateError(
             f"photon population P({int(probs.argmin())}) = {probs.min():.3e} is negative"
         )
-    report = check_truncation(rho, guard, epsilon=np.inf)
-    return PhotonDistribution(probabilities=probs, tail_mass=report.tail_mass)
+    return PhotonDistribution(probabilities=probs, tail_mass=check_truncation(rho, guard, np.inf))
 
 
 def partial_trace_atom(rho: DensityMatrix) -> DensityMatrix:
@@ -147,13 +146,7 @@ def wigner(rho_field: DensityMatrix, q_axis, p_axis, guard: int | None = None,
     herm_err = float(np.abs(rho - rho.conj().T).max())
     if herm_err > IMAG_TOL:
         raise CorruptedStateError(f"state is not Hermitian: max |rho - rho†| = {herm_err:.3e}")
-    report = check_truncation(rho_field, guard, epsilon=epsilon)
-    if not report.adequate:
-        raise CutoffTooSmallError(
-            f"tail mass {report.tail_mass:.3e} exceeds {epsilon:.0e}; "
-            "increase the Fock cutoff before evaluating the Wigner function",
-            tail_mass=report.tail_mass,
-        )
+    check_truncation(rho_field, guard, epsilon)
     q_axis = np.asarray(q_axis, dtype=float)
     p_axis = np.asarray(p_axis, dtype=float)
     two_alpha = np.sqrt(2.0) * (q_axis[:, None] + 1j * p_axis[None, :])

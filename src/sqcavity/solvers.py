@@ -30,8 +30,20 @@ MIN_EIG_TOL = -1e-8
 RESIDUAL_TOL = 1e-8
 
 
-def default_guard(fock_cutoff: int) -> int:
-    return max(4, fock_cutoff // 5)
+def truncation_guard(fock_cutoff: int, guard: int | None = None,
+                     epsilon: float = DEFAULT_EPSILON) -> int:
+    """The guard band of the truncation check at this cutoff: `guard`, or
+    max(4, fock_cutoff // 5) when it is None. ValueError unless
+    0 < guard < fock_cutoff and epsilon > 0."""
+    source = "guard"
+    if guard is None:
+        source, guard = "default guard max(4, cutoff // 5)", max(4, fock_cutoff // 5)
+    if not 0 < guard < fock_cutoff:
+        raise ValueError(f"{source} = {guard} must satisfy 0 < guard < fock_cutoff = "
+                         f"{fock_cutoff}")
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    return guard
 
 
 @dataclass(frozen=True)
@@ -42,7 +54,8 @@ class StateDiagnostics:
     `steady_state` it is round-off by construction, because the trace row
     of the solved system fixes tr rho = 1; there `residual`,
     max |L vec(rho)| against the full generator, is the figure of the
-    solve's quality, `lu_unknowns` is the size of the factorized block,
+    solve's quality, `tail_mass` the value `check_truncation` measured on
+    the solution, `lu_unknowns` is the size of the factorized block,
     `lu_fill` the number of entries SuperLU stores for its L and U factors
     and `lu_seconds` the time spent in `spsolve`.
     """
@@ -50,18 +63,11 @@ class StateDiagnostics:
     trace_error: float
     hermiticity_error: float
     min_eigenvalue: float
-    tail_mass: float
+    tail_mass: float | None = None  # set by steady_state
     residual: float | None = None  # set by steady_state
     lu_unknowns: int | None = None  # set by steady_state
     lu_fill: int | None = None  # set by steady_state
     lu_seconds: float | None = None  # set by steady_state
-
-
-@dataclass(frozen=True)
-class TailReport:
-    tail_mass: float
-    guard: int
-    adequate: bool
 
 
 @dataclass(frozen=True)
@@ -70,7 +76,7 @@ class DensityMatrix:
 
     space: Space
     matrix: np.ndarray = field(repr=False)
-    diagnostics: StateDiagnostics = StateDiagnostics(0.0, 0.0, 0.0, 0.0)
+    diagnostics: StateDiagnostics = StateDiagnostics(0.0, 0.0, 0.0)
 
     @property
     def fock_cutoff(self) -> int:
@@ -86,19 +92,28 @@ def photon_populations(rho: DensityMatrix) -> np.ndarray:
 
 
 def check_truncation(rho: DensityMatrix, guard: int | None = None,
-                     epsilon: float = DEFAULT_EPSILON) -> TailReport:
-    """Sum the populations of the top `guard` Fock levels and compare
-    against the adequacy threshold."""
+                     epsilon: float = DEFAULT_EPSILON) -> float:
+    """Tail mass of rho: the population of its top `guard` Fock levels.
+
+    Raise CutoffTooSmallError, suggesting 1.5 times the cutoff rounded up
+    to a multiple of 10, unless the tail mass is below epsilon;
+    epsilon = math.inf only measures it. The guard and epsilon are checked
+    by `truncation_guard`.
+    """
     n = rho.fock_cutoff
-    if guard is None:
-        guard = default_guard(n)
-    if not 0 < guard < n:
-        raise ValueError(f"guard ({guard}) must satisfy 0 < guard < cutoff ({n})")
+    guard = truncation_guard(n, guard, epsilon)
     tail = float(photon_populations(rho)[n - guard:].sum())
-    return TailReport(tail_mass=tail, guard=guard, adequate=tail < epsilon)
+    if not tail < epsilon:
+        raise CutoffTooSmallError(
+            f"tail mass {tail:.3e} over the top {guard} Fock levels exceeds {epsilon:.0e} "
+            f"at cutoff {n}",
+            suggested_cutoff=int(math.ceil(n * 1.5 / 10.0) * 10),
+            tail_mass=tail,
+        )
+    return tail
 
 
-def make_density_matrix(space: Space, raw: np.ndarray, guard: int | None = None) -> DensityMatrix:
+def make_density_matrix(space: Space, raw: np.ndarray) -> DensityMatrix:
     """Hermitize, renormalize, and validate a raw solver output.
 
     Negative eigenvalues below the tolerance abort the run: they signal a
@@ -118,11 +133,7 @@ def make_density_matrix(space: Space, raw: np.ndarray, guard: int | None = None)
         raise CorruptedStateError(
             f"minimum eigenvalue {min_eig:.3e} below tolerance {MIN_EIG_TOL:.0e}"
         )
-    if guard is None:
-        guard = default_guard(space.fock_cutoff)
-    tail = float(photon_populations(DensityMatrix(space, m))[-guard:].sum())
-    diags = StateDiagnostics(trace_err, herm_err, min_eig, tail)
-    return DensityMatrix(space, m, diags)
+    return DensityMatrix(space, m, StateDiagnostics(trace_err, herm_err, min_eig))
 
 
 def suggest_fock_cutoff(r: float, epsilon: float = DEFAULT_EPSILON,
@@ -238,10 +249,12 @@ def steady_state(L: Superoperator, guard: int | None = None,
     last: its rho_00 row is replaced by the trace row and the right-hand
     side by the last unit vector, keeping the system square. The solution
     is scattered into a full rho whose cross-sector entries are exactly
-    zero, then hermitized, renormalized, and validated. The residual of the
-    full generator must stay below RESIDUAL_TOL, otherwise the kernel is
-    considered degenerate, and the tail over the top `guard` Fock levels
-    below epsilon (math.inf turns that check off).
+    zero. Its tail over the top `guard` Fock levels must stay below epsilon
+    (`check_truncation`, math.inf turns that check off); it is then
+    hermitized, renormalized and validated (`make_density_matrix`), and the
+    residual of the full generator must stay below RESIDUAL_TOL, otherwise
+    the kernel is considered degenerate. An invalid guard or epsilon is
+    refused before anything is factorized.
 
     L itself must be finite and trace-preserving: max |vec(I)^T L| at most
     TRACE_TOL or, for large entries, whose round-off the trace row sums,
@@ -250,8 +263,9 @@ def steady_state(L: Superoperator, guard: int | None = None,
     scale = float(np.abs(L.matrix.data).max(initial=0.0))
     if not (math.isfinite(scale) and L.trace_residual() <= max(TRACE_TOL, 1e-14 * scale)):
         raise SolverError("generator is not trace-preserving or not finite; refusing to solve")
-    d = L.dim
     order = _space_order(L.space)
+    guard = truncation_guard(L.space.fock_cutoff, guard, epsilon)
+    d = L.dim
     m = order.size
     pos = np.full(d * d, -1)
     pos[order] = np.arange(m)
@@ -287,26 +301,20 @@ def steady_state(L: Superoperator, guard: int | None = None,
             raise NonUniqueSteadyStateError("sparse LU solve returned non-finite entries")
         full = np.zeros(d * d, dtype=complex)
         full[order] = sol
-        rho = make_density_matrix(L.space, unvec(full, d), guard)
+        raw = unvec(full, d)
+        # the tail first: a cutoff far too small also leaves a state that is
+        # not positive, and the cutoff is what the error must name
+        tail = check_truncation(DensityMatrix(L.space, raw), guard, epsilon)
+        rho = make_density_matrix(L.space, raw)
         residual = float(np.abs(L.matrix @ vec(rho.matrix)).max())
     if residual > RESIDUAL_TOL:
         raise NonUniqueSteadyStateError(
             f"steady-state residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e}; "
             "the kernel may be degenerate"
         )
-    rho = replace(rho, diagnostics=replace(rho.diagnostics, residual=residual,
-                                           lu_unknowns=m, lu_fill=fill,
-                                           lu_seconds=lu_seconds))
-    report = check_truncation(rho, guard, epsilon)
-    if not report.adequate:
-        current = rho.fock_cutoff
-        raise CutoffTooSmallError(
-            f"tail mass {report.tail_mass:.3e} over the top {report.guard} Fock "
-            f"levels exceeds {epsilon:.0e} at cutoff {current}",
-            suggested_cutoff=int(math.ceil(current * 1.5 / 10.0) * 10),
-            tail_mass=report.tail_mass,
-        )
-    return rho
+    return replace(rho, diagnostics=replace(rho.diagnostics, tail_mass=tail, residual=residual,
+                                            lu_unknowns=m, lu_fill=fill,
+                                            lu_seconds=lu_seconds))
 
 
 def evolve(L: Superoperator, rho0: DensityMatrix, t_end: float, dt: float,

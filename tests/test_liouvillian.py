@@ -4,6 +4,7 @@ import scipy.sparse as sp
 
 from sqcavity import (
     FieldSpace,
+    InvalidDimensionError,
     SpaceDims,
     SqueezedBath,
     Superoperator,
@@ -209,6 +210,13 @@ class TestFullLiouvillian:
     def test_left_null_vector_is_trace(self):
         L = build_liouvillian(SystemParams(g0=2.0, gamma=0.3), SqueezedBath(0.4), SpaceDims(4))
         assert np.abs(trace_row(8) @ L.matrix).max() < 1e-12
+
+    def test_space_must_match_the_dimension(self):
+        L = build_liouvillian(SystemParams(atom_present=False), SqueezedBath(0.4), FieldSpace(6))
+        with pytest.raises(InvalidDimensionError, match="does not match its space"):
+            Superoperator(6, L.matrix, FieldSpace(8))
+        with pytest.raises(InvalidDimensionError):
+            Superoperator(6, L.matrix, SpaceDims(6))
 
 
 class TestBogoliubovFrame:

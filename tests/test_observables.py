@@ -229,8 +229,9 @@ class TestWigner:
             build_liouvillian(SystemParams(atom_present=False), SqueezedBath(1.0), FieldSpace(20)),
             epsilon=math.inf,
         )
-        with pytest.raises(CutoffTooSmallError):
+        with pytest.raises(CutoffTooSmallError) as info:
             wigner(rho, [0.0], [0.0])
+        assert str(info.value).endswith("retry with cutoff >= 30")
 
     def test_composite_state_rejected(self):
         with pytest.raises(InvalidDimensionError):

@@ -22,6 +22,7 @@ from sqcavity import (
     evolve,
     make_density_matrix,
     mean_photon_number,
+    photon_distribution,
     solvers,
     steady_state,
     suggest_fock_cutoff,
@@ -94,8 +95,31 @@ class TestSteadyState:
         L = empty_cavity_liouvillian(1.2, 20)
         with pytest.raises(CutoffTooSmallError):
             steady_state(L)
-        with pytest.raises(ValueError, match="0 < guard < cutoff"):
+        with pytest.raises(ValueError, match="0 < guard < fock_cutoff"):
             steady_state(L, guard=guard)
+
+    @pytest.mark.parametrize("guard, epsilon", [(0, 1e-8), (-1, 1e-8), (20, 1e-8),
+                                                (None, math.nan), (None, 0.0)])
+    def test_invalid_guard_or_epsilon_refused_before_the_lu(self, guard, epsilon, monkeypatch):
+        L = empty_cavity_liouvillian(0.3, 20)
+        monkeypatch.setattr(solvers, "spsolve", lambda *args: pytest.fail("factorized"))
+        with pytest.raises(ValueError, match="must (satisfy 0 < guard <|be > 0)"):
+            steady_state(L, guard=guard, epsilon=epsilon)
+
+    def test_tail_mass_is_the_one_truncation_check(self):
+        rho = steady_state(empty_cavity_liouvillian(0.8, 60), guard=10)
+        tail = check_truncation(rho, guard=10)
+        assert 0 < tail < 1e-8
+        assert photon_distribution(rho, guard=10).tail_mass == tail
+        # steady_state measures the solved state before it is renormalized
+        assert rho.diagnostics.tail_mass == pytest.approx(tail, rel=1e-12)
+
+    def test_truncation_checked_before_positivity(self):
+        # at r = 20 the cutoff-30 solution has a minimum eigenvalue of about
+        # -1, but its top 6 levels hold most of the population
+        with pytest.raises(CutoffTooSmallError) as info:
+            steady_state(empty_cavity_liouvillian(20.0, 30))
+        assert info.value.tail_mass > 0.5
 
     def test_cutoff_too_small_raises_with_suggestion(self):
         with pytest.raises(CutoffTooSmallError) as info:
@@ -321,26 +345,26 @@ class TestNestedDissectionOrder:
 class TestTruncationCheck:
     def test_vacuum_tail_is_zero(self):
         rho = fock_state(FieldSpace(12), 0)
-        report = check_truncation(rho, guard=4)
-        assert report.tail_mass == 0.0
-        assert report.adequate
+        assert check_truncation(rho, guard=4) == 0.0
 
     def test_leaky_cutoff_flagged(self):
         # cutoff 40 at r=1 leaks ~3e-5 into the top 8 levels
         rho = steady_state(empty_cavity_liouvillian(1.0, 40), epsilon=math.inf)
-        report = check_truncation(rho, guard=8)
         expected_tail = squeezed_photon_numbers(1.0, 60)[32:40].sum()
-        assert not report.adequate
-        assert report.tail_mass == pytest.approx(expected_tail, rel=0.1)
+        with pytest.raises(CutoffTooSmallError) as info:
+            check_truncation(rho, guard=8)
+        assert info.value.tail_mass == pytest.approx(expected_tail, rel=0.1)
+        assert info.value.suggested_cutoff == 60
+        assert check_truncation(rho, guard=8, epsilon=math.inf) == info.value.tail_mass
 
     def test_generous_cutoff_adequate(self):
         rho = steady_state(empty_cavity_liouvillian(1.0, 90), epsilon=math.inf)
-        assert check_truncation(rho, guard=10).adequate
+        assert check_truncation(rho, guard=10) < 1e-8
 
     @pytest.mark.parametrize("guard", [6, 0, -1])
     def test_guard_must_be_smaller_than_cutoff(self, guard):
         rho = fock_state(FieldSpace(6), 0)
-        with pytest.raises(ValueError, match="0 < guard < cutoff"):
+        with pytest.raises(ValueError, match="0 < guard < fock_cutoff"):
             check_truncation(rho, guard=guard)
 
 

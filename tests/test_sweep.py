@@ -299,12 +299,14 @@ class TestCli:
     def test_squeezing_beyond_the_cutoff_rule_exit_code(self, tmp_path, capsys):
         # above r ~ 19.1 tanh²r rounds to 1: the covering cutoff is the
         # largest suggestion, not a division by zero, and the sweep fails
-        # on its first solve, where the r = 20 state that cutoff 30 gives
-        # has a minimum eigenvalue of about -1
+        # on its first solve, where the tail check runs before the r = 20
+        # state that cutoff 30 gives, with a minimum eigenvalue of about -1,
+        # reaches the positivity check
         assert main(["--no-atom", "--r", "0.1,20", "--cutoff", "30",
-                     "--out", str(tmp_path / "m.csv")]) == 3
+                     "--out", str(tmp_path / "m.csv")]) == 4
         err = capsys.readouterr().err
-        assert err.startswith("solver error: at r = 20.0:")
+        assert err.startswith("truncation error: at r = 20.0: tail mass")
+        assert err.rstrip().endswith("retry with cutoff >= 400")
         assert not (tmp_path / "m.csv").exists()
 
     def test_strong_squeezing_reaches_the_truncation_check(self, tmp_path, capsys):
@@ -543,8 +545,9 @@ def test_steady_state_alone_pins_both_blas_pools(blas_spy):
 @needs_blas
 def test_steady_state_alone_restores_blas_after_a_failing_solve(blas_spy):
     before = raise_blas_threads()
-    # every state is steady under the zero generator, so its LU is singular
+    # every state is steady under the zero generator, so its LU is singular;
+    # guard 1, as the default guard 4 is refused at cutoff 4 before the LU
     with pytest.raises(NonUniqueSteadyStateError, match="sparse LU solve failed"):
-        steady_state(Superoperator(4, sp.csr_matrix((16, 16)), FieldSpace(4)))
+        steady_state(Superoperator(4, sp.csr_matrix((16, 16)), FieldSpace(4)), guard=1)
     assert blas_spy == [(1, 1)]
     assert blas_threads() == before
