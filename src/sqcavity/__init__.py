@@ -45,7 +45,6 @@ from .operators import (
     annihilation,
     atom_sigma,
     bogoliubov_b,
-    identity,
     lift,
     number_operator,
 )

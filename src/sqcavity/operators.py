@@ -115,10 +115,6 @@ class Operator:
         return Operator(self.space, -self.matrix)
 
 
-def identity(space: Space) -> Operator:
-    return Operator(space, np.eye(space.dim, dtype=complex))
-
-
 def annihilation(fock_cutoff: int) -> Operator:
     """Photon annihilation operator a with <n-1|a|n> = sqrt(n)."""
     space = FieldSpace(fock_cutoff)

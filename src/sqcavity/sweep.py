@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 import os
 import time
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,7 +49,6 @@ from .observables import (
 from .operators import FieldSpace, Space, SpaceDims
 from .solvers import steady_state, suggest_fock_cutoff, truncation_guard
 
-MODES = ("moments_sweep", "distribution", "wigner", "bogoliubov_check")
 BOGOLIUBOV_TOL = 1e-4
 FLOAT_FMT = "%.12e"
 
@@ -60,8 +62,12 @@ def default_r_grid() -> list[float]:
 
 @dataclass(frozen=True)
 class SweepConfig:
+    """One sweep. The fields are the config keys: config files, flags,
+    `validate` and the output header take each key's name and type from
+    its field here."""
+
     mode: str = "moments_sweep"
-    r_values: tuple[float, ...] | None = None  # None: mode-dependent default
+    r_values: tuple[float, ...] | None = None  # None: the mode's default
     phi: float = 0.0
     g0: float = 15.0
     gamma: float = 1.0
@@ -77,14 +83,15 @@ class SweepConfig:
     output_path: str | None = None
 
     def validate(self) -> "SweepConfig":
-        if self.mode not in MODES:
+        """This config with every field in its declared type and the mode's
+        default r values filled in; ConfigError for anything invalid."""
+        config = replace(self, **{f.name: coerce_field(f.name, getattr(self, f.name))
+                                  for f in fields(self)})
+        if config.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}; valid modes: {', '.join(MODES)}")
-        config = self
+        mode = MODES[config.mode]
         if config.r_values is None:
-            # distribution plots use a few illustrative strengths; sweeps
-            # cover the full grid
-            values = (0.25, 0.5, 1.0) if config.mode == "distribution" else tuple(default_r_grid())
-            config = replace(config, r_values=values)
+            config = replace(config, r_values=mode.default_r)
         if not config.r_values:
             raise ConfigError("r_values must be non-empty")
         for r in config.r_values:
@@ -94,20 +101,21 @@ class SweepConfig:
         config.effective_guard()  # ConfigError unless 0 < guard < fock_cutoff
         if config.wigner_points < 2 or not 0 < config.wigner_extent < math.inf:
             raise ConfigError("wigner grid must have a finite extent > 0 and at least 2 points")
+        if mode.file_name:
+            names = [mode.file_name(config, r) for r in config.r_values]
+            clash = [r for r, name in zip(config.r_values, names) if names.count(name) > 1]
+            if clash:
+                raise ConfigError(f"r values {', '.join(map(repr, clash))} share file names; "
+                                  f"{config.mode} needs them distinct to 6 significant digits")
         return config
 
     def model(self, r: float) -> tuple[SystemParams, SqueezedBath, Space]:
         """The configured model at squeezing strength r. The model classes
         check their own parameters; their errors surface as ConfigError."""
         try:
-            params = SystemParams(
-                delta_A=self.delta_a,
-                delta_C=self.delta_c,
-                g0=self.g0,
-                gamma=self.gamma,
-                kappa=self.kappa,
-                atom_present=self.atom_present,
-            )
+            params = SystemParams(delta_A=self.delta_a, delta_C=self.delta_c, g0=self.g0,
+                                  gamma=self.gamma, kappa=self.kappa,
+                                  atom_present=self.atom_present)
             if not self.atom_present:
                 # g0 and gamma are checked above even though the empty
                 # cavity drops them
@@ -118,24 +126,10 @@ class SweepConfig:
             raise ConfigError(str(exc)) from exc
 
     def resolved(self) -> dict:
-        """All settings with defaults expanded, for the output header echo."""
-        return {
-            "mode": self.mode,
-            "r_values": ",".join(repr(r) for r in self.r_values),
-            "phi": repr(self.phi),
-            "g0": repr(self.g0),
-            "gamma": repr(self.gamma),
-            "kappa": repr(self.kappa),
-            "delta_a": repr(self.delta_a),
-            "delta_c": repr(self.delta_c),
-            "atom_present": str(self.atom_present).lower(),
-            "fock_cutoff": str(self.fock_cutoff),
-            "guard": str(self.effective_guard()),
-            "epsilon": repr(self.epsilon),
-            "wigner_extent": repr(self.wigner_extent),
-            "wigner_points": str(self.wigner_points),
-            "output_path": str(self.effective_output_path()),
-        }
+        """All settings with defaults expanded, for the output header echo,
+        each written as `load_config` reads it back."""
+        effective = {"guard": self.effective_guard(), "output_path": self.effective_output_path()}
+        return {f.name: _echo(effective.get(f.name, getattr(self, f.name))) for f in fields(self)}
 
     def effective_guard(self) -> int:
         try:
@@ -144,44 +138,54 @@ class SweepConfig:
             raise ConfigError(str(exc)) from exc
 
     def effective_output_path(self) -> Path:
-        if self.output_path:
-            return Path(self.output_path)
-        if self.mode in ("distribution", "wigner"):
-            return Path(f"{self.mode}_out")
-        return Path(f"{self.mode}.csv")
+        default = f"{self.mode}_out" if MODES[self.mode].file_name else f"{self.mode}.csv"
+        return Path(self.output_path or default)
 
 
-_BOOL_VALUES = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+def _echo(value) -> str:
+    # str and repr agree for Python floats and ints
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
+    return str(value).lower() if isinstance(value, bool) else str(value)
 
-_PARSERS = {
-    "mode": str,
-    "r_values": lambda s: tuple(float(x) for x in s.replace(",", " ").split()),
-    "phi": float,
-    "g0": float,
-    "gamma": float,
-    "kappa": float,
-    "delta_a": float,
-    "delta_c": float,
-    "atom_present": lambda s: _parse_bool(s),
-    "fock_cutoff": int,
-    "guard": int,
-    "epsilon": float,
-    "wigner_extent": float,
-    "wigner_points": int,
-    "output_path": str,
+
+_BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
+def _boolean(value) -> bool:
+    flag = _BOOLEANS.get(value.strip().lower()) if isinstance(value, str) else value
+    if flag not in (True, False):
+        raise ValueError(f"invalid boolean value {value!r}")
+    return bool(flag)
+
+
+# annotation text of a field's declared type -> conversion of a value, or a string, to it
+_CONVERSIONS = {
+    "str": str, "float": float, "bool": _boolean,
+    "int": lambda v: int(v) if isinstance(v, str) else operator.index(v),
+    "tuple[float, ...]": lambda v: tuple(map(float, v.replace(",", " ").split()
+                                              if isinstance(v, str) else v)),
 }
+_FIELD_TYPES = {f.name: f.type for f in fields(SweepConfig)}
 
 
-def _parse_bool(s: str) -> bool:
+def coerce_field(key: str, value, context: str | None = None):
+    """`value` as the declared type of the SweepConfig field `key`; a string
+    is parsed as a config file or a flag gives it. A value that does not
+    convert is a ConfigError `<context>: <reason>`, by default
+    `bad value for <key>: <reason>`."""
+    declared = _FIELD_TYPES[key]
+    if value is None and declared.endswith(" | None"):
+        return None
     try:
-        return _BOOL_VALUES[s.strip().lower()]
-    except KeyError:
-        raise ConfigError(f"invalid boolean value {s!r}") from None
+        return _CONVERSIONS[declared.removesuffix(" | None")](value)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ConfigError(f"{context or f'bad value for {key}'}: {exc}") from exc
 
 
 def load_config(path) -> SweepConfig:
     """Parse a flat key = value config file."""
-    fields = {}
+    values = {}
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -193,15 +197,10 @@ def load_config(path) -> SweepConfig:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _PARSERS:
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        try:
-            fields[key] = _PARSERS[key](value)
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
-    return SweepConfig(**fields).validate()
+        values[key] = coerce_field(key, value, f"{path}:{lineno}: bad value for {key}")
+    return SweepConfig(**values).validate()
 
 
 def _worker_count(n_points: int) -> int:
@@ -297,6 +296,15 @@ def run_moments_sweep(config: SweepConfig) -> list[dict]:
     return rows
 
 
+def _distribution_file(config: SweepConfig, r: float) -> str:
+    return f"distribution_r{r:g}.csv"
+
+
+def _wigner_file(config: SweepConfig, r: float) -> str:
+    tag = f"g0{config.g0:g}" if config.atom_present else "empty"
+    return f"wigner_r{r:g}_{tag}.csv"
+
+
 def run_distribution(config: SweepConfig) -> dict[float, dict]:
     """One {n, P(n)} file per r, reported up to the guard band."""
     guard = config.effective_guard()
@@ -307,15 +315,12 @@ def run_distribution(config: SweepConfig) -> dict[float, dict]:
         return {"probabilities": dist.probabilities[: config.fock_cutoff - guard],
                 "tail_mass": dist.tail_mass}
 
-    results = _map_points(config, point)
-    out_dir = config.effective_output_path()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    data = {}
-    for r, res in zip(config.r_values, results):
+    data = dict(zip(config.r_values, _map_points(config, point)))
+    for r, res in data.items():
         rows = [[n, p] for n, p in enumerate(res["probabilities"])]
         extra = [f"# r = {r!r}", f"# tail_mass = {FLOAT_FMT % res['tail_mass']}"]
-        _write_csv(out_dir / f"distribution_r{r:g}.csv", config, ("n", "P_n"), rows, extra)
-        data[r] = res
+        _write_csv(config.effective_output_path() / _distribution_file(config, r), config,
+                   ("n", "P_n"), rows, extra)
     return data
 
 
@@ -328,27 +333,21 @@ def run_wigner(config: SweepConfig) -> dict[float, WignerGrid]:
         field = partial_trace_atom(rho) if config.atom_present else rho
         return wigner(field, axis, axis, guard=config.guard, epsilon=config.epsilon)
 
-    results = _map_points(config, point)
-    out_dir = config.effective_output_path()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    data = {}
-    for r, grid in zip(config.r_values, results):
-        tag = f"g0{config.g0:g}" if config.atom_present else "empty"
+    data = dict(zip(config.r_values, _map_points(config, point)))
+    for r, grid in data.items():
         extra = [f"# r = {r!r}",
                  "# first row: p axis; first column: q axis; values[i,j] = W(q_i, p_j)"]
         p_row = ["0.0"] + [FLOAT_FMT % p for p in grid.p_axis]
         rows = [[q, *values] for q, values in zip(grid.q_axis, grid.values)]
-        _write_csv(out_dir / f"wigner_r{r:g}_{tag}.csv", config, p_row, rows, extra)
-        data[r] = grid
+        _write_csv(config.effective_output_path() / _wigner_file(config, r), config, p_row,
+                   rows, extra)
     return data
 
 
 def run_bogoliubov_check(config: SweepConfig) -> list[dict]:
     """Solve the lab and squeezed frames at each r and compare observables."""
     if config.phi != 0.0 or config.delta_a != 0.0 or config.delta_c != 0.0:
-        raise UnsupportedFrameError(
-            "bogoliubov_check requires phi = delta_a = delta_c = 0"
-        )
+        raise UnsupportedFrameError("bogoliubov_check requires phi = delta_a = delta_c = 0")
 
     def point(r):
         params, bath, space = config.model(r)
@@ -365,27 +364,33 @@ def run_bogoliubov_check(config: SweepConfig) -> list[dict]:
 
     rows = _map_points(config, point)
     columns = ("r", "mean_n_lab", "mean_n_bog", "discrepancy", "passed")
-    csv_rows = [[row["r"], row["mean_n_lab"], row["mean_n_bog"], row["discrepancy"],
-                 int(row["passed"])] for row in rows]
-    _write_csv(config.effective_output_path(), config, columns, csv_rows)
+    _write_csv(config.effective_output_path(), config, columns,
+               [[row[c] for c in columns] for row in rows])
     return rows
+
+
+class Mode(NamedTuple):
+    """What a mode runs, its r values when none are given and, for a mode
+    that writes one file per r into a directory, the name of that file."""
+
+    run: Callable[[SweepConfig], object]
+    default_r: tuple[float, ...]
+    file_name: Callable[[SweepConfig, float], str] | None = None
+
+
+# distribution plots use a few illustrative strengths; sweeps cover the
+# full grid
+MODES = {
+    "moments_sweep": Mode(run_moments_sweep, tuple(default_r_grid())),
+    "distribution": Mode(run_distribution, (0.25, 0.5, 1.0), _distribution_file),
+    "wigner": Mode(run_wigner, tuple(default_r_grid()), _wigner_file),
+    "bogoliubov_check": Mode(run_bogoliubov_check, tuple(default_r_grid())),
+}
 
 
 def run(config: SweepConfig):
     config = config.validate()
-    dispatch = {
-        "moments_sweep": run_moments_sweep,
-        "distribution": run_distribution,
-        "wigner": run_wigner,
-        "bogoliubov_check": run_bogoliubov_check,
-    }
-    return dispatch[config.mode](config)
-
-
-def _header_lines(config: SweepConfig):
-    yield "# sqcavity sweep output"
-    for key, value in config.resolved().items():
-        yield f"# {key} = {value}"
+    return MODES[config.mode].run(config)
 
 
 def _format_cell(value) -> str:
@@ -394,27 +399,28 @@ def _format_cell(value) -> str:
     return FLOAT_FMT % value
 
 
-def _write_csv(path: Path, config: SweepConfig, columns, rows, extra_header=None):
-    lines = list(_header_lines(config))
-    if extra_header:
-        lines.extend(extra_header)
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_format_cell(cell) for cell in row))
+def _write_csv(path: Path, config: SweepConfig, columns, rows, extra_header=()):
+    lines = ["# sqcavity sweep output",
+             *(f"# {key} = {value}" for key, value in config.resolved().items()),
+             *extra_header, ",".join(columns)]
+    lines += (",".join(map(_format_cell, row)) for row in rows)
     _atomic_write(Path(path), "\n".join(lines) + "\n")
 
 
 def _atomic_write(path: Path, text: str):
     """Write via a temp file of its own in the same directory, so failed or
-    concurrent sweeps never leave partial or interleaved output."""
-    path.parent.mkdir(parents=True, exist_ok=True)
+    concurrent sweeps never leave partial or interleaved output. A path
+    that cannot be written is a ConfigError."""
     # a unique name, opened like any new file so the output keeps the
     # umask-given permissions (tempfile.mkstemp would make it 0600)
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         with tmp.open("x") as f:
             f.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path}: {exc}") from exc
+    finally:
+        if tmp.exists():  # False also where the parent is not a directory
+            tmp.unlink()

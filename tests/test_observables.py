@@ -10,6 +10,7 @@ from sqcavity import (
     DensityMatrix,
     FieldSpace,
     InvalidDimensionError,
+    Operator,
     SpaceDims,
     SqueezedBath,
     SystemParams,
@@ -17,7 +18,6 @@ from sqcavity import (
     atom_sigma,
     build_liouvillian,
     expectation,
-    identity,
     lift,
     make_density_matrix,
     mean_photon_number,
@@ -49,7 +49,8 @@ def fock_state(space, n):
 class TestExpectation:
     def test_identity_gives_trace(self):
         rho = empty_steady(0.4, 30)
-        assert expectation(rho, identity(FieldSpace(30))) == pytest.approx(1.0, abs=1e-12)
+        identity = Operator(FieldSpace(30), np.eye(30))
+        assert expectation(rho, identity) == pytest.approx(1.0, abs=1e-12)
 
     def test_excited_projector(self):
         dims = SpaceDims(3)

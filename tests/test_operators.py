@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from sqcavity import (
-    AtomSpace,
     FieldSpace,
     InvalidDimensionError,
     InvalidLabelError,
@@ -10,7 +9,6 @@ from sqcavity import (
     annihilation,
     atom_sigma,
     bogoliubov_b,
-    identity,
     lift,
     number_operator,
 )
@@ -78,10 +76,6 @@ class TestLift:
         dims = SpaceDims(3)
         lifted = lift(number_operator(3), "field", dims)
         assert np.allclose(lifted.matrix, np.diag([0, 1, 2, 0, 1, 2]))
-
-    def test_identity_lifts_to_identity(self):
-        dims = SpaceDims(4)
-        assert np.array_equal(lift(identity(AtomSpace()), "atom", dims).matrix, np.eye(8))
 
     def test_cutoff_mismatch_rejected(self):
         with pytest.raises(InvalidDimensionError):

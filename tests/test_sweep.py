@@ -3,7 +3,8 @@ import math
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,6 +90,43 @@ class TestConfigParsing:
     def test_negative_r_rejected(self):
         with pytest.raises(ConfigError):
             SweepConfig(r_values=(-0.1,)).validate()
+
+    def test_validate_gives_the_declared_types(self):
+        cfg = SweepConfig(r_values=tuple(np.linspace(0, 0.2, 2)), phi=np.float64(0.5),
+                          fock_cutoff=np.int64(20), atom_present=np.bool_(False)).validate()
+        assert [type(r) for r in cfg.r_values] == [float, float]
+        assert type(cfg.phi) is float and type(cfg.fock_cutoff) is int
+        assert cfg.atom_present is False
+        assert cfg.resolved()["r_values"] == "0.0,0.2"  # loadable, not np.float64(0.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("fock_cutoff", 20.5), ("guard", 4.5), ("wigner_points", "many"),
+        ("atom_present", 0.5), ("r_values", 0.3), ("g0", None),
+    ])
+    def test_value_not_of_the_declared_type_refused(self, field, value):
+        with pytest.raises(ConfigError, match=f"^bad value for {field}: "):
+            replace(SweepConfig(), **{field: value}).validate()
+
+    def test_header_echo_loads_back_to_the_same_config(self, tmp_path):
+        cfg = SweepConfig(
+            mode="wigner", r_values=(0.1, 0.35), phi=0.25, g0=3.5, gamma=0.5, kappa=2.0,
+            delta_a=0.1, delta_c=-0.2, atom_present=False, fock_cutoff=30, guard=5,
+            epsilon=1e-9, wigner_extent=4.0, wigner_points=21,
+            output_path=str(tmp_path / "grids"),
+        ).validate()
+        assert all(getattr(cfg, f.name) != f.default for f in fields(SweepConfig))
+        out = tmp_path / "echo.csv"
+        sweep_module._write_csv(out, cfg, ("r",), [])
+        echo = [line[2:] for line in out.read_text().splitlines()
+                if line.startswith("# ") and " = " in line]
+        loaded = load_config(write_config(tmp_path / "echo.cfg", "\n".join(echo)))
+        assert loaded.resolved() == cfg.resolved()
+        assert loaded == cfg
+
+    def test_readme_lists_every_config_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        keys = re.search(r"Keys:(.*?)\.\s", readme, re.S).group(1)
+        assert re.findall(r"`(\w+)`", keys) == [f.name for f in fields(SweepConfig)]
 
 
 class TestMomentsSweep:
@@ -244,6 +282,43 @@ class TestCli:
     def test_malformed_r_exit_code(self, capsys):
         assert main(["--r", "0.1,abc"]) == 2
         assert "bad --r value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--cutoff", "20.5"), ("--guard", "abc"), ("--g0", "strong"), ("--epsilon", ""),
+    ])
+    def test_flag_value_that_does_not_parse_names_the_flag(self, flag, value, capsys):
+        assert main([flag, value]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: bad {flag} value: ")
+
+    @pytest.mark.parametrize("mode", ["distribution", "wigner"])
+    def test_per_r_files_must_not_share_a_name(self, tmp_path, monkeypatch, capsys, mode):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the config was refused")
+
+        monkeypatch.setattr(sweep_module, "steady_state", no_solve)
+        out = tmp_path / "out"
+        assert main(["--mode", mode, "--no-atom", "--r", "0.5,0.5000001,0.5",
+                     "--cutoff", "40", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: r values 0.5, 0.5000001, 0.5 share file names; "
+                              f"{mode} needs them distinct to 6 significant digits")
+        assert not out.exists()
+        # one output file takes any r values
+        SweepConfig(r_values=(0.5, 0.5000001, 0.5)).validate()
+
+    @pytest.mark.parametrize("argv, where", [
+        (["--out", "taken"], "taken"),  # an existing directory
+        (["--out", "file.txt/sub/m.csv"], "file.txt/sub/m.csv"),  # parent cannot be made
+        (["--mode", "distribution", "--out", "file.txt"], "file.txt/distribution_r0.1.csv"),
+    ])
+    def test_unwritable_output_is_a_config_error(self, tmp_path, monkeypatch, capsys, argv,
+                                                 where):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "taken").mkdir()
+        (tmp_path / "file.txt").write_text("")
+        assert main(["--no-atom", "--r", "0.1", "--cutoff", "20", *argv]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: cannot write output {where}: ")
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["file.txt", "taken"]
 
     @pytest.mark.parametrize("argv, cfg_text", [
         (["--no-atom", "--g0", "-1"], None),
