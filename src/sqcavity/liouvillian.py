@@ -56,8 +56,8 @@ class SystemParams:
     """Model parameters, all in units of kappa.
 
     delta_A and delta_C are the atom and cavity detunings from the squeeze
-    central frequency. atom_present=False drops the atomic terms entirely
-    (empty-cavity model); the builders then also accept a field-only space.
+    central frequency. The space says whether the atom is there: on a
+    field-only space (the empty cavity) delta_A, g0 and gamma are ignored.
     """
 
     delta_A: float = 0.0
@@ -65,7 +65,6 @@ class SystemParams:
     g0: float = 0.0
     gamma: float = 0.0
     kappa: float = 1.0
-    atom_present: bool = True
 
     def __post_init__(self):
         for name in ("delta_A", "delta_C", "g0", "gamma", "kappa"):
@@ -103,24 +102,22 @@ class SqueezedBath:
 
 @dataclass(frozen=True)
 class Superoperator:
-    """Sparse d²×d² generator acting on column-stacked density matrices."""
+    """Sparse d²×d² generator on a space of dimension d, acting on vec(rho)."""
 
-    dim: int
+    space: Space
     matrix: sp.csr_matrix = field(repr=False)
-    space: Space | None = None
-    rate_scale: float | None = None
 
     def __post_init__(self):
         m = self.matrix.tocsr()
         if m.shape != (self.dim**2, self.dim**2):
             raise InvalidDimensionError(
-                f"superoperator matrix shape {m.shape} does not match dim {self.dim}"
-            )
-        if self.space is not None and self.space.dim != self.dim:
-            raise InvalidDimensionError(
-                f"superoperator dim {self.dim} does not match its space {self.space}"
+                f"superoperator matrix shape {m.shape} does not match its space {self.space}"
             )
         object.__setattr__(self, "matrix", m)
+
+    @property
+    def dim(self) -> int:
+        return self.space.dim
 
     def trace_residual(self) -> float:
         """max |vec(I)^T L|; zero for any trace-preserving generator."""
@@ -160,24 +157,12 @@ def _lindblad(space: Space, K, jumps=()) -> sp.csr_matrix:
     return m
 
 
-def _rate_scale(params: SystemParams, n_th: float, m_abs: float) -> float:
-    return max(
-        abs(params.delta_A),
-        abs(params.delta_C),
-        params.g0,
-        params.gamma,
-        params.kappa * (1.0 + 2.0 * n_th + 2.0 * m_abs),
-    )
-
-
 def _hamiltonian(params: SystemParams, x: Operator) -> sp.csr_matrix:
-    """delta_C x†x (+ delta_A sigma_ee + g0 (sigma_eg x + h.c.)) on x's space,
-    as a sparse matrix."""
+    """delta_C x†x, plus delta_A sigma_ee + g0 (sigma_eg x + h.c.) on the
+    composite space, on x's space as a sparse matrix."""
     xs = sp.csr_matrix(x.matrix)
     h = params.delta_C * (xs.conj().T @ xs)
-    if params.atom_present:
-        if not isinstance(x.space, SpaceDims):
-            raise InvalidDimensionError("field-only space requires atom_present=False")
+    if isinstance(x.space, SpaceDims):
         s_ee = sp.csr_matrix(lift(atom_sigma("e", "e"), "atom", x.space).matrix)
         s_eg = sp.csr_matrix(lift(atom_sigma("e", "g"), "atom", x.space).matrix)
         coupling = s_eg @ xs
@@ -185,45 +170,46 @@ def _hamiltonian(params: SystemParams, x: Operator) -> sp.csr_matrix:
     return h
 
 
-def _assemble(params: SystemParams, x: Operator, c: Operator, n_th: float, m_corr: complex,
-              rate_scale: float) -> Superoperator:
+def _assemble(params: SystemParams, x: Operator, c: Operator, n_th: float,
+              m_corr: complex) -> Superoperator:
     """The whole generator in one Lindblad form, rho -> K rho + rho K† +
     sum_j w_j A_j rho B_j with K = -iH - ½ sum_j w_j B_j A_j: x is the field
     operator in H, c the cavity's jump operator into a bath with (N, M), and
-    the atom, when present, decays through sigma_ge."""
+    the atom, on the composite space, decays through sigma_ge."""
     h = _hamiltonian(params, x)
     kappa = params.kappa
     a = sp.csr_matrix(c.matrix)
     ad = a.conj().T.tocsr()
     jumps = [(2.0 * kappa * (1.0 + n_th), a, ad), (2.0 * kappa * n_th, ad, a),
              (-2.0 * kappa * m_corr, ad, ad), (-2.0 * kappa * np.conj(m_corr), a, a)]
-    if params.atom_present:
+    if isinstance(x.space, SpaceDims):
         s_ge = sp.csr_matrix(lift(atom_sigma("g", "e"), "atom", x.space).matrix)
         jumps.append((2.0 * params.gamma, s_ge, s_ge.conj().T.tocsr()))
     K = -1j * h - 0.5 * sum(w * (B @ A) for w, A, B in jumps)
-    return Superoperator(x.space.dim, _lindblad(x.space, K, jumps), x.space, rate_scale)
+    return Superoperator(x.space, _lindblad(x.space, K, jumps))
 
 
 def build_liouvillian(params: SystemParams, bath: SqueezedBath, space: Space) -> Superoperator:
-    """Full generator: coherent part plus atomic and cavity dissipators."""
+    """Full generator: coherent part, cavity damping into the bath and, on
+    the composite space, the atom's damping."""
     a = embed_field(space, annihilation)
-    n_th, m_corr = bath.n_th, bath.m_corr
-    return _assemble(params, a, a, n_th, m_corr, _rate_scale(params, n_th, abs(m_corr)))
+    return _assemble(params, a, a, bath.n_th, bath.m_corr)
 
 
-def build_bogoliubov_liouvillian(params: SystemParams, r: float, space: Space) -> Superoperator:
+def build_bogoliubov_liouvillian(params: SystemParams, bath: SqueezedBath,
+                                 space: Space) -> Superoperator:
     """Generator rewritten in the squeezed-frame mode b = cosh(r) a - sinh(r) a†.
 
-    Valid only at zero detunings and zero squeezing phase. The cavity sees
-    an ordinary vacuum bath in b, the atom couples through
+    Valid only at zero detunings and zero phase (else UnsupportedFrameError).
+    The cavity sees an ordinary vacuum bath in b, the atom couples through
     g0 sigma_eg (cosh(r) b + sinh(r) b†) + h.c., and the atomic dissipator
     is kept unchanged since the frame change acts on the field alone.
     """
-    if params.delta_A != 0.0 or params.delta_C != 0.0:
+    if bath.phi != 0.0 or params.delta_A != 0.0 or params.delta_C != 0.0:
         raise UnsupportedFrameError(
-            "the squeezed-frame generator is only defined at delta_A = delta_C = 0"
+            "the squeezed-frame generator is only defined at phi = delta_A = delta_C = 0, "
+            f"got phi = {bath.phi}, delta_A = {params.delta_A}, delta_C = {params.delta_C}"
         )
-    ch, sh = float(np.cosh(r)), float(np.sinh(r))
-    b = embed_field(space, partial(bogoliubov_b, r))
-    return _assemble(params, ch * b + sh * b.dag(), b, 0.0, 0.0,
-                     _rate_scale(params, sh * sh, ch * sh))
+    ch, sh = float(np.cosh(bath.r)), float(np.sinh(bath.r))
+    b = embed_field(space, partial(bogoliubov_b, bath.r))
+    return _assemble(params, ch * b + sh * b.dag(), b, 0.0, 0.0)

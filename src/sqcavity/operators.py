@@ -111,9 +111,6 @@ class Operator:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "Operator":
-        return Operator(self.space, -self.matrix)
-
 
 def annihilation(fock_cutoff: int) -> Operator:
     """Photon annihilation operator a with <n-1|a|n> = sqrt(n)."""

@@ -28,6 +28,9 @@ TRACE_TOL = 1e-10
 HERM_TOL = 1e-10
 MIN_EIG_TOL = -1e-8
 RESIDUAL_TOL = 1e-8
+# RK4 is stable on the left half-disc of this radius (a scan of its
+# stability polynomial gives about 2.6)
+RK4_RADIUS = 2.5
 
 
 def truncation_guard(fock_cutoff: int, guard: int | None = None,
@@ -136,14 +139,15 @@ def make_density_matrix(space: Space, raw: np.ndarray) -> DensityMatrix:
     return DensityMatrix(space, m, StateDiagnostics(trace_err, herm_err, min_eig))
 
 
-def suggest_fock_cutoff(r: float, epsilon: float = DEFAULT_EPSILON,
-                        guard_frac: float = 0.2, n_min: int = 40, n_max: int = 400) -> int:
-    """Conservative cutoff estimate from the squeezed-vacuum photon tail.
+def suggest_fock_cutoff(r: float, epsilon: float = DEFAULT_EPSILON) -> int:
+    """Conservative cutoff estimate from the squeezed-vacuum photon tail,
+    a fifth of it left to the guard band, in [40, 400].
 
     The empty-cavity distribution P(2m) ∝ tanh(r)^{2m} C(2m, m) / 4^m upper
     bounds the atom-present one, so a cutoff adequate for the bare squeezed
     state is adequate for the full model at the same r.
     """
+    guard_frac, n_min, n_max = 0.2, 40, 400
     if r <= 0:
         return n_min
     t2 = math.tanh(r) ** 2
@@ -322,23 +326,23 @@ def evolve(L: Superoperator, rho0: DensityMatrix, t_end: float, dt: float,
     """Integrate dvec(rho)/dt = L vec(rho) with classical RK4.
 
     Samples are snapped to the underlying step grid; each sampled state is
-    hermitized and validated. The step must satisfy dt <= 0.05 / rate_scale,
-    where rate_scale is attached to the generator by its builder (a sparse
-    infinity-norm bound is used as a conservative fallback).
+    hermitized and validated. dt and the grid's step must not exceed
+    RK4_RADIUS / ||L||_inf, where RK4 is stable: the eigenvalues of a
+    generator lie in the left half of the disc of radius ||L||_inf, its
+    largest absolute row sum (Gershgorin). A longer step is refused at once.
 
     Returns a list of (t, DensityMatrix) pairs.
     """
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
-    scale = L.rate_scale
-    if scale is None:
-        scale = float(np.abs(L.matrix).sum(axis=1).max())
-    if scale > 0 and dt > 0.05 / scale * (1 + 1e-12):
-        raise StepTooLargeError(
-            f"dt = {dt:g} exceeds the stability guard 0.05/rate = {0.05 / scale:g}"
-        )
     n_steps = max(1, int(round(t_end / dt)))
     h = t_end / n_steps
+    norm = float(abs(L.matrix).sum(axis=1).max())
+    if max(dt, h) * norm > RK4_RADIUS:
+        raise StepTooLargeError(
+            f"dt = {dt:g} (grid step {h:g}) exceeds the stability guard "
+            f"{RK4_RADIUS:g} / ||L||_inf = {RK4_RADIUS / norm:g}"
+        )
     if sample_times is None:
         sample_times = np.linspace(0.0, t_end, 11)
     sample_steps = sorted({min(n_steps, max(0, int(round(t / h)))) for t in sample_times})

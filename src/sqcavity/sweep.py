@@ -1,17 +1,20 @@
 """Declarative parameter sweeps: build, solve, extract, and write CSV files.
 
-Config files are flat `key = value` text with `#` comments; command-line
-flags override file values. Output is CSV with a `#`-prefixed header that
-echoes the fully resolved configuration, so every file is self-describing
-and two runs with the same config are bit-identical.
+Config files are flat `key = value` text, where a `#` at the start of a
+line or after whitespace starts a comment; command-line flags override
+file values. Output is CSV with a `#`-prefixed header that echoes the
+fully resolved configuration, so every file is self-describing and two
+runs with the same config are bit-identical.
 """
 
 from __future__ import annotations
 
+import errno
 import logging
 import math
 import operator
 import os
+import re
 import time
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
@@ -28,7 +31,6 @@ from .errors import (
     CutoffTooSmallError,
     InvalidDimensionError,
     SimulationError,
-    UnsupportedFrameError,
 )
 from .liouvillian import (
     SqueezedBath,
@@ -110,16 +112,12 @@ class SweepConfig:
         return config
 
     def model(self, r: float) -> tuple[SystemParams, SqueezedBath, Space]:
-        """The configured model at squeezing strength r. The model classes
-        check their own parameters; their errors surface as ConfigError."""
+        """The configured model at squeezing strength r; without the atom the
+        space is the field's alone. The model classes check their own
+        parameters; their errors surface as ConfigError."""
         try:
             params = SystemParams(delta_A=self.delta_a, delta_C=self.delta_c, g0=self.g0,
-                                  gamma=self.gamma, kappa=self.kappa,
-                                  atom_present=self.atom_present)
-            if not self.atom_present:
-                # g0 and gamma are checked above even though the empty
-                # cavity drops them
-                params = replace(params, g0=0.0, gamma=0.0)
+                                  gamma=self.gamma, kappa=self.kappa)
             space = (SpaceDims if self.atom_present else FieldSpace)(self.fock_cutoff)
             return params, SqueezedBath(r=r, phi=self.phi), space
         except (ValueError, InvalidDimensionError) as exc:
@@ -191,7 +189,8 @@ def load_config(path) -> SweepConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        # `#` starts a comment at the line's start or after whitespace only
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -251,15 +250,15 @@ def _map_points(config: SweepConfig, fn):
 
 def solve_point(config: SweepConfig, r: float):
     """Steady state of the configured model at one squeezing strength."""
-    return _solve(config, r, build_liouvillian, *config.model(r))
+    return _solve(config, r, build_liouvillian)
 
 
-def _solve(config: SweepConfig, r: float, build, *model):
-    """Steady state of the generator build(*model), with one DEBUG record
-    of what was solved, how well, and in how many seconds, in all and in
-    the LU."""
+def _solve(config: SweepConfig, r: float, build):
+    """Steady state of the generator build(*config.model(r)), with one
+    DEBUG record of what was solved, how well, and in how many seconds, in
+    all and in the LU."""
     start = time.perf_counter()
-    rho = steady_state(build(*model), guard=config.guard, epsilon=config.epsilon)
+    rho = steady_state(build(*config.model(r)), guard=config.guard, epsilon=config.epsilon)
     diag = rho.diagnostics
     log.debug("solved r = %r: cutoff %d, guard %d, %d LU unknowns, residual %.3e, "
               "min eigenvalue %.3e, tail mass %.3e, LU fill %d, LU %.3f s of %.3f s", r,
@@ -345,14 +344,13 @@ def run_wigner(config: SweepConfig) -> dict[float, WignerGrid]:
 
 
 def run_bogoliubov_check(config: SweepConfig) -> list[dict]:
-    """Solve the lab and squeezed frames at each r and compare observables."""
-    if config.phi != 0.0 or config.delta_a != 0.0 or config.delta_c != 0.0:
-        raise UnsupportedFrameError("bogoliubov_check requires phi = delta_a = delta_c = 0")
+    """Solve the squeezed and lab frames at each r and compare observables.
+    The squeezed frame goes first: its builder refuses a model outside its
+    domain (phi, delta_a or delta_c not 0) before anything is factorized."""
 
     def point(r):
-        params, bath, space = config.model(r)
-        rho_lab = _solve(config, r, build_liouvillian, params, bath, space)
-        rho_bog = _solve(config, r, build_bogoliubov_liouvillian, params, r, space)
+        rho_bog = _solve(config, r, build_bogoliubov_liouvillian)
+        rho_lab = _solve(config, r, build_liouvillian)
         mean_lab = mean_photon_number(rho_lab)
         mean_bog = mean_photon_number(rho_bog)
         disc = abs(mean_lab - mean_bog)
@@ -390,7 +388,10 @@ MODES = {
 
 def run(config: SweepConfig):
     config = config.validate()
-    return MODES[config.mode].run(config)
+    mode = MODES[config.mode]
+    out = config.effective_output_path()  # per-r files share a parent: one stands for all
+    _check_writable(out / mode.file_name(config, config.r_values[0]) if mode.file_name else out)
+    return mode.run(config)
 
 
 def _format_cell(value) -> str:
@@ -407,6 +408,16 @@ def _write_csv(path: Path, config: SweepConfig, columns, rows, extra_header=()):
     _atomic_write(Path(path), "\n".join(lines) + "\n")
 
 
+def _check_writable(path: Path):
+    """ConfigError unless path is no directory and its nearest existing
+    ancestor is a directory that may be written to. Nothing is created."""
+    ancestor = next(parent for parent in path.parents if parent.exists())
+    code = (errno.EISDIR if path.is_dir() else errno.ENOTDIR if not ancestor.is_dir()
+            else None if os.access(ancestor, os.W_OK | os.X_OK) else errno.EACCES)
+    if code is not None:
+        raise ConfigError(f"cannot write output {path}: {os.strerror(code)}")
+
+
 def _atomic_write(path: Path, text: str):
     """Write via a temp file of its own in the same directory, so failed or
     concurrent sweeps never leave partial or interleaved output. A path
@@ -420,7 +431,8 @@ def _atomic_write(path: Path, text: str):
             f.write(text)
         os.replace(tmp, path)
     except OSError as exc:
-        raise ConfigError(f"cannot write output {path}: {exc}") from exc
+        # the OS reason alone: the error may name the temporary file
+        raise ConfigError(f"cannot write output {path}: {exc.strerror or exc}") from exc
     finally:
         if tmp.exists():  # False also where the parent is not a directory
             tmp.unlink()

@@ -69,7 +69,7 @@ def solve_point(store, atom, g0, r, phi=0.0):
         params = SystemParams(g0=g0, gamma=GAMMA)
     else:
         space = FieldSpace(cutoff)
-        params = SystemParams(atom_present=False)
+        params = SystemParams()
     L = build_liouvillian(params, SqueezedBath(r=r, phi=phi), space)
     rho = steady_state(L)
     dist = photon_distribution(rho)
@@ -176,7 +176,7 @@ def test_criterion_06_bogoliubov_cross_check():
             params = SystemParams(g0=g0, gamma=GAMMA)
             for r in (0.25, 0.5):
                 rho_lab = steady_state(build_liouvillian(params, SqueezedBath(r), space))
-                rho_bog = steady_state(build_bogoliubov_liouvillian(params, r, space))
+                rho_bog = steady_state(build_bogoliubov_liouvillian(params, SqueezedBath(r), space))
                 b = bogoliubov_b(r, cutoff)
                 a_from_b = np.cosh(r) * b + np.sinh(r) * b.dag()
                 n_op = lift(a_from_b.dag() @ a_from_b, "field", space)
@@ -206,14 +206,14 @@ def test_criterion_08_wigner_function_validity():
         axis = np.linspace(-5.0, 5.0, 101)
 
         vac = steady_state(build_liouvillian(
-            SystemParams(atom_present=False), SqueezedBath(0.0), FieldSpace(20)))
+            SystemParams(), SqueezedBath(0.0), FieldSpace(20)))
         grid_vac = wigner(vac, axis, axis)
         assert abs(grid_vac.values[50, 50] - 1 / np.pi) < 1e-6
         assert abs(wigner_integral(grid_vac) - 1.0) < 1e-3
 
         r = 0.5
         empty = steady_state(build_liouvillian(
-            SystemParams(atom_present=False), SqueezedBath(r), FieldSpace(60)))
+            SystemParams(), SqueezedBath(r), FieldSpace(60)))
         grid_empty = wigner(empty, axis, axis)
         assert abs(wigner_integral(grid_empty) - 1.0) < 1e-3
         _, _, var_q, var_p = quadrature_moments(grid_empty)
@@ -232,7 +232,7 @@ def test_criterion_08_wigner_function_validity():
 
 def test_criterion_09_rk4_dynamics_sanity():
     with criterion(9, "RK4 decay accuracy and 4th-order convergence"):
-        L = build_liouvillian(SystemParams(atom_present=False), SqueezedBath(0.0),
+        L = build_liouvillian(SystemParams(), SqueezedBath(0.0),
                               FieldSpace(6))
         m0 = np.zeros((6, 6), dtype=complex)
         m0[1, 1] = 1.0

@@ -75,7 +75,7 @@ class TestHamiltonian:
         assert np.abs(h - h.conj().T).max() == 0
 
     def test_empty_cavity_field_only(self):
-        params = SystemParams(delta_C=2.5, atom_present=False)
+        params = SystemParams(delta_C=2.5)
         h = hamiltonian(params, FieldSpace(4))
         assert np.allclose(h, 2.5 * np.diag([0, 1, 2, 3]))
 
@@ -90,7 +90,7 @@ def atom_only(gamma, dims):
 def cavity_only(kappa, bath, space):
     """The whole generator of the empty cavity at zero detuning: its
     squeezed-bath damping alone."""
-    return build_liouvillian(SystemParams(kappa=kappa, atom_present=False), bath, space)
+    return build_liouvillian(SystemParams(kappa=kappa), bath, space)
 
 
 class TestAtomDissipator:
@@ -163,7 +163,7 @@ def eq_rhs_oracle(h, s_ge, a, gamma, kappa, n_th, m_corr, rho):
 
 class TestFullLiouvillian:
     def test_vacuum_kernel_without_drive(self):
-        params = SystemParams(atom_present=False)
+        params = SystemParams()
         L = build_liouvillian(params, SqueezedBath(0.0), FieldSpace(8))
         rho = steady_state(L)
         assert rho.matrix[0, 0].real > 1 - 1e-10
@@ -212,11 +212,11 @@ class TestFullLiouvillian:
         assert np.abs(trace_row(8) @ L.matrix).max() < 1e-12
 
     def test_space_must_match_the_dimension(self):
-        L = build_liouvillian(SystemParams(atom_present=False), SqueezedBath(0.4), FieldSpace(6))
+        L = build_liouvillian(SystemParams(), SqueezedBath(0.4), FieldSpace(6))
         with pytest.raises(InvalidDimensionError, match="does not match its space"):
-            Superoperator(6, L.matrix, FieldSpace(8))
+            Superoperator(FieldSpace(8), L.matrix)
         with pytest.raises(InvalidDimensionError):
-            Superoperator(6, L.matrix, SpaceDims(6))
+            Superoperator(SpaceDims(6), L.matrix)
 
 
 class TestBogoliubovFrame:
@@ -224,17 +224,18 @@ class TestBogoliubovFrame:
         params = SystemParams(g0=5.0, gamma=1.0)
         dims = SpaceDims(10)
         lab = build_liouvillian(params, SqueezedBath(0.0), dims)
-        bog = build_bogoliubov_liouvillian(params, 0.0, dims)
+        bog = build_bogoliubov_liouvillian(params, SqueezedBath(0.0), dims)
         assert np.abs((lab.matrix - bog.matrix)).max() < 1e-14
 
     def test_detuned_frame_rejected(self):
         with pytest.raises(UnsupportedFrameError):
-            build_bogoliubov_liouvillian(SystemParams(delta_A=0.1, g0=1.0), 0.5, SpaceDims(4))
+            build_bogoliubov_liouvillian(SystemParams(delta_A=0.1, g0=1.0), SqueezedBath(0.5),
+                                         SpaceDims(4))
 
     def test_decoupled_kernel_is_squeezed_frame_vacuum(self):
         r = 0.5
-        params = SystemParams(atom_present=False)
-        L = build_bogoliubov_liouvillian(params, r, FieldSpace(40))
+        params = SystemParams()
+        L = build_bogoliubov_liouvillian(params, SqueezedBath(r), FieldSpace(40))
         rho = steady_state(L)
         psi = squeezed_state_vector(r, 40)
         fidelity = (psi.conj() @ rho.matrix @ psi).real
@@ -259,7 +260,7 @@ def sandwich(left, right):
 
 def reference_hamiltonian(params, x):
     h = params.delta_C * (x.dag() @ x)
-    if params.atom_present:
+    if isinstance(x.space, SpaceDims):
         s_ee = lift(atom_sigma("e", "e"), "atom", x.space)
         s_eg = lift(atom_sigma("e", "g"), "atom", x.space)
         coupling = s_eg @ x
@@ -283,12 +284,12 @@ def reference_cavity_damping(kappa, c, n_th, m_corr):
     return m
 
 
-def reference_assemble(params, x, c, n_th, m_corr, rate_scale):
+def reference_assemble(params, x, c, n_th, m_corr):
     h = reference_hamiltonian(params, x)
     m = -1j * (spre(h) - spost(h)) + reference_cavity_damping(params.kappa, c, n_th, m_corr)
-    if params.atom_present:
+    if isinstance(x.space, SpaceDims):
         m = m + reference_atom_damping(params.gamma, x.space)
-    return Superoperator(x.space.dim, m, x.space, rate_scale)
+    return Superoperator(x.space, m)
 
 
 def use_reference_terms(monkeypatch):
@@ -307,7 +308,7 @@ def assert_same_generator(fast, reference):
 
 R_ZERO_CASES = {
     "atom": (ATOM, SpaceDims(24)),
-    "empty": (SystemParams(atom_present=False), FieldSpace(40)),
+    "empty": (SystemParams(), FieldSpace(40)),
 }
 
 

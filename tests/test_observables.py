@@ -35,7 +35,7 @@ from conftest import squeezed_photon_numbers
 
 
 def empty_steady(r, cutoff, guard=None):
-    params = SystemParams(atom_present=False)
+    params = SystemParams()
     L = build_liouvillian(params, SqueezedBath(r=r), FieldSpace(cutoff))
     return steady_state(L, guard=guard)
 
@@ -227,7 +227,7 @@ class TestWigner:
 
     def test_leaky_state_rejected(self):
         rho = steady_state(
-            build_liouvillian(SystemParams(atom_present=False), SqueezedBath(1.0), FieldSpace(20)),
+            build_liouvillian(SystemParams(), SqueezedBath(1.0), FieldSpace(20)),
             epsilon=math.inf,
         )
         with pytest.raises(CutoffTooSmallError) as info:

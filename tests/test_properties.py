@@ -69,9 +69,7 @@ def assert_generator_properties(L):
 @given(cutoff=cutoffs, atom_present=st.booleans(), r=strengths, phi=phases, g0=rates,
        gamma=rates, kappa=kappas, delta_a=detunings, delta_c=detunings)
 def test_lab_frame_generator(cutoff, atom_present, r, phi, g0, gamma, kappa, delta_a, delta_c):
-    params = SystemParams(delta_A=delta_a, delta_C=delta_c, g0=g0 if atom_present else 0.0,
-                          gamma=gamma if atom_present else 0.0, kappa=kappa,
-                          atom_present=atom_present)
+    params = SystemParams(delta_A=delta_a, delta_C=delta_c, g0=g0, gamma=gamma, kappa=kappa)
     L = build_liouvillian(params, SqueezedBath(r=r, phi=phi), model_space(atom_present, cutoff))
     assert_generator_properties(L)
 
@@ -80,9 +78,8 @@ def test_lab_frame_generator(cutoff, atom_present, r, phi, g0, gamma, kappa, del
 @given(cutoff=cutoffs, atom_present=st.booleans(), r=strengths, g0=rates, gamma=rates,
        kappa=kappas)
 def test_squeezed_frame_generator(cutoff, atom_present, r, g0, gamma, kappa):
-    params = SystemParams(g0=g0 if atom_present else 0.0, gamma=gamma if atom_present else 0.0,
-                          kappa=kappa, atom_present=atom_present)
-    L = build_bogoliubov_liouvillian(params, r, model_space(atom_present, cutoff))
+    params = SystemParams(g0=g0, gamma=gamma, kappa=kappa)
+    L = build_bogoliubov_liouvillian(params, SqueezedBath(r), model_space(atom_present, cutoff))
     assert_generator_properties(L)
 
 
@@ -93,9 +90,7 @@ def test_squeezed_frame_generator(cutoff, atom_present, r, g0, gamma, kappa):
        delta_c=detunings)
 def test_steady_state_phase_covariance(cutoff, atom_present, r, phi, theta, g0, gamma, kappa,
                                        delta_a, delta_c):
-    params = SystemParams(delta_A=delta_a, delta_C=delta_c, g0=g0 if atom_present else 0.0,
-                          gamma=gamma if atom_present else 0.0, kappa=kappa,
-                          atom_present=atom_present)
+    params = SystemParams(delta_A=delta_a, delta_C=delta_c, g0=g0, gamma=gamma, kappa=kappa)
     space = model_space(atom_present, cutoff)
     # the rotation is exact at any cutoff, so the truncation is not checked:
     # it would refuse most of these small models

@@ -6,6 +6,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu, spsolve
 
 from sqcavity import (
+    AtomSpace,
     CorruptedStateError,
     CutoffTooSmallError,
     FieldSpace,
@@ -36,7 +37,7 @@ from conftest import excitation_numbers, parity_mismatch, squeezed_photon_number
 
 
 def empty_cavity_liouvillian(r, cutoff, kappa=1.0):
-    params = SystemParams(kappa=kappa, atom_present=False)
+    params = SystemParams(kappa=kappa)
     return build_liouvillian(params, SqueezedBath(r=r), FieldSpace(cutoff))
 
 
@@ -71,7 +72,7 @@ class TestSteadyState:
         assert np.abs(L.matrix @ vec(rho.matrix)).max() < 1e-8
 
     def test_rejects_non_trace_preserving_generator(self):
-        bad = Superoperator(3, sp.identity(9, format="csr") * 1.0)
+        bad = Superoperator(FieldSpace(3), sp.identity(9, format="csr") * 1.0)
         with pytest.raises(SolverError):
             steady_state(bad)
 
@@ -87,7 +88,7 @@ class TestSteadyState:
         matrix[0, 0] += 1e-12 * np.abs(matrix.data).max()
         monkeypatch.setattr(solvers, "spsolve", lambda *args: pytest.fail("factorized"))
         with pytest.raises(SolverError, match="not trace-preserving"):
-            steady_state(Superoperator(L.dim, matrix, L.space))
+            steady_state(Superoperator(L.space, matrix))
 
     @pytest.mark.parametrize("guard", [0, -1])
     def test_guard_below_one_refused(self, guard):
@@ -161,9 +162,9 @@ SECTOR_CASES = {
     "detuned": lambda: build_liouvillian(
         SystemParams(delta_A=1.5, delta_C=-0.7, g0=15.0, gamma=1.0), SqueezedBath(0.4),
         SpaceDims(24)),
-    "bogoliubov_atom": lambda: build_bogoliubov_liouvillian(ATOM, 0.5, SpaceDims(24)),
+    "bogoliubov_atom": lambda: build_bogoliubov_liouvillian(ATOM, SqueezedBath(0.5), SpaceDims(24)),
     "bogoliubov_empty": lambda: build_bogoliubov_liouvillian(
-        SystemParams(atom_present=False), 0.8, FieldSpace(40)),
+        SystemParams(), SqueezedBath(0.8), FieldSpace(40)),
 }
 
 
@@ -204,11 +205,10 @@ class TestSectorSolve:
     @pytest.mark.parametrize("space", [SpaceDims(6), FieldSpace(8)])
     def test_coherent_drive_refused_before_factorizing(self, space, monkeypatch):
         # -i[eps (a + a†), .] mixes the parity sectors
-        params = SystemParams(g0=2.0, gamma=1.0, atom_present=isinstance(space, SpaceDims))
+        params = SystemParams(g0=2.0, gamma=1.0)
         L = build_liouvillian(params, SqueezedBath(0.3), space)
         a = embed_field(space, annihilation)
-        driven = Superoperator(L.dim, L.matrix + _lindblad(space, -0.5j * (a + a.dag()).matrix),
-                               space)
+        driven = Superoperator(space, L.matrix + _lindblad(space, -0.5j * (a + a.dag()).matrix))
         monkeypatch.setattr(solvers, "spsolve", lambda *args: pytest.fail("factorized"))
         with pytest.raises(SolverError, match="parity"):
             steady_state(driven)
@@ -219,11 +219,11 @@ class TestSectorSolve:
         matrix.data[matrix.nnz // 2] = np.nan
         monkeypatch.setattr(solvers, "spsolve", lambda *args: pytest.fail("factorized"))
         with pytest.raises(SolverError, match="not finite"):
-            steady_state(Superoperator(L.dim, matrix, L.space))
+            steady_state(Superoperator(L.space, matrix))
 
     def test_generator_without_field_space_refused(self):
         with pytest.raises(SolverError, match="field or composite space"):
-            steady_state(Superoperator(3, sp.csr_matrix((9, 9))))
+            steady_state(Superoperator(AtomSpace(), sp.csr_matrix((4, 4))))
 
     def test_residual_recorded(self):
         L = SECTOR_CASES["atom"]()
@@ -386,7 +386,7 @@ class TestSuggestedCutoff:
 class TestEvolve:
     def test_frozen_dynamics(self):
         space = FieldSpace(4)
-        zero = Superoperator(4, sp.csr_matrix((16, 16)), space, rate_scale=1.0)
+        zero = Superoperator(space, sp.csr_matrix((16, 16)))
         rho0 = fock_state(space, 2)
         traj = evolve(zero, rho0, 1.0, 0.05)
         for _, rho in traj:
@@ -410,17 +410,32 @@ class TestEvolve:
         assert 14 <= ratio <= 18
 
     def test_step_guard(self):
-        L = empty_cavity_liouvillian(0.0, 6)  # rate_scale = kappa = 1
+        L = empty_cavity_liouvillian(0.0, 6)  # ||L||_inf = 18: the bound is 2.5 / 18 = 0.139
         rho0 = fock_state(FieldSpace(6), 1)
         with pytest.raises(StepTooLargeError):
-            evolve(L, rho0, 1.0, 0.06)
+            evolve(L, rho0, 1.0, 0.15)
+        evolve(L, rho0, 1.0, 0.125)
+
+    def test_unstable_step_refused_before_integrating(self):
+        # ||L||_inf = 408, so dt ||L||_inf = 7.5: RK4 diverges at this step
+        L = empty_cavity_liouvillian(0.5, 40)
+
+        class Unused(type(L.matrix)):
+            def __matmul__(self, other):
+                pytest.fail("integrated")
+
+        unused = Superoperator(L.space, L.matrix)
+        object.__setattr__(unused, "matrix", Unused(L.matrix))
+        with pytest.raises(StepTooLargeError, match="stability guard"):
+            evolve(unused, fock_state(FieldSpace(40), 0), 1.0, 0.0184)
 
     def test_relaxes_to_steady_state(self):
         params = SystemParams(g0=15.0, gamma=1.0)
         L = build_liouvillian(params, SqueezedBath(0.5), SpaceDims(30))
         rho_ss = steady_state(L)
         rho0 = fock_state(SpaceDims(30), 0)  # |g,0><g,0|
-        (_, rho), = evolve(L, rho0, 20.0, 0.05 / L.rate_scale, sample_times=[20.0])
+        # ||L||_inf = 460: any dt below 2.5 / 460 = 0.0054 is stable
+        (_, rho), = evolve(L, rho0, 20.0, 1 / 300, sample_times=[20.0])
         diff = rho.matrix - rho_ss.matrix
         trace_norm = np.abs(np.linalg.eigvalsh(diff)).sum()
         assert trace_norm < 1e-6

@@ -112,7 +112,7 @@ class TestConfigParsing:
             mode="wigner", r_values=(0.1, 0.35), phi=0.25, g0=3.5, gamma=0.5, kappa=2.0,
             delta_a=0.1, delta_c=-0.2, atom_present=False, fock_cutoff=30, guard=5,
             epsilon=1e-9, wigner_extent=4.0, wigner_points=21,
-            output_path=str(tmp_path / "grids"),
+            output_path=str(tmp_path / "runs#3" / "grids"),
         ).validate()
         assert all(getattr(cfg, f.name) != f.default for f in fields(SweepConfig))
         out = tmp_path / "echo.csv"
@@ -228,15 +228,18 @@ class TestBogoliubovMode:
         assert all(row["passed"] for row in rows)
         assert rows[0]["discrepancy"] < 1e-12  # identical generators at r=0
 
-    def test_nonzero_phase_unsupported(self, tmp_path):
-        cfg = SweepConfig(
-            mode="bogoliubov_check", r_values=(0.2,), phi=0.3,
-            fock_cutoff=20, output_path=str(tmp_path / "bog.csv"),
-        ).validate()
+    def test_nonzero_phase_unsupported(self, tmp_path, monkeypatch):
         from sqcavity import UnsupportedFrameError
 
-        with pytest.raises(UnsupportedFrameError):
-            run_bogoliubov_check(cfg)
+        # refused before either frame is factorized; so is a detuned model
+        monkeypatch.setattr(solvers, "spsolve", lambda *args: pytest.fail("factorized"))
+        for model in (dict(phi=0.3), dict(delta_a=0.2), dict(delta_c=-0.1)):
+            cfg = SweepConfig(
+                mode="bogoliubov_check", r_values=(0.2,), fock_cutoff=20,
+                output_path=str(tmp_path / "bog.csv"), **model,
+            ).validate()
+            with pytest.raises(UnsupportedFrameError):
+                run_bogoliubov_check(cfg)
 
 
 class TestCli:
@@ -314,10 +317,17 @@ class TestCli:
     def test_unwritable_output_is_a_config_error(self, tmp_path, monkeypatch, capsys, argv,
                                                  where):
         monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(solvers, "spsolve", lambda *args: pytest.fail("factorized"))
         (tmp_path / "taken").mkdir()
         (tmp_path / "file.txt").write_text("")
         assert main(["--no-atom", "--r", "0.1", "--cutoff", "20", *argv]) == 2
-        assert capsys.readouterr().err.startswith(f"config error: cannot write output {where}: ")
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write output {where}: ")
+        assert ".tmp" not in err
+        # a target that turns unwritable after the check is reported the same way
+        with pytest.raises(ConfigError, match=f"^cannot write output {where}: ") as info:
+            _atomic_write(Path(where), "")
+        assert ".tmp" not in str(info.value)
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["file.txt", "taken"]
 
     @pytest.mark.parametrize("argv, cfg_text", [
@@ -623,6 +633,6 @@ def test_steady_state_alone_restores_blas_after_a_failing_solve(blas_spy):
     # every state is steady under the zero generator, so its LU is singular;
     # guard 1, as the default guard 4 is refused at cutoff 4 before the LU
     with pytest.raises(NonUniqueSteadyStateError, match="sparse LU solve failed"):
-        steady_state(Superoperator(4, sp.csr_matrix((16, 16)), FieldSpace(4)), guard=1)
+        steady_state(Superoperator(FieldSpace(4), sp.csr_matrix((16, 16))), guard=1)
     assert blas_spy == [(1, 1)]
     assert blas_threads() == before
