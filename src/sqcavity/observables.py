@@ -123,6 +123,15 @@ def _laguerre_series(coeffs: np.ndarray, k: int, x: np.ndarray) -> np.ndarray:
     return b1
 
 
+def _grid_axis(values, name: str) -> np.ndarray:
+    axis = np.asarray(values, dtype=float)
+    if axis.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional, got shape {axis.shape}")
+    if not np.isfinite(axis).all():
+        raise ValueError(f"{name} must be finite, got {axis[~np.isfinite(axis)][0]}")
+    return axis
+
+
 def wigner(rho_field: DensityMatrix, q_axis, p_axis, guard: int | None = None,
            epsilon: float = DEFAULT_EPSILON) -> WignerGrid:
     """Wigner function from its Fock-basis series, over the whole grid at once.
@@ -135,26 +144,34 @@ def wigner(rho_field: DensityMatrix, q_axis, p_axis, guard: int | None = None,
     c_0 = 1, c_k = 2 otherwise. Each diagonal k is summed by Clenshaw's
     recurrence and the diagonals are combined by Horner's rule in 2 alpha,
     the iterative method of QuTiP's `wigner` (Johansson, Nation & Nori,
-    Comput. Phys. Commun. 184, 1234 (2013)). The state must pass the
-    truncation check over `guard` levels first: the Wigner function at
-    large |alpha| is meaningless once population has leaked into the guard
-    band.
+    Comput. Phys. Commun. 184, 1234 (2013)). The Laguerre sums depend on
+    the grid only through x, so each runs once per distinct x and is
+    scattered back; a diagonal that is exactly zero adds nothing and is not
+    summed. Both leave every value as the full-grid sum gives it. The state
+    must pass the truncation check over `guard` levels first: the Wigner
+    function at large |alpha| is meaningless once population has leaked
+    into the guard band. ValueError for an axis that is not a
+    one-dimensional array of finite values.
     """
     if not isinstance(rho_field.space, FieldSpace):
         raise InvalidDimensionError("wigner expects a field-only state; trace out the atom first")
+    q_axis = _grid_axis(q_axis, "q_axis")
+    p_axis = _grid_axis(p_axis, "p_axis")
     rho = rho_field.matrix
     herm_err = float(np.abs(rho - rho.conj().T).max())
     if herm_err > IMAG_TOL:
         raise CorruptedStateError(f"state is not Hermitian: max |rho - rho†| = {herm_err:.3e}")
     check_truncation(rho_field, guard, epsilon)
-    q_axis = np.asarray(q_axis, dtype=float)
-    p_axis = np.asarray(p_axis, dtype=float)
     two_alpha = np.sqrt(2.0) * (q_axis[:, None] + 1j * p_axis[None, :])
     x = np.abs(two_alpha) ** 2
+    radii, at = np.unique(x.ravel(), return_inverse=True)
+    at = at.reshape(x.shape)
     series = np.zeros_like(two_alpha)
     for k in range(rho_field.fock_cutoff - 1, -1, -1):
+        series = series * (two_alpha / np.sqrt(k + 1.0))
         diagonal = np.diagonal(rho, k) * (2.0 if k else 1.0)
-        series = series * (two_alpha / np.sqrt(k + 1.0)) + _laguerre_series(diagonal, k, x)
+        if diagonal.any():
+            series = series + _laguerre_series(diagonal, k, radii)[at]
     values = np.exp(-x / 2) * series.real / np.pi
     return WignerGrid(q_axis=q_axis, p_axis=p_axis, values=values)
 

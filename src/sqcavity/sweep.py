@@ -330,7 +330,11 @@ def run_wigner(config: SweepConfig) -> dict[float, WignerGrid]:
     def point(r):
         rho = solve_point(config, r)
         field = partial_trace_atom(rho) if config.atom_present else rho
-        return wigner(field, axis, axis, guard=config.guard, epsilon=config.epsilon)
+        start = time.perf_counter()
+        grid = wigner(field, axis, axis, guard=config.guard, epsilon=config.epsilon)
+        log.debug("wigner r = %r: %d x %d grid, %.3f s", r, *grid.values.shape,
+                  time.perf_counter() - start)
+        return grid
 
     data = dict(zip(config.r_values, _map_points(config, point)))
     for r, grid in data.items():

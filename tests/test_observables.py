@@ -1,9 +1,11 @@
 import math
+from functools import cache
 
 import numpy as np
 import pytest
 from scipy.special import eval_laguerre
 
+from sqcavity import observables
 from sqcavity import (
     CorruptedStateError,
     CutoffTooSmallError,
@@ -44,6 +46,13 @@ def fock_state(space, n):
     m = np.zeros((space.dim, space.dim), dtype=complex)
     m[n, n] = 1.0
     return make_density_matrix(space, m)
+
+
+def coherent_state(beta, cutoff):
+    n = np.arange(cutoff)
+    log_fact = np.cumsum(np.log(np.maximum(n, 1)))
+    amps = np.exp(-abs(beta) ** 2 / 2 - log_fact / 2) * beta ** n
+    return make_density_matrix(FieldSpace(cutoff), np.outer(amps, amps.conj()))
 
 
 class TestExpectation:
@@ -207,10 +216,7 @@ class TestWigner:
     def test_coherent_state_closed_form(self):
         # a complex amplitude pins the conjugation and the (q, p) orientation
         beta = 1.2 + 0.7j
-        n = np.arange(60)
-        log_fact = np.cumsum(np.log(np.maximum(n, 1)))
-        amps = np.exp(-abs(beta) ** 2 / 2 - log_fact / 2) * beta ** n
-        rho = make_density_matrix(FieldSpace(60), np.outer(amps, amps.conj()))
+        rho = coherent_state(beta, 60)
         q = np.linspace(-5.0, 5.0, 41)
         p = np.linspace(-5.0, 5.0, 37)
         grid = wigner(rho, q, p)
@@ -237,3 +243,106 @@ class TestWigner:
     def test_composite_state_rejected(self):
         with pytest.raises(InvalidDimensionError):
             wigner(fock_state(SpaceDims(4), 0), [0.0], [0.0])
+
+    @pytest.mark.parametrize("q_axis, p_axis", [
+        ([[0.0, 1.0]], [0.0]),
+        ([0.0], np.zeros((2, 2))),
+        (0.5, [0.0]),
+    ])
+    def test_axis_not_one_dimensional_rejected(self, q_axis, p_axis):
+        bad = "q_axis" if np.ndim(q_axis) != 1 else "p_axis"
+        with pytest.raises(ValueError, match=f"^{bad} must be one-dimensional"):
+            wigner(fock_state(FieldSpace(10), 0), q_axis, p_axis)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_axis_not_finite_rejected(self, bad):
+        rho = fock_state(FieldSpace(10), 0)
+        with pytest.raises(ValueError, match=f"^q_axis must be finite, got {bad}$"):
+            wigner(rho, [0.0, bad], [0.0])
+        with pytest.raises(ValueError, match=f"^p_axis must be finite, got {bad}$"):
+            wigner(rho, [0.0], [bad, 1.0])
+
+
+def reference_wigner(rho_field, q_axis, p_axis):
+    """The plain full-grid sum: every diagonal's Laguerre series is summed
+    over every grid point, zero diagonals included."""
+    rho = rho_field.matrix
+    q_axis = np.asarray(q_axis, dtype=float)
+    p_axis = np.asarray(p_axis, dtype=float)
+    two_alpha = np.sqrt(2.0) * (q_axis[:, None] + 1j * p_axis[None, :])
+    x = np.abs(two_alpha) ** 2
+    series = np.zeros_like(two_alpha)
+    for k in range(rho_field.fock_cutoff - 1, -1, -1):
+        diagonal = np.diagonal(rho, k) * (2.0 if k else 1.0)
+        series = (series * (two_alpha / np.sqrt(k + 1.0))
+                  + observables._laguerre_series(diagonal, k, x))
+    return np.exp(-x / 2) * series.real / np.pi
+
+
+@cache
+def wigner_state(name):
+    if name == "coherent":  # every diagonal nonzero
+        return coherent_state(1.2 + 0.7j, 60)
+    if name == "fock40":
+        return fock_state(FieldSpace(60), 40)
+    if name == "empty":
+        return empty_steady(0.7, 90)
+    L = build_liouvillian(SystemParams(g0=15.0, gamma=1.0), SqueezedBath(0.8), SpaceDims(60))
+    return partial_trace_atom(steady_state(L))
+
+
+GRID = np.linspace(-5.0, 5.0, 101)
+AXES = {
+    "default": (GRID, GRID),
+    "asymmetric": (np.linspace(-4.0, 3.0, 23), np.linspace(-2.5, 5.0, 17)),
+    "one_point": ([0.7], [-1.3]),
+    "repeated": ([0.0, 1.0, 1.0, -1.0, 0.5, 0.5, 0.0], [0.5, -0.5, 0.5, 0.0]),
+}
+
+
+class TestWignerDistinctRadii:
+    """The grid from distinct radii, zero diagonals skipped, against the
+    plain full-grid sum it replaces: equal bits, signs of zeros included."""
+
+    @pytest.mark.parametrize("axes", AXES)
+    @pytest.mark.parametrize("state", ["coherent", "fock40", "empty", "atom"])
+    def test_matches_full_grid_sum(self, state, axes):
+        rho = wigner_state(state)
+        q_axis, p_axis = AXES[axes]
+        values = wigner(rho, q_axis, p_axis).values
+        expected = reference_wigner(rho, q_axis, p_axis)
+        assert np.array_equal(values, expected)
+        assert np.array_equal(np.signbit(values), np.signbit(expected))
+
+    def spy(self, monkeypatch):
+        calls = []
+        laguerre_series = observables._laguerre_series
+
+        def recorded(coeffs, k, x):
+            calls.append((k, x.size))
+            return laguerre_series(coeffs, k, x)
+
+        monkeypatch.setattr(observables, "_laguerre_series", recorded)
+        return calls
+
+    @staticmethod
+    def distinct_radii(q_axis, p_axis):
+        two_alpha = np.sqrt(2.0) * (np.asarray(q_axis)[:, None] + 1j * np.asarray(p_axis)[None, :])
+        return np.unique(np.abs(two_alpha) ** 2).size
+
+    @pytest.mark.parametrize("axes", AXES)
+    def test_sums_once_per_distinct_radius(self, monkeypatch, axes):
+        q_axis, p_axis = AXES[axes]
+        calls = self.spy(monkeypatch)
+        wigner(wigner_state("coherent"), q_axis, p_axis)
+        assert [k for k, _ in calls] == list(range(59, -1, -1))
+        assert {size for _, size in calls} == {self.distinct_radii(q_axis, p_axis)}
+
+    @pytest.mark.parametrize("state", ["empty", "atom"])
+    def test_steady_state_sums_only_even_diagonals(self, monkeypatch, state):
+        rho = wigner_state(state)
+        calls = self.spy(monkeypatch)
+        wigner(rho, GRID, GRID)
+        assert [k for k, _ in calls] == list(range(rho.fock_cutoff - 2, -1, -2))
+        assert {size for _, size in calls} == {self.distinct_radii(GRID, GRID)}
+        assert self.distinct_radii(GRID, GRID) < GRID.size ** 2

@@ -10,6 +10,10 @@ cavity loss commute with the rotation U = exp(-i theta (a†a + sigma_ee) / 2),
 which takes the bath's e^{i phi} to e^{i (phi + theta)}. So shifting phi by
 theta rotates rho by U, leaves every phase-insensitive observable unchanged
 and turns <aa> by e^{i theta}.
+
+The same parity makes the steady state's Wigner function even,
+W(q, p) = W(-q, -p), and at phi = 0 the steady state is real, so W is even
+in p as well.
 """
 
 import math
@@ -28,9 +32,11 @@ from sqcavity import (
     build_liouvillian,
     mean_photon_number,
     pair_amplitude,
+    partial_trace_atom,
     photon_distribution,
     purity,
     steady_state,
+    wigner,
 )
 from conftest import parity_mismatch
 
@@ -106,3 +112,21 @@ def test_steady_state_phase_covariance(cutoff, atom_present, r, phi, theta, g0, 
     aa, aa_rotated = pair_amplitude(rho), pair_amplitude(rotated)
     assert abs(abs(aa_rotated) - abs(aa)) < 1e-10
     assert abs(aa_rotated - np.exp(1j * theta) * aa) < 1e-10
+
+
+@PROPERTY_SETTINGS
+@given(cutoff=st.integers(min_value=2, max_value=10), atom_present=st.booleans(),
+       r=st.floats(min_value=0.0, max_value=1.0), g0=rates,
+       half_axis=st.lists(st.floats(min_value=0.0, max_value=4.0), min_size=1, max_size=6))
+def test_steady_state_wigner_symmetries(cutoff, atom_present, r, g0, half_axis):
+    params = SystemParams(g0=g0, gamma=1.0)
+    space = model_space(atom_present, cutoff)
+    # the symmetries hold at any cutoff, so the truncation is not checked
+    rho = steady_state(build_liouvillian(params, SqueezedBath(r=r), space),
+                       guard=1, epsilon=math.inf)
+    field = partial_trace_atom(rho) if atom_present else rho
+    a = np.sort(half_axis)
+    axis = np.concatenate((-a[::-1], a))
+    w = wigner(field, axis, axis, guard=1, epsilon=math.inf).values
+    np.testing.assert_allclose(w[::-1, ::-1], w, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(w[:, ::-1], w, rtol=0, atol=1e-13)

@@ -217,6 +217,23 @@ class TestWignerMode:
         assert len(rows) == 22  # axis row + 21 value rows
         assert all(len(r.split(",")) == 22 for r in rows)
 
+    def test_logs_one_record_per_grid(self, tmp_path, caplog):
+        cfg = SweepConfig(mode="wigner", r_values=(0.1, 0.3), atom_present=False,
+                          fock_cutoff=20, wigner_extent=3.0, wigner_points=11,
+                          output_path=str(tmp_path)).validate()
+        files = [tmp_path / f"wigner_r{r:g}_empty.csv" for r in (0.1, 0.3)]
+        run_wigner(cfg)
+        quiet = [path.read_bytes() for path in files]
+        with caplog.at_level(logging.DEBUG, logger="sqcavity.sweep"):
+            run_wigner(cfg)
+        records = [r.getMessage() for r in caplog.records
+                   if r.name == "sqcavity.sweep" and r.getMessage().startswith("wigner ")]
+        # largest r first, as the points are solved
+        assert len(records) == 2
+        for message, r in zip(records, (0.3, 0.1)):
+            assert re.fullmatch(rf"wigner r = {r!r}: 11 x 11 grid, \d+\.\d{{3}} s", message)
+        assert [path.read_bytes() for path in files] == quiet
+
 
 class TestBogoliubovMode:
     def test_cross_frame_agreement(self, tmp_path):
