@@ -1,4 +1,4 @@
-"""The model's generator, assembled in one Lindblad-form pass.
+"""The model's generator, in one Lindblad form.
 
 The model is a two-level atom coupled to a single lossy cavity mode that
 is driven by a broadband squeezed vacuum. In the rotating frame of the
@@ -22,18 +22,30 @@ squeezed bath. All three terms are one sum
 
 over the jumps (w_j, A_j, B_j) = (2 kappa (1+N), a, a†), (2 kappa N, a†, a),
 (-2 kappa M, a†, a†), (-2 kappa M*, a, a) and (2 gamma, sigma_ge, sigma_eg)
-(Lindblad, Commun. Math. Phys. 48, 119 (1976)), built once per generator.
-Superoperators act on column-stacked density matrices: vec stacks
-columns, so A rho B maps to (B^T ⊗ A) vec(rho). With these forms kappa and
-gamma are amplitude rates: photon energy decays at 2 kappa and the
-excited-state population at 2 gamma.
+(Lindblad, Commun. Math. Phys. 48, 119 (1976)). Superoperators act on
+column-stacked density matrices: vec stacks columns, so A rho B maps to
+(B^T ⊗ A) vec(rho). With these forms kappa and gamma are amplitude rates:
+photon energy decays at 2 kappa and the excited-state population at
+2 gamma.
+
+The generator is linear in K and in the weights w_j, and in the lab frame
+these are affine in the bath, L = L_0 + N L_N + M L_M + M* L_M̄: its
+Kronecker products, their pattern, H and the jump operators do not depend
+on (N, M). So `build_liouvillian` plans them once per (params, space), in a
+small cache, and each call forms K and the weights of its bath and puts the
+products' values in place. That is the arithmetic of the one-pass assembly
+without its sort, and the generator is the same to the bit. The squeezed
+frame is not affine in r (b = cosh(r) a - sinh(r) a† moves with it), so
+`build_bogoliubov_liouvillian` stays on the one-pass assembly, which sums
+all Kronecker products once and is the reference the planned path is
+tested against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -140,19 +152,40 @@ def trace_row(dim: int) -> np.ndarray:
     return row
 
 
+def _kron_factors(space: Space, K, jumps) -> list:
+    """The factors (left, right, weight) of the Kronecker products I ⊗ K,
+    conj(K) ⊗ I and w_j B_jᵀ ⊗ A_j of rho -> K rho + rho K† +
+    sum_j w_j A_j rho B_j, in COO form; jumps of zero weight are skipped."""
+    eye = sp.identity(space.dim, dtype=complex, format="coo")
+    K = sp.coo_matrix(K)
+    return [(eye, K, 1.0), (K.conj(), eye, 1.0)] + [
+        (sp.coo_matrix(B).T, sp.coo_matrix(A), w) for w, A, B in jumps if w != 0]
+
+
+def _kron_entries(space: Space, factors) -> tuple:
+    """(row, col) of every entry of the products left ⊗ right, in order."""
+    d = space.dim
+    return (np.concatenate([(left.row[:, None] * d + right.row).ravel()
+                            for left, right, _ in factors]),
+            np.concatenate([(left.col[:, None] * d + right.col).ravel()
+                            for left, right, _ in factors]))
+
+
+def _kron_values(left, right, weight) -> np.ndarray:
+    """The values of weight · left ⊗ right from those of its factors, in the
+    order of _kron_entries."""
+    return weight * (left[:, None] * right).ravel()
+
+
 def _lindblad(space: Space, K, jumps=()) -> sp.csr_matrix:
     """Superoperator of rho -> K rho + rho K† + sum_j w_j A_j rho B_j for the
-    jumps (w_j, A_j, B_j), summed once from the Kronecker products I ⊗ K,
-    conj(K) ⊗ I and B_jᵀ ⊗ A_j. Jumps of zero weight are skipped and exact
-    zeros dropped, so the pattern holds only the couplings present."""
-    d = space.dim
-    eye = sp.identity(d, dtype=complex, format="coo")
-    K = sp.coo_matrix(K)
-    terms = [sp.kron(eye, K, format="coo"), sp.kron(K.conj(), eye, format="coo")]
-    terms += [w * sp.kron(sp.coo_matrix(B).T, A, format="coo") for w, A, B in jumps if w != 0]
-    m = sp.csr_matrix((np.concatenate([t.data for t in terms]),
-                       (np.concatenate([t.row for t in terms]),
-                        np.concatenate([t.col for t in terms]))), shape=(d * d, d * d))
+    jumps (w_j, A_j, B_j), summed once from its Kronecker products. Exact
+    zeros are dropped, so the pattern holds only the couplings present."""
+    factors = _kron_factors(space, K, jumps)
+    m = sp.csr_matrix((np.concatenate([_kron_values(left.data, right.data, w)
+                                       for left, right, w in factors]),
+                       _kron_entries(space, factors)),
+                      shape=(space.dim**2, space.dim**2))
     m.eliminate_zeros()
     return m
 
@@ -170,30 +203,125 @@ def _hamiltonian(params: SystemParams, x: Operator) -> sp.csr_matrix:
     return h
 
 
+def _jump_operators(c: Operator) -> list:
+    """(A, B) of each jump: the cavity's into the bath through c, then, on
+    the composite space, the atom's through sigma_ge."""
+    a = sp.csr_matrix(c.matrix)
+    ad = a.conj().T.tocsr()
+    operators = [(a, ad), (ad, a), (ad, ad), (a, a)]
+    if isinstance(c.space, SpaceDims):
+        s_ge = sp.csr_matrix(lift(atom_sigma("g", "e"), "atom", c.space).matrix)
+        operators.append((s_ge, s_ge.conj().T.tocsr()))
+    return operators
+
+
+def _weights(params: SystemParams, n_th: float, m_corr: complex) -> tuple:
+    """The jump weights, in the order of _jump_operators, for a bath with
+    (N, M) = (n_th, m_corr); the atom's comes last."""
+    kappa = params.kappa
+    return (2.0 * kappa * (1.0 + n_th), 2.0 * kappa * n_th, -2.0 * kappa * m_corr,
+            -2.0 * kappa * np.conj(m_corr), 2.0 * params.gamma)
+
+
+def _no_jump_part(h, weights, products):
+    """K = -iH - ½ sum_j w_j B_j A_j over the jumps of nonzero weight, from H
+    and the products B_j A_j: sparse matrices, or their values on one
+    pattern, which gives the same values."""
+    return -1j * h + -0.5 * sum(w * p for w, p in zip(weights, products) if w != 0)
+
+
 def _assemble(params: SystemParams, x: Operator, c: Operator, n_th: float,
               m_corr: complex) -> Superoperator:
     """The whole generator in one Lindblad form, rho -> K rho + rho K† +
-    sum_j w_j A_j rho B_j with K = -iH - ½ sum_j w_j B_j A_j: x is the field
-    operator in H, c the cavity's jump operator into a bath with (N, M), and
-    the atom, on the composite space, decays through sigma_ge."""
-    h = _hamiltonian(params, x)
-    kappa = params.kappa
-    a = sp.csr_matrix(c.matrix)
-    ad = a.conj().T.tocsr()
-    jumps = [(2.0 * kappa * (1.0 + n_th), a, ad), (2.0 * kappa * n_th, ad, a),
-             (-2.0 * kappa * m_corr, ad, ad), (-2.0 * kappa * np.conj(m_corr), a, a)]
-    if isinstance(x.space, SpaceDims):
-        s_ge = sp.csr_matrix(lift(atom_sigma("g", "e"), "atom", x.space).matrix)
-        jumps.append((2.0 * params.gamma, s_ge, s_ge.conj().T.tocsr()))
-    K = -1j * h - 0.5 * sum(w * (B @ A) for w, A, B in jumps)
-    return Superoperator(x.space, _lindblad(x.space, K, jumps))
+    sum_j w_j A_j rho B_j with K = -iH - ½ sum_j w_j B_j A_j, in one pass:
+    x is the field operator in H, c the cavity's jump operator into a bath
+    with (N, M), and the atom, on the composite space, decays through
+    sigma_ge."""
+    operators = _jump_operators(c)
+    weights = _weights(params, n_th, m_corr)
+    K = _no_jump_part(_hamiltonian(params, x), weights, [B @ A for A, B in operators])
+    return Superoperator(x.space, _lindblad(x.space, K, [
+        (w, A, B) for w, (A, B) in zip(weights, operators)]))
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """The bath-free part of the lab-frame generator of one (params, space):
+    H and the products B_j A_j on the pattern K has at any bath, the values
+    of the factors B_jᵀ and A_j, and the CSR pattern (indices, indptr) of the
+    generator with the position in it of every entry of I ⊗ K,
+    conj(K) ⊗ I and each B_jᵀ ⊗ A_j, product k's from bounds[k] to
+    bounds[k + 1]. Read-only."""
+
+    h: np.ndarray
+    products: tuple
+    factors: tuple
+    positions: np.ndarray
+    bounds: tuple
+    indices: np.ndarray
+    indptr: np.ndarray
+
+
+@lru_cache(maxsize=2)
+def _plan(params: SystemParams, space: Space) -> _Plan:
+    """The lab-frame generator's plan; the two most recent are kept."""
+    a = embed_field(space, annihilation)
+    operators = _jump_operators(a)
+    h = _hamiltonian(params, a)
+    products = [B @ A for A, B in operators]
+    # K's pattern at any bath, and every jump at a nonzero weight
+    K = sp.coo_matrix(abs(h) + sum(abs(p) for p in products))
+    factors = _kron_factors(space, K, [(1.0, A, B) for A, B in operators])
+    sizes = [left.nnz * right.nnz for left, right, _ in factors]
+    row, col = _kron_entries(space, factors)
+    # each entry's product number in the low bits of its column: no two
+    # entries are summed, and within a row they sort by column, then
+    # product, so each entry is traced to its place in the union pattern
+    n, bits = space.dim**2, (len(factors) - 1).bit_length()
+    tag = np.repeat(np.arange(len(factors), dtype=col.dtype), sizes)
+    tagged = sp.csr_matrix((np.arange(row.size, dtype=col.dtype), (row, col << bits | tag)),
+                           shape=(n, n << bits))
+    column = tagged.indices >> bits
+    first = np.ones(tagged.nnz, dtype=bool)  # the first entry of its (row, column)
+    first[1:] = column[1:] != column[:-1]
+    starts = tagged.indptr[:-1]
+    first[starts[starts < tagged.nnz]] = True
+    count = np.cumsum(first, dtype=tagged.indices.dtype)
+    positions = np.empty_like(count)
+    positions[tagged.data] = count - 1
+    plan = _Plan(h=h.toarray()[K.row, K.col],
+                 products=tuple(p.toarray()[K.row, K.col] for p in products),
+                 factors=tuple((left.data, right.data) for left, right, _ in factors[2:]),
+                 positions=positions, bounds=tuple(np.cumsum([0, *sizes]).tolist()),
+                 indices=column[first],
+                 indptr=np.concatenate(([0], count))[tagged.indptr].astype(tagged.indptr.dtype))
+    for array in (plan.h, *plan.products, *(x for pair in plan.factors for x in pair),
+                  plan.positions, plan.indices, plan.indptr):
+        array.flags.writeable = False
+    return plan
 
 
 def build_liouvillian(params: SystemParams, bath: SqueezedBath, space: Space) -> Superoperator:
     """Full generator: coherent part, cavity damping into the bath and, on
-    the composite space, the atom's damping."""
-    a = embed_field(space, annihilation)
-    return _assemble(params, a, a, bath.n_th, bath.m_corr)
+    the composite space, the atom's damping. Its pattern, H and the jump
+    operators are planned once per (params, space); each call forms K and
+    the jump weights of its bath and puts each Kronecker product's values in
+    place in a fresh matrix, with exact zeros dropped. The arithmetic is
+    that of the one-pass assembly, so the result is the same to the bit."""
+    plan = _plan(params, space)
+    weights = _weights(params, bath.n_th, bath.m_corr)
+    k = _no_jump_part(plan.h, weights, plan.products)
+    d = space.dim
+    place = [plan.positions[start:stop] for start, stop in zip(plan.bounds, plan.bounds[1:])]
+    data = np.zeros(plan.indices.size, dtype=complex)
+    data[place[0]] = np.tile(k, d)  # I ⊗ K
+    data[place[1]] += np.repeat(k.conj(), d)  # conj(K) ⊗ I
+    for w, (left, right), positions in zip(weights, plan.factors, place[2:]):
+        if w != 0:
+            data[positions] += _kron_values(left, right, w)
+    m = sp.csr_matrix((data, plan.indices.copy(), plan.indptr.copy()), shape=(d * d, d * d))
+    m.eliminate_zeros()
+    return Superoperator(space, m)
 
 
 def build_bogoliubov_liouvillian(params: SystemParams, bath: SqueezedBath,

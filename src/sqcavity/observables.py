@@ -177,15 +177,23 @@ def wigner(rho_field: DensityMatrix, q_axis, p_axis, guard: int | None = None,
 
 
 def wigner_integral(grid: WignerGrid) -> float:
-    """Trapezoidal integral of W over the grid."""
+    """Trapezoidal integral of W over the grid, signed by the axes: each
+    descending axis flips its sign, and a grid of one point along an axis
+    integrates to 0."""
     return float(np.trapezoid(np.trapezoid(grid.values, grid.p_axis, axis=1), grid.q_axis))
 
 
 def quadrature_moments(grid: WignerGrid):
-    """Means and variances (q, p) of the Wigner quasi-distribution."""
+    """Means and variances (q, p) of the Wigner quasi-distribution. Each is
+    a ratio of two grid integrals, so a descending axis, which flips both
+    signs, gives the same moments; a grid whose integral is 0 or not finite
+    has none (ValueError)."""
     w = grid.values
     q, p = grid.q_axis, grid.p_axis
     norm = wigner_integral(grid)
+    if norm == 0 or not np.isfinite(norm):
+        raise ValueError(f"the {w.shape[0]} x {w.shape[1]} Wigner grid integrates to {norm}, "
+                         "so its moments are undefined (an axis of one point integrates to 0)")
 
     def integrate(f):
         return float(np.trapezoid(np.trapezoid(f, p, axis=1), q)) / norm

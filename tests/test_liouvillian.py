@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -23,6 +26,7 @@ from sqcavity import liouvillian
 from sqcavity.liouvillian import trace_row
 from sqcavity.operators import embed_field
 from conftest import squeezed_state_vector
+import test_solvers
 from test_solvers import ATOM, SECTOR_CASES
 
 
@@ -292,9 +296,28 @@ def reference_assemble(params, x, c, n_th, m_corr):
     return Superoperator(x.space, m)
 
 
+def lab_reference(params, bath, space):
+    a = embed_field(space, annihilation)
+    return reference_assemble(params, a, a, bath.n_th, bath.m_corr)
+
+
 def use_reference_terms(monkeypatch):
-    """Make the package's builders assemble from the reference terms."""
+    """Make both builders, as this module and `test_solvers`' cases call
+    them, assemble from the reference terms: the squeezed frame through
+    `_assemble` and the lab frame in place of its cached plan, which then
+    must not be touched, so that no case can compare the fast path with
+    itself."""
     monkeypatch.setattr(liouvillian, "_assemble", reference_assemble)
+    for module in (sys.modules[__name__], test_solvers):
+        monkeypatch.setattr(module, "build_liouvillian", lab_reference)
+    monkeypatch.setattr(liouvillian, "_plan", lambda *args: pytest.fail("the plan was used"))
+
+
+def one_pass(params, bath, space):
+    """The lab-frame generator assembled in one pass, as the squeezed frame
+    is."""
+    a = embed_field(space, annihilation)
+    return liouvillian._assemble(params, a, a, bath.n_th, bath.m_corr)
 
 
 def assert_same_generator(fast, reference):
@@ -334,16 +357,17 @@ class TestOnePassAssembly:
         assert_same_generator(fast_cavity, cavity_only(params.kappa, SqueezedBath(0.0), space))
 
     def test_zero_weight_jumps_are_skipped(self, monkeypatch):
-        products = []
-        kron = sp.kron
-        monkeypatch.setattr(sp, "kron", lambda *args, **kw: products.append(1) or kron(*args, **kw))
+        products = spy(monkeypatch, "_kron_values")
         # I ⊗ K and conj(K) ⊗ I, then one product per jump of nonzero weight
-        cavity_only(1.0, SqueezedBath(0.0), FieldSpace(8))
+        one_pass(SystemParams(), SqueezedBath(0.0), FieldSpace(8))
         assert len(products) == 2 + 1
-        cavity_only(1.0, SqueezedBath(0.5), FieldSpace(8))
+        one_pass(SystemParams(), SqueezedBath(0.5), FieldSpace(8))
         assert len(products) == 3 + 2 + 4
-        build_liouvillian(ATOM, SqueezedBath(0.5), SpaceDims(8))
+        one_pass(ATOM, SqueezedBath(0.5), SpaceDims(8))
         assert len(products) == 9 + 2 + 5
+        # the squeezed frame's bath is the vacuum
+        build_bogoliubov_liouvillian(ATOM, SqueezedBath(0.5), SpaceDims(8))
+        assert len(products) == 16 + 2 + 2
 
     def test_all_terms_at_once_match_reference(self, monkeypatch):
         params = SystemParams(delta_A=1.5, delta_C=-0.7, g0=15.0, gamma=0.8)
@@ -351,3 +375,89 @@ class TestOnePassAssembly:
         fast = build_liouvillian(params, bath, dims)
         use_reference_terms(monkeypatch)
         assert_same_generator(fast, build_liouvillian(params, bath, dims))
+
+
+def spy(monkeypatch, name):
+    """A list that grows by one on each call of liouvillian.<name>."""
+    calls = []
+    real = getattr(liouvillian, name)
+    monkeypatch.setattr(liouvillian, name, lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+def assert_identical(fast, reference):
+    fast, reference = fast.matrix, reference.matrix
+    assert fast.dtype == reference.dtype
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(fast, name), getattr(reference, name))
+
+
+class TestPlannedGenerator:
+    """The lab-frame generator is put together from a plan cached per
+    (params, space): the same matrix as the one-pass assembly, to the bit,
+    and a matrix of its own on every call."""
+
+    @pytest.mark.parametrize("case", sorted(c for c in SECTOR_CASES if "bogoliubov" not in c))
+    def test_sector_cases_match_one_pass(self, case, monkeypatch):
+        # the first call makes the plan, the second reuses it
+        liouvillian._plan.cache_clear()
+        cold, warm = SECTOR_CASES[case](), SECTOR_CASES[case]()
+        monkeypatch.setattr(test_solvers, "build_liouvillian", one_pass)
+        monkeypatch.setattr(liouvillian, "_plan", lambda *args: pytest.fail("the plan was used"))
+        reference = SECTOR_CASES[case]()
+        assert_identical(cold, reference)
+        assert_identical(warm, reference)
+
+    def test_plan_is_made_once_per_model_and_space(self, monkeypatch):
+        plans, products = spy(monkeypatch, "_kron_entries"), spy(monkeypatch, "_kron_values")
+        liouvillian._plan.cache_clear()
+        build_liouvillian(ATOM, SqueezedBath(0.5), SpaceDims(8))
+        assert len(plans) == 1
+        # each call forms the product of each jump of nonzero weight: at
+        # r = 0 the cavity's decay and the atom's
+        build_liouvillian(ATOM, SqueezedBath(0.0), SpaceDims(8))
+        build_liouvillian(ATOM, SqueezedBath(0.9, phi=0.4), SpaceDims(8))
+        assert len(plans) == 1
+        assert len(products) == 5 + 2 + 5
+        build_liouvillian(ATOM, SqueezedBath(0.5), SpaceDims(9))
+        build_liouvillian(SystemParams(g0=14.0, gamma=1.0), SqueezedBath(0.5), SpaceDims(8))
+        assert len(plans) == 3
+
+    @pytest.mark.parametrize("r", [0.0, 0.7])
+    def test_each_call_returns_a_matrix_of_its_own(self, r):
+        params, bath, space = ATOM, SqueezedBath(r, phi=0.3), SpaceDims(6)
+        first = build_liouvillian(params, bath, space)
+        expected = Superoperator(space, first.matrix.copy())
+        second = build_liouvillian(params, bath, space)
+        assert second is not first
+        for name in ("data", "indices", "indptr"):
+            assert not np.shares_memory(getattr(first.matrix, name),
+                                        getattr(second.matrix, name))
+        first.matrix.data[:] = 7.0
+        first.matrix.indices[:] = 0
+        first.matrix.indptr[:] = 0
+        second.matrix.data[:] = 7.0
+        assert_identical(build_liouvillian(params, bath, space), expected)
+
+    def test_threads_sharing_one_plan_get_the_one_pass_generator(self):
+        # more threads than cores, switching often, all starting on an
+        # empty cache: each matrix must be its point's one-pass generator
+        params, space = SystemParams(delta_C=0.3, g0=4.0, gamma=0.5), SpaceDims(7)
+        baths = [SqueezedBath(0.05 * k, phi=0.1 * k) for k in range(24)]
+        liouvillian._plan.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(build_liouvillian, params, bath, space) for bath in baths]
+                built = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for bath, L in zip(baths, built):
+            assert_identical(L, one_pass(params, bath, space))
+
+    def test_plan_is_read_only(self):
+        plan = liouvillian._plan(ATOM, SpaceDims(6))
+        arrays = [plan.h, *plan.products, plan.positions, plan.indices, plan.indptr]
+        arrays += [x for pair in plan.factors for x in pair]
+        assert not any(array.flags.writeable for array in arrays)

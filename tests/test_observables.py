@@ -16,6 +16,7 @@ from sqcavity import (
     SpaceDims,
     SqueezedBath,
     SystemParams,
+    WignerGrid,
     atom_excited_population,
     atom_sigma,
     build_liouvillian,
@@ -198,6 +199,33 @@ class TestWigner:
         _, _, var_q, var_p = quadrature_moments(grid)
         assert var_q == pytest.approx(np.exp(2 * r) / 2, abs=1e-3)
         assert var_p == pytest.approx(np.exp(-2 * r) / 2, abs=1e-3)
+
+    @pytest.mark.parametrize("q_axis, p_axis", [([0.0], [0.0]), ([0.0], [-1.0, 0.0, 1.0]),
+                                                ([-1.0, 1.0], [2.0])])
+    def test_moments_of_a_grid_without_area_rejected(self, q_axis, p_axis):
+        grid = wigner(fock_state(FieldSpace(10), 0), q_axis, p_axis)
+        shape = f"{len(q_axis)} x {len(p_axis)}"
+        with pytest.raises(ValueError, match=f"the {shape} Wigner grid integrates to 0.0, "):
+            quadrature_moments(grid)
+
+    def test_moments_of_a_grid_with_infinite_integral_rejected(self):
+        grid = wigner(fock_state(FieldSpace(10), 0), [0.0, 1.0], [0.0, 1.0])
+        grid = WignerGrid(grid.q_axis, grid.p_axis, np.full((2, 2), np.inf))
+        with pytest.raises(ValueError, match="integrates to inf"):
+            quadrature_moments(grid)
+
+    def test_descending_axes_give_the_same_moments(self):
+        rho = empty_steady(0.5, 40)
+        axis = np.linspace(-5.0, 5.0, 81)
+        ascending = wigner(rho, axis, axis)
+        for q_axis, p_axis, sign in ((axis[::-1], axis, -1), (axis, axis[::-1], -1),
+                                     (axis[::-1], axis[::-1], 1)):
+            grid = wigner(rho, q_axis, p_axis)
+            # each descending axis flips the integral's sign
+            assert wigner_integral(grid) == pytest.approx(sign * wigner_integral(ascending),
+                                                          rel=1e-12)
+            np.testing.assert_allclose(quadrature_moments(grid), quadrature_moments(ascending),
+                                       rtol=1e-10, atol=1e-12)
 
     def test_second_moments_recover_mean_photon_number(self):
         rho = empty_steady(0.4, 40)

@@ -5,6 +5,9 @@ must have no entries between the two excitation-parity sectors: each jump
 operator flips P = (-1)^(a†a + sigma_ee) and H conserves it, so rho -> P rho P
 commutes with L.
 
+The lab-frame generator, put together from its plan cached per model and
+space, must be the one-pass assembly's to the bit.
+
 The steady state must be phase covariant: H, the atomic damping and the
 cavity loss commute with the rotation U = exp(-i theta (a†a + sigma_ee) / 2),
 which takes the bath's e^{i phi} to e^{i (phi + theta)}. So shifting phi by
@@ -39,6 +42,7 @@ from sqcavity import (
     wigner,
 )
 from conftest import parity_mismatch
+from test_liouvillian import assert_identical, assert_same_generator, one_pass
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -78,6 +82,20 @@ def test_lab_frame_generator(cutoff, atom_present, r, phi, g0, gamma, kappa, del
     params = SystemParams(delta_A=delta_a, delta_C=delta_c, g0=g0, gamma=gamma, kappa=kappa)
     L = build_liouvillian(params, SqueezedBath(r=r, phi=phi), model_space(atom_present, cutoff))
     assert_generator_properties(L)
+
+
+@PROPERTY_SETTINGS
+@given(cutoff=st.integers(min_value=2, max_value=10), atom_present=st.booleans(),
+       r=st.just(0.0) | strengths, phi=phases, g0=rates, gamma=rates, kappa=kappas,
+       delta_a=detunings, delta_c=detunings)
+def test_lab_frame_generator_matches_one_pass(cutoff, atom_present, r, phi, g0, gamma, kappa,
+                                              delta_a, delta_c):
+    params = SystemParams(delta_A=delta_a, delta_C=delta_c, g0=g0, gamma=gamma, kappa=kappa)
+    bath, space = SqueezedBath(r=r, phi=phi), model_space(atom_present, cutoff)
+    planned = build_liouvillian(params, bath, space)
+    reference = one_pass(params, bath, space)
+    assert_same_generator(planned, reference)
+    assert_identical(planned, reference)
 
 
 @PROPERTY_SETTINGS

@@ -26,6 +26,7 @@ from sqcavity import (
     solvers,
     steady_state,
 )
+from sqcavity import liouvillian
 from sqcavity import sweep as sweep_module
 from sqcavity.cli import build_parser, main, resolve_config
 from sqcavity.sweep import (
@@ -523,6 +524,8 @@ def test_sweep_logs_one_record_per_sweep_and_per_point(tmp_path, caplog):
         for field in ("min eigenvalue ", "tail mass ", "LU fill "):
             assert field in message
         assert re.search(r", LU \d+\.\d{3} s of \d+\.\d{3} s$", message)
+        assert re.search(r", LU fill \d+, build \d+\.\d{3} s, LU \d+\.\d{3} s of "
+                         r"\d+\.\d{3} s$", message)
 
 
 def atom_sweep(tmp_path, name):
@@ -538,6 +541,40 @@ def test_one_and_two_workers_agree(tmp_path, monkeypatch):
     for row_one, row_two in zip(one, two, strict=True):
         for column in sweep_module.MOMENTS_COLUMNS:
             assert abs(row_one[column] - row_two[column]) <= 1e-15
+
+
+@pytest.mark.parametrize("workers, most", [("1", 1), ("2", 2)])
+def test_sweep_plans_the_generator_once_per_worker(tmp_path, monkeypatch, workers, most):
+    # one (params, space) is planned once, by the first point each worker
+    # solves before another has cached the plan; every point still gets a
+    # generator of its own
+    monkeypatch.setenv("SIM_THREADS", workers)
+    liouvillian._plan.cache_clear()
+    plans, generators = [], []
+    real_entries, real_build = liouvillian._kron_entries, sweep_module.build_liouvillian
+    monkeypatch.setattr(liouvillian, "_kron_entries",
+                        lambda *args: plans.append(1) or real_entries(*args))
+    monkeypatch.setattr(sweep_module, "build_liouvillian",
+                        lambda *args: generators.append(real_build(*args)) or generators[-1])
+    cfg = SweepConfig(r_values=(0.05, 0.1, 0.15, 0.2, 0.25, 0.3), fock_cutoff=20,
+                      output_path=str(tmp_path / "m.csv")).validate()
+    run_moments_sweep(cfg)
+    assert 1 <= len(plans) <= most
+    assert len(generators) == 6
+    assert len({id(L.matrix.data) for L in generators}) == 6
+
+
+@pytest.mark.parametrize("atom", [[], ["--no-atom"]])
+def test_repeated_runs_in_one_process_write_identical_files(tmp_path, monkeypatch, atom):
+    # the first run plans the generator, the second reuses the plan
+    monkeypatch.chdir(tmp_path)
+    liouvillian._plan.cache_clear()
+    argv = [*atom, "--r", "0.1,0.5", "--cutoff", "40", "--out", "m.csv"]
+    assert main(argv) == 0
+    first = (tmp_path / "m.csv").read_bytes()
+    assert liouvillian._plan.cache_info().currsize == 1
+    assert main(argv) == 0
+    assert (tmp_path / "m.csv").read_bytes() == first
 
 
 BLAS = _blas._budget()
