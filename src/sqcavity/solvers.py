@@ -6,6 +6,7 @@ import functools
 import math
 import time
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -59,8 +60,10 @@ class StateDiagnostics:
     max |L vec(rho)| against the full generator, is the figure of the
     solve's quality, `tail_mass` the value `check_truncation` measured on
     the solution, `lu_unknowns` is the size of the factorized block,
-    `lu_fill` the number of entries SuperLU stores for its L and U factors
-    and `lu_seconds` the time spent in `spsolve`.
+    `lu_arithmetic` whether it was "real" (folded) or "complex",
+    `block_seconds` the time spent forming it from L, `lu_fill` the number
+    of entries SuperLU stores for its L and U factors and `lu_seconds` the
+    time spent in `spsolve`.
     """
 
     trace_error: float
@@ -69,6 +72,8 @@ class StateDiagnostics:
     tail_mass: float | None = None  # set by steady_state
     residual: float | None = None  # set by steady_state
     lu_unknowns: int | None = None  # set by steady_state
+    lu_arithmetic: str | None = None  # set by steady_state
+    block_seconds: float | None = None  # set by steady_state
     lu_fill: int | None = None  # set by steady_state
     lu_seconds: float | None = None  # set by steady_state
 
@@ -221,15 +226,65 @@ def _sector_order(n: np.ndarray, even: np.ndarray) -> np.ndarray:
     return even[np.append(_nested_dissection(k, s, np.arange(1, even.size)), 0)]
 
 
+class _SectorMaps(NamedTuple):
+    """Index maps of the equal-parity sector of one space, by vec index
+    v = i + d j; read-only.
+
+    The complex block: `order` lists the sector in the order it is
+    factorized and `position` is each v's place in it (-1 outside the
+    sector). The real fold: `sign` is sigma(v) = u_i u_j, with
+    u_i = (-1)^(sigma_ee of basis state i); `folded` lists the
+    representative of each pair {v, t(v)} of the sector, t(v) = j + d i
+    (N_i > N_j, or N_i = N_j and i <= j: the k >= 0 half of the grid), in
+    the order they are factorized; `fold_row` is the place in `folded` of a
+    representative (-1 for any other v) and `fold_col` that of v's
+    representative, v or t(v) (-1 outside the sector), and `fold_sign` is
+    the factor y_v = fold_sign(v) y_rep: 1 for a representative, sigma(v)
+    for its partner.
+    """
+
+    order: np.ndarray
+    position: np.ndarray
+    sign: np.ndarray
+    folded: np.ndarray
+    fold_row: np.ndarray
+    fold_col: np.ndarray
+    fold_sign: np.ndarray
+
+
+def _places(indices: np.ndarray, size: int) -> np.ndarray:
+    """The place of each of `size` vec indices in `indices`, -1 if absent."""
+    place = np.full(size, -1)
+    place[indices] = np.arange(indices.size)
+    return place
+
+
 @functools.lru_cache(maxsize=4)
-def _space_order(space: Space) -> np.ndarray:
-    """`_sector_order` of the equal-parity sector of space, computed once
-    per space for the sweep points that share it; read-only."""
+def _sector_maps(space: Space) -> _SectorMaps:
+    """The `_SectorMaps` of space, computed once per space for the sweep
+    points that share it."""
     n = _excitations(space)
-    even = np.flatnonzero(((n[:, None] + n[None, :]) % 2 == 0).reshape(-1, order="F"))
+    d = n.size
+    v = np.arange(d * d)
+    i, j = v % d, v // d
+    even = np.flatnonzero((n[i] + n[j]) % 2 == 0)
+    # the atom is the outer factor, so its excited half is every index from
+    # fock_cutoff on; a field space has none
+    u = np.where(np.arange(d) < space.fock_cutoff, 1.0, -1.0)
+    sign = u[i] * u[j]
+    representative = (n[i] > n[j]) | ((n[i] == n[j]) & (i <= j))
     order = _sector_order(n, even)
-    order.flags.writeable = False
-    return order
+    folded = _sector_order(n, even[representative[even]])
+    fold_row = _places(folded, d * d)
+    partner = even[~representative[even]]
+    fold_col = fold_row.copy()
+    fold_col[partner] = fold_row[j[partner] + d * i[partner]]
+    maps = _SectorMaps(order=order, position=_places(order, d * d), sign=sign, folded=folded,
+                       fold_row=fold_row, fold_col=fold_col,
+                       fold_sign=np.where(representative, 1.0, sign))
+    for array in maps:
+        array.flags.writeable = False
+    return maps
 
 
 def spsolve(system: sp.csc_matrix, rhs: np.ndarray) -> tuple[np.ndarray, int]:
@@ -240,6 +295,26 @@ def spsolve(system: sp.csc_matrix, rhs: np.ndarray) -> tuple[np.ndarray, int]:
     return lu.solve(rhs), int(lu.nnz)
 
 
+def _folded_values(L: Superoperator, maps: _SectorMaps, counts: np.ndarray):
+    """The entries of L as those of the real system in y = rho / p, folded
+    onto the representatives' columns, or None when L lacks the symmetry.
+
+    p(v) is 1 where sigma(v) = +1 and i where sigma(v) = -1. When every
+    entry of L between two vec indices of equal sigma is real and every
+    other one imaginary, L commutes with rho -> U rho* U†, U = (-1)^sigma_ee,
+    and each entry L_ab p_b / p_a is real: Re L_ab, or sigma(b) Im L_ab.
+    The steady state is then Hermitian with y real, y_t(v) = sigma(v) y_v,
+    so a column b that is not a representative is added to t(b)'s with the
+    factor sigma(b). The test is exact, on the data as stored.
+    """
+    data, cols = L.matrix.data, L.matrix.indices
+    col_sign = maps.sign[cols]
+    same = np.repeat(maps.sign, counts) == col_sign
+    if np.any(np.where(same, data.imag, data.real)):
+        return None
+    return np.where(same, data.real, col_sign * data.imag) * maps.fold_sign[cols]
+
+
 def steady_state(L: Superoperator, guard: int | None = None,
                  epsilon: float = DEFAULT_EPSILON) -> DensityMatrix:
     """Solve L vec(rho) = 0 with the unit-trace constraint.
@@ -248,17 +323,28 @@ def steady_state(L: Superoperator, guard: int | None = None,
     and H conserves it, so L has no entries between the sector where ket
     and bra have equal parity and the one where they differ (a weak
     symmetry, Buca & Prosen, New J. Phys. 14, 073007 (2012)), and the
-    steady state lives in the equal-parity sector. Only that block of L,
-    d²/2 unknowns, is factorized, in nested-dissection order with rho_00
-    last: its rho_00 row is replaced by the trace row and the right-hand
-    side by the last unit vector, keeping the system square. The solution
-    is scattered into a full rho whose cross-sector entries are exactly
-    zero. Its tail over the top `guard` Fock levels must stay below epsilon
-    (`check_truncation`, math.inf turns that check off); it is then
-    hermitized, renormalized and validated (`make_density_matrix`), and the
-    residual of the full generator must stay below RESIDUAL_TOL, otherwise
-    the kernel is considered degenerate. An invalid guard or epsilon is
-    refused before anything is factorized.
+    steady state lives in the equal-parity sector. Only that block of L is
+    factorized, in nested-dissection order with rho_00 last: its rho_00 row
+    is replaced by the trace row and the right-hand side by the last unit
+    vector, keeping the system square.
+
+    At phi = 0 and zero detunings the model has one more symmetry: L
+    commutes with rho -> U rho* U†, U = (-1)^sigma_ee, so every rho_ij is
+    real where ket and bra have the same atom state and imaginary where
+    they differ, and rho is Hermitian. When the entries of L show that
+    structure exactly (`_folded_values`), the block is folded onto one
+    entry of each pair {rho_ij, rho_ji} and solved in real arithmetic:
+    about d²/4 real unknowns, against d²/2 complex ones. Any other
+    generator, such as one at phi != 0 or with a detuning, is solved as the
+    complex block.
+
+    The solution is scattered into a full rho whose cross-sector entries
+    are exactly zero. Its tail over the top `guard` Fock levels must stay
+    below epsilon (`check_truncation`, math.inf turns that check off); it
+    is then hermitized, renormalized and validated (`make_density_matrix`),
+    and the residual of the full complex generator must stay below
+    RESIDUAL_TOL, otherwise the kernel is considered degenerate. An invalid
+    guard or epsilon is refused before anything is factorized.
 
     L itself must be finite and trace-preserving: max |vec(I)^T L| at most
     TRACE_TOL or, for large entries, whose round-off the trace row sums,
@@ -267,28 +353,33 @@ def steady_state(L: Superoperator, guard: int | None = None,
     scale = float(np.abs(L.matrix.data).max(initial=0.0))
     if not (math.isfinite(scale) and L.trace_residual() <= max(TRACE_TOL, 1e-14 * scale)):
         raise SolverError("generator is not trace-preserving or not finite; refusing to solve")
-    order = _space_order(L.space)
+    maps = _sector_maps(L.space)
     guard = truncation_guard(L.space.fock_cutoff, guard, epsilon)
     d = L.dim
-    m = order.size
-    pos = np.full(d * d, -1)
-    pos[order] = np.arange(m)
-    row = np.repeat(pos, np.diff(L.matrix.indptr))
-    col = pos[L.matrix.indices]
+    start = time.perf_counter()
+    counts = np.diff(L.matrix.indptr)
+    row, col = np.repeat(maps.position, counts), maps.position[L.matrix.indices]
     if np.any((row < 0) != (col < 0)):
         raise SolverError(
             "generator couples the two excitation-parity sectors (a coherent drive or a "
             "parity-breaking jump operator); this solver needs a generator that commutes "
             "with rho -> P rho P, P = (-1)^(a†a + sigma_ee)"
         )
+    values = _folded_values(L, maps, counts)
+    if values is None:
+        arithmetic, m, values, columns = "complex", maps.order.size, L.matrix.data, maps.position
+    else:
+        arithmetic, m, columns = "real", maps.folded.size, maps.fold_col
+        row, col = np.repeat(maps.fold_row, counts), columns[L.matrix.indices]
     # the block without rho_00's row, which is last, and the trace row in its place
     keep = (row >= 0) & (row < m - 1)
     system = sp.csc_matrix(
-        (np.concatenate([L.matrix.data[keep], np.ones(d)]),
+        (np.concatenate([values[keep], np.ones(d)]),
          (np.concatenate([row[keep], np.full(d, m - 1)]),
-          np.concatenate([col[keep], pos[:: d + 1]]))),
+          np.concatenate([col[keep], columns[:: d + 1]]))),
         shape=(m, m))
-    rhs = np.zeros(m, dtype=complex)
+    block_seconds = time.perf_counter() - start
+    rhs = np.zeros(m, dtype=system.dtype)
     rhs[-1] = 1.0
     # numpy's and scipy's OpenBLAS pools on one thread each: a second thread
     # does not speed up this LU, and idle pool threads spin on the cores
@@ -304,7 +395,14 @@ def steady_state(L: Superoperator, guard: int | None = None,
         if not np.all(np.isfinite(sol)):
             raise NonUniqueSteadyStateError("sparse LU solve returned non-finite entries")
         full = np.zeros(d * d, dtype=complex)
-        full[order] = sol
+        if arithmetic == "complex":
+            full[maps.order] = sol
+        else:
+            # rho = p y: y_v is the real part of rho_v where sigma(v) = +1 and
+            # its imaginary part where sigma(v) = -1; the other part stays +0.0
+            even = maps.order
+            full.view(float)[2 * even + (maps.sign[even] < 0)] = (
+                sol[maps.fold_col[even]] * maps.fold_sign[even])
         raw = unvec(full, d)
         # the tail first: a cutoff far too small also leaves a state that is
         # not positive, and the cutoff is what the error must name
@@ -312,12 +410,15 @@ def steady_state(L: Superoperator, guard: int | None = None,
         rho = make_density_matrix(L.space, raw)
         residual = float(np.abs(L.matrix @ vec(rho.matrix)).max())
     if residual > RESIDUAL_TOL:
+        assumption = ("; the real block assumes that L maps rho† to (L rho)†"
+                      if arithmetic == "real" else "")
         raise NonUniqueSteadyStateError(
             f"steady-state residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e}; "
-            "the kernel may be degenerate"
+            f"the kernel may be degenerate{assumption}"
         )
     return replace(rho, diagnostics=replace(rho.diagnostics, tail_mass=tail, residual=residual,
-                                            lu_unknowns=m, lu_fill=fill,
+                                            lu_unknowns=m, lu_arithmetic=arithmetic,
+                                            block_seconds=block_seconds, lu_fill=fill,
                                             lu_seconds=lu_seconds))
 
 

@@ -255,18 +255,20 @@ def solve_point(config: SweepConfig, r: float):
 
 def _solve(config: SweepConfig, r: float, build):
     """Steady state of the generator build(*config.model(r)), with one
-    DEBUG record of what was solved, how well, and in how many seconds, in
-    all, in building the generator and in the LU."""
+    DEBUG record of what was solved (the LU unknowns and their arithmetic),
+    how well, and in how many seconds, in all, in building the generator,
+    in forming the factorized block and in the LU."""
     start = time.perf_counter()
     L = build(*config.model(r))
     build_seconds = time.perf_counter() - start
     rho = steady_state(L, guard=config.guard, epsilon=config.epsilon)
     diag = rho.diagnostics
-    log.debug("solved r = %r: cutoff %d, guard %d, %d LU unknowns, residual %.3e, "
+    log.debug("solved r = %r: cutoff %d, guard %d, %d %s LU unknowns, residual %.3e, "
               "min eigenvalue %.3e, tail mass %.3e, LU fill %d, build %.3f s, "
-              "LU %.3f s of %.3f s", r, config.fock_cutoff, config.effective_guard(),
-              diag.lu_unknowns, diag.residual, diag.min_eigenvalue, diag.tail_mass,
-              diag.lu_fill, build_seconds, diag.lu_seconds, time.perf_counter() - start)
+              "block %.3f s, LU %.3f s of %.3f s", r, config.fock_cutoff,
+              config.effective_guard(), diag.lu_unknowns, diag.lu_arithmetic, diag.residual,
+              diag.min_eigenvalue, diag.tail_mass, diag.lu_fill, build_seconds,
+              diag.block_seconds, diag.lu_seconds, time.perf_counter() - start)
     return rho
 
 

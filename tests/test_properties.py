@@ -17,11 +17,19 @@ and turns <aa> by e^{i theta}.
 The same parity makes the steady state's Wigner function even,
 W(q, p) = W(-q, -p), and at phi = 0 the steady state is real, so W is even
 in p as well.
+
+At phi = 0 without detunings both frames' generators have the phase
+symmetry the real solve folds by: with sigma(v) = u_i u_j on vec index
+v = i + d j, u_i = (-1)^(sigma_ee of state i), D L D = conj(L) for
+D = diag(sigma), and S L S = L for (S x)_v = sigma(v) x_t(v), t(v) = j + d i;
+both hold exactly on the entries as stored.
 """
 
 import math
 
 import numpy as np
+import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -38,6 +46,7 @@ from sqcavity import (
     partial_trace_atom,
     photon_distribution,
     purity,
+    solvers,
     steady_state,
     wigner,
 )
@@ -148,3 +157,38 @@ def test_steady_state_wigner_symmetries(cutoff, atom_present, r, g0, half_axis):
     w = wigner(field, axis, axis, guard=1, epsilon=math.inf).values
     np.testing.assert_allclose(w[::-1, ::-1], w, rtol=0, atol=1e-13)
     np.testing.assert_allclose(w[:, ::-1], w, rtol=0, atol=1e-13)
+
+
+def phase_signs(space):
+    """sigma(v) = u_i u_j of each vec index v = i + d j, and t(v) = j + d i."""
+    d = space.dim
+    excited = np.arange(d) >= space.fock_cutoff if isinstance(space, SpaceDims) else np.zeros(d)
+    u = np.where(excited, -1.0, 1.0)
+    v = np.arange(d * d)
+    return u[v % d] * u[v // d], v // d + d * (v % d)
+
+
+@PROPERTY_SETTINGS
+@given(cutoff=st.integers(min_value=2, max_value=10), atom_present=st.booleans(),
+       bogoliubov=st.booleans(), r=st.just(0.0) | strengths, g0=rates,
+       gamma=st.floats(min_value=0.1, max_value=20.0), kappa=kappas)
+def test_phase_symmetric_generator_takes_the_real_fold(cutoff, atom_present, bogoliubov, r, g0,
+                                                       gamma, kappa):
+    params = SystemParams(g0=g0, gamma=gamma, kappa=kappa)
+    build = build_bogoliubov_liouvillian if bogoliubov else build_liouvillian
+    L = build(params, SqueezedBath(r=r), model_space(atom_present, cutoff))
+    sign, transposed = phase_signs(L.space)
+    m = L.matrix.tocsr()
+    D = sp.diags(sign).tocsr()
+    assert (D @ m @ D != m.conj()).nnz == 0
+    S = sp.csr_matrix((sign, (np.arange(sign.size), transposed)), shape=m.shape)
+    assert (S @ m @ S != m).nnz == 0
+    # the real fold against the complex block of the same L; the symmetries
+    # hold at any cutoff, so the truncation is not checked
+    folded = steady_state(L, guard=1, epsilon=math.inf)
+    assert folded.diagnostics.lu_arithmetic == "real"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solvers, "_folded_values", lambda *args: None)
+        plain = steady_state(L, guard=1, epsilon=math.inf)
+    assert plain.diagnostics.lu_arithmetic == "complex"
+    np.testing.assert_allclose(folded.matrix, plain.matrix, rtol=0, atol=1e-12)

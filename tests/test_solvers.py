@@ -10,6 +10,7 @@ from sqcavity import (
     CorruptedStateError,
     CutoffTooSmallError,
     FieldSpace,
+    NonUniqueSteadyStateError,
     SolverError,
     SpaceDims,
     SqueezedBath,
@@ -32,7 +33,7 @@ from sqcavity import (
 )
 from sqcavity.liouvillian import _lindblad
 from sqcavity.operators import embed_field
-from sqcavity.solvers import RESIDUAL_TOL
+from sqcavity.solvers import MIN_EIG_TOL, RESIDUAL_TOL
 from conftest import excitation_numbers, parity_mismatch, squeezed_photon_numbers
 
 
@@ -115,12 +116,23 @@ class TestSteadyState:
         # steady_state measures the solved state before it is renormalized
         assert rho.diagnostics.tail_mass == pytest.approx(tail, rel=1e-12)
 
-    def test_truncation_checked_before_positivity(self):
-        # at r = 20 the cutoff-30 solution has a minimum eigenvalue of about
-        # -1, but its top 6 levels hold most of the population
+    def test_truncation_checked_before_positivity(self, monkeypatch):
+        # at r = 20 (max|L| = 6.7e18) the cutoff-30 solution is not positive,
+        # and the error must still be the truncation error, which names the
+        # cutoff
+        raw_states = []
+        check = solvers.check_truncation
+
+        def recording_check(rho, *args):
+            raw_states.append(rho.matrix)
+            return check(rho, *args)
+
+        monkeypatch.setattr(solvers, "check_truncation", recording_check)
         with pytest.raises(CutoffTooSmallError) as info:
             steady_state(empty_cavity_liouvillian(20.0, 30))
-        assert info.value.tail_mass > 0.5
+        raw, = raw_states
+        assert np.linalg.eigvalsh(0.5 * (raw + raw.conj().T))[0] < MIN_EIG_TOL
+        assert info.value.tail_mass > solvers.DEFAULT_EPSILON
 
     def test_cutoff_too_small_raises_with_suggestion(self):
         with pytest.raises(CutoffTooSmallError) as info:
@@ -149,6 +161,21 @@ def full_system_state(L):
     rho = unvec(spsolve(system.tocsc(), rhs), d)
     rho = 0.5 * (rho + rho.conj().T)
     return rho / rho.trace().real
+
+
+def record_spsolve(monkeypatch):
+    """Replace solvers.spsolve by a spy; returns the list of (system, fill)
+    of each factorization."""
+    systems = []
+    real = solvers.spsolve
+
+    def recording_spsolve(system, rhs):
+        sol, fill = real(system, rhs)
+        systems.append((system, fill))
+        return sol, fill
+
+    monkeypatch.setattr(solvers, "spsolve", recording_spsolve)
+    return systems
 
 
 ATOM = SystemParams(g0=15.0, gamma=1.0)
@@ -186,21 +213,47 @@ class TestSectorSolve:
 
     @pytest.mark.parametrize("case", ["atom", "empty"])
     def test_lu_receives_half_the_unknowns(self, case, monkeypatch):
+        # at phi = 0 without detunings the parity block of d²/2 unknowns is
+        # folded by Hermiticity onto half of them, d of which are diagonal
         L = SECTOR_CASES[case]()
-        shapes, fills = [], []
-        real = solvers.spsolve
-
-        def recording_spsolve(system, rhs):
-            shapes.append(system.shape)
-            sol, fill = real(system, rhs)
-            fills.append(fill)
-            return sol, fill
-
-        monkeypatch.setattr(solvers, "spsolve", recording_spsolve)
+        systems = record_spsolve(monkeypatch)
         rho = steady_state(L, epsilon=math.inf)
-        assert shapes == [(L.dim**2 // 2, L.dim**2 // 2)]
-        assert fills == [rho.diagnostics.lu_fill]
-        assert rho.diagnostics.lu_fill > L.dim**2 // 2
+        folded = (L.dim**2 // 2 + L.dim) // 2
+        assert [(s.shape, s.dtype) for s, _ in systems] == [((folded, folded), np.float64)]
+        assert [fill for _, fill in systems] == [rho.diagnostics.lu_fill]
+        assert rho.diagnostics.lu_fill > folded
+        assert rho.diagnostics.lu_unknowns == folded
+        assert rho.diagnostics.lu_arithmetic == "real"
+        assert 0 < rho.diagnostics.block_seconds
+
+    @pytest.mark.parametrize("params, bath", [
+        (ATOM, SqueezedBath(0.5, phi=1.1)),
+        (ATOM, SqueezedBath(0.5, phi=math.pi)),
+        (SystemParams(delta_A=0.5, g0=15.0, gamma=1.0), SqueezedBath(0.5)),
+        (SystemParams(delta_C=-0.7, g0=15.0, gamma=1.0), SqueezedBath(0.5)),
+    ], ids=["phi", "phi_pi", "delta_A", "delta_C"])
+    def test_complex_block_without_the_phase_symmetry(self, params, bath, monkeypatch):
+        # exp(i pi) has an imaginary part of 1.2e-16, so phi = pi is complex too
+        L = build_liouvillian(params, bath, SpaceDims(24))
+        systems = record_spsolve(monkeypatch)
+        rho = steady_state(L, epsilon=math.inf)
+        half = L.dim**2 // 2
+        assert [(s.shape, s.dtype) for s, _ in systems] == [((half, half), np.complex128)]
+        assert rho.diagnostics.lu_arithmetic == "complex"
+        assert rho.diagnostics.lu_unknowns == half
+
+    def test_fold_without_hermiticity_preservation_is_caught(self):
+        # one real entry more in the row of rho_02, which the fold drops for
+        # that of rho_20: L keeps its trace, its parity and the phase
+        # symmetry, so the real block is solved and gives the state of the
+        # unbroken L, but L no longer maps rho† to (L rho)†, and the residual
+        # against the full L shows it
+        L = empty_cavity_liouvillian(0.3, 12)
+        matrix = L.matrix.tolil()
+        matrix[2 * L.dim, 0] += 1e-3
+        broken = Superoperator(L.space, matrix.tocsr())
+        with pytest.raises(NonUniqueSteadyStateError, match="assumes that L maps rho†"):
+            steady_state(broken, epsilon=math.inf)
 
     @pytest.mark.parametrize("space", [SpaceDims(6), FieldSpace(8)])
     def test_coherent_drive_refused_before_factorizing(self, space, monkeypatch):
@@ -221,7 +274,8 @@ class TestSectorSolve:
         with pytest.raises(SolverError, match="not finite"):
             steady_state(Superoperator(L.space, matrix))
 
-    def test_generator_without_field_space_refused(self):
+    def test_generator_without_field_space_refused(self, monkeypatch):
+        monkeypatch.setattr(solvers, "spsolve", lambda *args: pytest.fail("factorized"))
         with pytest.raises(SolverError, match="field or composite space"):
             steady_state(Superoperator(AtomSpace(), sp.csr_matrix((4, 4))))
 
@@ -260,6 +314,37 @@ def grid_coordinates(space):
     return n, even, (n_i - n_j) // 2, (n_i + n_j) // 2
 
 
+def folded_coordinates(space):
+    """As grid_coordinates, with the representatives of the fold in vec
+    order (k > 0, or k = 0 and i <= j) in place of s."""
+    n, even, k, _ = grid_coordinates(space)
+    i, j = even % space.dim, even // space.dim
+    return n, even, k, even[(k > 0) | ((k == 0) & (i <= j))]
+
+
+def assert_separators_separate(k, s, row, col):
+    """Dissect the unknowns 1.. of a grid block with couplings (row, col)
+    as _sector_order does, asserting that every split is proper and that
+    no coupling crosses a separator; returns the order, unknown 0 last."""
+    splits = []
+
+    def dissect(idx):
+        if idx.size <= solvers._ND_LEAF:
+            return idx
+        low, high, separator = solvers._bisect(k, s, idx)
+        assert low.size and high.size and separator.size
+        splits.append((low, high))
+        return np.concatenate([dissect(low), dissect(high), separator])
+
+    order = np.append(dissect(np.arange(1, k.size)), 0)
+    assert len(splits) >= 3
+    for low, high in splits:
+        side = np.zeros(k.size, dtype=int)
+        side[low], side[high] = 1, 2
+        assert not np.any(side[row] * side[col] == 2)
+    return order
+
+
 class TestNestedDissectionOrder:
     """The even block is factorized in nested-dissection order on its
     (k, s) grid; each separator must cut every coupling between its two
@@ -278,23 +363,26 @@ class TestNestedDissectionOrder:
         L = SECTOR_CASES[case]()
         n, even, k, s = grid_coordinates(L.space)
         block = L.matrix[even][:, even].tocoo()
-        splits = []
+        order = assert_separators_separate(k, s, block.row, block.col)
+        assert np.array_equal(even[order], solvers._sector_order(n, even))
 
-        def dissect(idx):
-            if idx.size <= solvers._ND_LEAF:
-                return idx
-            low, high, separator = solvers._bisect(k, s, idx)
-            assert low.size and high.size and separator.size
-            splits.append((low, high))
-            return np.concatenate([dissect(low), dissect(high), separator])
-
-        order = even[np.append(dissect(np.arange(1, even.size)), 0)]
-        assert np.array_equal(order, solvers._sector_order(n, even))
-        assert len(splits) >= 3
-        for low, high in splits:
-            side = np.zeros(even.size, dtype=int)
-            side[low], side[high] = 1, 2
-            assert not np.any(side[block.row] * side[block.col] == 2)
+    @pytest.mark.parametrize("case", ["atom", "atom_odd_cutoff", "empty", "empty_odd_cutoff",
+                                      "bogoliubov_atom"])
+    def test_every_folded_separator_separates(self, case):
+        # a column t(b) folded onto b moves k from -1 to 1 at the same s,
+        # so the folded block is still a grid problem on the k >= 0 half
+        L = SECTOR_CASES[case]()
+        n, even, k, reps = folded_coordinates(L.space)
+        maps = solvers._sector_maps(L.space)
+        coo = L.matrix.tocoo()
+        row, col = maps.fold_row[coo.row], maps.fold_col[coo.col]
+        in_vec_order = np.searchsorted(reps, maps.folded)  # place in folded -> in reps
+        kept = row >= 0
+        rep = np.isin(even, reps)
+        s = (n[reps % L.dim] + n[reps // L.dim]) // 2
+        order = assert_separators_separate(k[rep], s, in_vec_order[row[kept]],
+                                           in_vec_order[col[kept]])
+        assert np.array_equal(reps[order], maps.folded)
 
     @pytest.mark.parametrize("space", [FieldSpace(90), FieldSpace(240), SpaceDims(60),
                                        SpaceDims(61), SpaceDims(150), SpaceDims(240)],
@@ -314,24 +402,49 @@ class TestNestedDissectionOrder:
 
     def test_cached_order_is_read_only_and_reused(self):
         space = SpaceDims(30)
-        order = solvers._space_order(space)
+        maps = solvers._sector_maps(space)
         n, even, _, _ = grid_coordinates(space)
-        assert np.array_equal(order, solvers._sector_order(n, even))
-        assert solvers._space_order(SpaceDims(30)) is order
-        with pytest.raises(ValueError):
-            order[0] = order[1]
+        assert np.array_equal(maps.order, solvers._sector_order(n, even))
+        assert solvers._sector_maps(SpaceDims(30)) is maps
+        for array in maps:
+            with pytest.raises(ValueError):
+                array[0] = array[1]
 
     def test_field_and_composite_spaces_get_their_own_orders(self):
         for space in (FieldSpace(20), SpaceDims(20), FieldSpace(20)):
-            n, even, _, _ = grid_coordinates(space)
-            assert np.array_equal(solvers._space_order(space), solvers._sector_order(n, even))
+            n, even, _, folded = folded_coordinates(space)
+            maps = solvers._sector_maps(space)
+            assert np.array_equal(maps.order, solvers._sector_order(n, even))
+            assert np.array_equal(maps.folded, solvers._sector_order(n, folded))
+
+    @pytest.mark.parametrize("case", ["atom", "atom_odd_cutoff", "empty_odd_cutoff"])
+    def test_fold_maps_pair_each_entry_with_its_transpose(self, case):
+        space = SECTOR_CASES[case]().space
+        d = space.dim
+        n, even, _, folded = folded_coordinates(space)
+        maps = solvers._sector_maps(space)
+        assert np.array_equal(np.sort(maps.folded), folded)
+        assert maps.folded[-1] == 0
+        i, j = even % d, even // d
+        transposed = j + d * i
+        # each pair {v, t(v)} has one representative, which both map to
+        assert np.array_equal(maps.fold_col[even], maps.fold_col[transposed])
+        assert np.array_equal(maps.folded[maps.fold_col[even]],
+                              np.where(maps.fold_row[even] >= 0, even, transposed))
+        atom_i, atom_j = i >= space.fock_cutoff, j >= space.fock_cutoff
+        assert np.array_equal(maps.sign[even], np.where(atom_i == atom_j, 1.0, -1.0))
+        assert np.array_equal(maps.fold_sign[even],
+                              np.where(maps.fold_row[even] >= 0, 1.0, maps.sign[even]))
+        assert np.all(maps.fold_col[np.setdiff1d(np.arange(d * d), even)] == -1)
 
     def test_cold_and_warm_cache_give_identical_states(self):
         L = SECTOR_CASES["atom"]()
-        solvers._space_order.cache_clear()
+        solvers._sector_maps.cache_clear()
         cold = steady_state(L, epsilon=math.inf)
         warm = steady_state(L, epsilon=math.inf)
-        assert solvers._space_order.cache_info().hits >= 1
+        assert solvers._sector_maps.cache_info().hits >= 1
+        folded = (L.dim**2 // 2 + L.dim) // 2
+        assert cold.diagnostics.lu_unknowns == warm.diagnostics.lu_unknowns == folded
         assert cold.matrix.tobytes() == warm.matrix.tobytes()
 
     def test_matches_colamd_at_cutoff_60(self):

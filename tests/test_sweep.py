@@ -517,15 +517,22 @@ def test_sweep_logs_one_record_per_sweep_and_per_point(tmp_path, caplog):
     records = [r.getMessage() for r in caplog.records if r.name == "sqcavity.sweep"]
     assert len(records) == 3
     assert records[0].startswith("sweep of 2 points, 1 worker threads; BLAS ")
-    # largest r first; 25² / 2 parity-sector unknowns, rounded up
+    # largest r first; the 313 (25² / 2, rounded up) parity-sector unknowns
+    # folded onto the 169 with N_i > N_j, or N_i = N_j and i <= j
     for message, r in zip(records[1:], (0.3, 0.1)):
-        assert message.startswith(f"solved r = {r!r}: cutoff 25, guard 5, 313 LU unknowns, "
-                                  "residual ")
+        assert message.startswith(f"solved r = {r!r}: cutoff 25, guard 5, 169 real LU "
+                                  "unknowns, residual ")
         for field in ("min eigenvalue ", "tail mass ", "LU fill "):
             assert field in message
         assert re.search(r", LU \d+\.\d{3} s of \d+\.\d{3} s$", message)
-        assert re.search(r", LU fill \d+, build \d+\.\d{3} s, LU \d+\.\d{3} s of "
-                         r"\d+\.\d{3} s$", message)
+        assert re.search(r", LU fill \d+, build \d+\.\d{3} s, block \d+\.\d{3} s, "
+                         r"LU \d+\.\d{3} s of \d+\.\d{3} s$", message)
+    # at phi != 0 the complex parity block is solved
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="sqcavity.sweep"):
+        run_moments_sweep(replace(cfg, r_values=(0.3,), phi=0.7))
+    message = [r.getMessage() for r in caplog.records if r.name == "sqcavity.sweep"][-1]
+    assert message.startswith("solved r = 0.3: cutoff 25, guard 5, 313 complex LU unknowns, ")
 
 
 def atom_sweep(tmp_path, name):
