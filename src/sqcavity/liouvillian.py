@@ -29,23 +29,24 @@ photon energy decays at 2 kappa and the excited-state population at
 2 gamma.
 
 The generator is linear in K and in the weights w_j, and in the lab frame
-these are affine in the bath, L = L_0 + N L_N + M L_M + M* L_M̄: its
-Kronecker products, their pattern, H and the jump operators do not depend
-on (N, M). So `build_liouvillian` plans them once per (params, space), in a
-small cache, and each call forms K and the weights of its bath and puts the
-products' values in place. That is the arithmetic of the one-pass assembly
-without its sort, and the generator is the same to the bit. The squeezed
-frame is not affine in r (b = cosh(r) a - sinh(r) a† moves with it), so
-`build_bogoliubov_liouvillian` stays on the one-pass assembly, which sums
-all Kronecker products once and is the reference the planned path is
-tested against.
+these are affine in the bath, L = L_0 + N L_N + M L_M + M* L_M̄: H, the
+jump operators, the products B_j A_j and K's pattern do not depend on
+(N, M). Both builders go through one plan of these (`_Plan`):
+`build_liouvillian` keeps it per (params, space) in a small cache, and
+`build_bogoliubov_liouvillian`, whose b = cosh(r) a - sinh(r) a† moves
+with r, makes one per call. A generator is then its plan with the point's
+K and weights. `steady_state` forms the system it solves from the plan,
+and the d²×d² matrix is put together only when it is asked for, with the
+arithmetic of the one-pass sum of all Kronecker products, so the same to
+the bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from dataclasses import dataclass
+from functools import cached_property, lru_cache, partial
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -112,30 +113,6 @@ class SqueezedBath:
         return complex(np.cosh(self.r) * np.sinh(self.r) * np.exp(1j * self.phi))
 
 
-@dataclass(frozen=True)
-class Superoperator:
-    """Sparse d²×d² generator on a space of dimension d, acting on vec(rho)."""
-
-    space: Space
-    matrix: sp.csr_matrix = field(repr=False)
-
-    def __post_init__(self):
-        m = self.matrix.tocsr()
-        if m.shape != (self.dim**2, self.dim**2):
-            raise InvalidDimensionError(
-                f"superoperator matrix shape {m.shape} does not match its space {self.space}"
-            )
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.space.dim
-
-    def trace_residual(self) -> float:
-        """max |vec(I)^T L|; zero for any trace-preserving generator."""
-        return float(np.abs(trace_row(self.dim) @ self.matrix).max())
-
-
 def vec(rho: np.ndarray) -> np.ndarray:
     """Column-stacking vectorization."""
     return np.asarray(rho).reshape(-1, order="F")
@@ -175,19 +152,6 @@ def _kron_values(left, right, weight) -> np.ndarray:
     """The values of weight · left ⊗ right from those of its factors, in the
     order of _kron_entries."""
     return weight * (left[:, None] * right).ravel()
-
-
-def _lindblad(space: Space, K, jumps=()) -> sp.csr_matrix:
-    """Superoperator of rho -> K rho + rho K† + sum_j w_j A_j rho B_j for the
-    jumps (w_j, A_j, B_j), summed once from its Kronecker products. Exact
-    zeros are dropped, so the pattern holds only the couplings present."""
-    factors = _kron_factors(space, K, jumps)
-    m = sp.csr_matrix((np.concatenate([_kron_values(left.data, right.data, w)
-                                       for left, right, w in factors]),
-                       _kron_entries(space, factors)),
-                      shape=(space.dim**2, space.dim**2))
-    m.eliminate_zeros()
-    return m
 
 
 def _hamiltonian(params: SystemParams, x: Operator) -> sp.csr_matrix:
@@ -230,48 +194,76 @@ def _no_jump_part(h, weights, products):
     return -1j * h + -0.5 * sum(w * p for w, p in zip(weights, products) if w != 0)
 
 
-def _assemble(params: SystemParams, x: Operator, c: Operator, n_th: float,
-              m_corr: complex) -> Superoperator:
-    """The whole generator in one Lindblad form, rho -> K rho + rho K† +
-    sum_j w_j A_j rho B_j with K = -iH - ½ sum_j w_j B_j A_j, in one pass:
-    x is the field operator in H, c the cavity's jump operator into a bath
-    with (N, M), and the atom, on the composite space, decays through
-    sigma_ge."""
-    operators = _jump_operators(c)
-    weights = _weights(params, n_th, m_corr)
-    K = _no_jump_part(_hamiltonian(params, x), weights, [B @ A for A, B in operators])
-    return Superoperator(x.space, _lindblad(x.space, K, [
-        (w, A, B) for w, (A, B) in zip(weights, operators)]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Plan:
-    """The bath-free part of the lab-frame generator of one (params, space):
-    H and the products B_j A_j on the pattern K has at any bath, the values
-    of the factors B_jᵀ and A_j, and the CSR pattern (indices, indptr) of the
-    generator with the position in it of every entry of I ⊗ K,
-    conj(K) ⊗ I and each B_jᵀ ⊗ A_j, product k's from bounds[k] to
-    bounds[k + 1]. Read-only."""
+    """The bath-free part of one model's generator: the pattern (row, col)
+    K has at any jump weights, H and the products B_j A_j as values on it,
+    and the jump operators (A_j, B_j) as sparse matrices. Compared and
+    hashed by identity, so what is derived from a plan is cached per plan.
+    Read-only."""
 
+    space: Space
+    row: np.ndarray
+    col: np.ndarray
     h: np.ndarray
     products: tuple
-    factors: tuple
-    positions: np.ndarray
-    bounds: tuple
-    indices: np.ndarray
-    indptr: np.ndarray
+    jumps: tuple
+
+    def operator(self, values) -> sp.csr_matrix:
+        """The d×d matrix with these values on the plan's pattern."""
+        d = self.space.dim
+        return sp.csr_matrix((values, (self.row, self.col)), shape=(d, d))
+
+
+class _Point(NamedTuple):
+    """One point of a planned model: K's values on the plan's pattern and
+    the weights of the plan's jumps."""
+
+    plan: _Plan
+    k: np.ndarray
+    weights: tuple
+
+
+def _make_plan(space: Space, h, operators) -> _Plan:
+    """The plan of the generator with Hamiltonian h and jumps (A_j, B_j)."""
+    products = [B @ A for A, B in operators]
+    # K's pattern at any weights: every jump's at a nonzero one
+    K = sp.coo_matrix(abs(h) + sum(abs(p) for p in products))
+    plan = _Plan(space, K.row, K.col, h.toarray()[K.row, K.col],
+                 tuple(p.toarray()[K.row, K.col] for p in products),
+                 tuple((A.tocsr(), B.tocsr()) for A, B in operators))
+    for array in (plan.row, plan.col, plan.h, *plan.products,
+                  *(x for pair in plan.jumps for m in pair for x in (m.data, m.indices, m.indptr))):
+        array.flags.writeable = False
+    return plan
 
 
 @lru_cache(maxsize=2)
 def _plan(params: SystemParams, space: Space) -> _Plan:
     """The lab-frame generator's plan; the two most recent are kept."""
     a = embed_field(space, annihilation)
-    operators = _jump_operators(a)
-    h = _hamiltonian(params, a)
-    products = [B @ A for A, B in operators]
-    # K's pattern at any bath, and every jump at a nonzero weight
-    K = sp.coo_matrix(abs(h) + sum(abs(p) for p in products))
-    factors = _kron_factors(space, K, [(1.0, A, B) for A, B in operators])
+    return _make_plan(space, _hamiltonian(params, a), _jump_operators(a))
+
+
+def _at(plan: _Plan, weights) -> Superoperator:
+    """The generator of the planned model at these jump weights."""
+    weights = tuple(weights[:len(plan.jumps)])
+    return Superoperator(plan.space, point=_Point(plan, _no_jump_part(plan.h, weights,
+                                                                      plan.products), weights))
+
+
+@lru_cache(maxsize=4)
+def _placement(plan: _Plan) -> tuple:
+    """The CSR pattern (indices, indptr) of a plan's generator with the
+    place in it of every entry of I ⊗ K, conj(K) ⊗ I and each B_jᵀ ⊗ A_j,
+    product k's from bounds[k] to bounds[k + 1]: (positions, bounds,
+    indices, indptr), made on the first matrix formed from the plan."""
+    space = plan.space
+    pattern = sp.coo_matrix((np.ones(plan.row.size), (plan.row, plan.col)),
+                            shape=(space.dim, space.dim))
+    factors = _kron_factors(space, pattern, [(1.0, A, B) for A, B in plan.jumps])
     sizes = [left.nnz * right.nnz for left, right, _ in factors]
     row, col = _kron_entries(space, factors)
     # each entry's product number in the low bits of its column: no two
@@ -289,39 +281,91 @@ def _plan(params: SystemParams, space: Space) -> _Plan:
     count = np.cumsum(first, dtype=tagged.indices.dtype)
     positions = np.empty_like(count)
     positions[tagged.data] = count - 1
-    plan = _Plan(h=h.toarray()[K.row, K.col],
-                 products=tuple(p.toarray()[K.row, K.col] for p in products),
-                 factors=tuple((left.data, right.data) for left, right, _ in factors[2:]),
-                 positions=positions, bounds=tuple(np.cumsum([0, *sizes]).tolist()),
-                 indices=column[first],
-                 indptr=np.concatenate(([0], count))[tagged.indptr].astype(tagged.indptr.dtype))
-    for array in (plan.h, *plan.products, *(x for pair in plan.factors for x in pair),
-                  plan.positions, plan.indices, plan.indptr):
+    indices = column[first]
+    indptr = np.concatenate(([0], count))[tagged.indptr].astype(tagged.indptr.dtype)
+    for array in (positions, indices, indptr):
         array.flags.writeable = False
-    return plan
+    return positions, tuple(np.cumsum([0, *sizes]).tolist()), indices, indptr
+
+
+def _planned_matrix(point: _Point) -> sp.csr_matrix:
+    """The matrix of a planned generator: each Kronecker product's values
+    put in place in a fresh matrix, exact zeros dropped. The arithmetic is
+    that of the one-pass sum of the products, so is the result, to the bit."""
+    plan, k, weights = point
+    (positions, bounds, indices, indptr), d = _placement(plan), plan.space.dim
+    place = [positions[start:stop] for start, stop in zip(bounds, bounds[1:])]
+    data = np.zeros(indices.size, dtype=complex)
+    data[place[0]] = np.tile(k, d)  # I ⊗ K
+    data[place[1]] += np.repeat(k.conj(), d)  # conj(K) ⊗ I
+    for w, (A, B), positions in zip(weights, plan.jumps, place[2:]):
+        if w != 0:
+            data[positions] += _kron_values(B.data, A.data, w)
+    m = sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(d * d, d * d))
+    m.eliminate_zeros()
+    return m
+
+
+class Superoperator:
+    """Sparse d²×d² generator on a space of dimension d, acting on vec(rho).
+
+    Made from a matrix, or by a builder as one point of a planned model: the
+    model's `_Plan` with the point's K and jump weights. A planned generator
+    forms its matrix on first access, the same to the bit as the one-pass
+    sum of its Kronecker products; its trace check and its action on a
+    state need no matrix, and `steady_state` solves it from the plan.
+    """
+
+    def __init__(self, space: Space, matrix=None, *, point: _Point | None = None):
+        self.space, self.point = space, point
+        if point is None:
+            m = matrix.tocsr()
+            if m.shape != (self.dim**2, self.dim**2):
+                raise InvalidDimensionError(
+                    f"superoperator matrix shape {m.shape} does not match its space {space}"
+                )
+            self.matrix = m
+
+    @property
+    def dim(self) -> int:
+        return self.space.dim
+
+    @cached_property
+    def matrix(self) -> sp.csr_matrix:
+        return _planned_matrix(self.point)
+
+    def trace_residual(self) -> float:
+        """max |vec(I)^T L|; zero for any trace-preserving generator. Entry
+        (k, l) of vec(I)^T L is entry (l, k) of K + K† + sum_j w_j B_j A_j,
+        which a planned generator sums on the d×d space."""
+        if self.point is None:
+            return float(np.abs(trace_row(self.dim) @ self.matrix).max())
+        plan, k, weights = self.point
+        K = plan.operator(k)
+        jumps = sum((w * p for w, p in zip(weights, plan.products) if w != 0), np.zeros_like(k))
+        return float(np.abs((K + K.conj().T + plan.operator(jumps)).data).max(initial=0.0))
+
+    def act(self, rho: np.ndarray) -> np.ndarray:
+        """L(rho) for a d×d rho: L vec(rho), or for a planned generator the
+        Lindblad form K rho + rho K† + sum_j w_j A_j rho B_j with sparse
+        factors, which needs no d²×d² matrix."""
+        if self.point is None:
+            return unvec(self.matrix @ vec(rho), self.dim)
+        plan, k, weights = self.point
+        K = plan.operator(k)
+        out = K @ rho + (K.conj() @ rho.T).T  # rho K† = (conj(K) rho^T)^T
+        for w, (A, B) in zip(weights, plan.jumps):
+            if w != 0:
+                out += w * (A @ (B.T @ rho.T).T)
+        return out
 
 
 def build_liouvillian(params: SystemParams, bath: SqueezedBath, space: Space) -> Superoperator:
     """Full generator: coherent part, cavity damping into the bath and, on
-    the composite space, the atom's damping. Its pattern, H and the jump
-    operators are planned once per (params, space); each call forms K and
-    the jump weights of its bath and puts each Kronecker product's values in
-    place in a fresh matrix, with exact zeros dropped. The arithmetic is
-    that of the one-pass assembly, so the result is the same to the bit."""
-    plan = _plan(params, space)
-    weights = _weights(params, bath.n_th, bath.m_corr)
-    k = _no_jump_part(plan.h, weights, plan.products)
-    d = space.dim
-    place = [plan.positions[start:stop] for start, stop in zip(plan.bounds, plan.bounds[1:])]
-    data = np.zeros(plan.indices.size, dtype=complex)
-    data[place[0]] = np.tile(k, d)  # I ⊗ K
-    data[place[1]] += np.repeat(k.conj(), d)  # conj(K) ⊗ I
-    for w, (left, right), positions in zip(weights, plan.factors, place[2:]):
-        if w != 0:
-            data[positions] += _kron_values(left, right, w)
-    m = sp.csr_matrix((data, plan.indices.copy(), plan.indptr.copy()), shape=(d * d, d * d))
-    m.eliminate_zeros()
-    return Superoperator(space, m)
+    the composite space, the atom's damping. H and the jump operators are
+    planned once per (params, space); each call forms K and the jump
+    weights of its bath."""
+    return _at(_plan(params, space), _weights(params, bath.n_th, bath.m_corr))
 
 
 def build_bogoliubov_liouvillian(params: SystemParams, bath: SqueezedBath,
@@ -331,7 +375,8 @@ def build_bogoliubov_liouvillian(params: SystemParams, bath: SqueezedBath,
     Valid only at zero detunings and zero phase (else UnsupportedFrameError).
     The cavity sees an ordinary vacuum bath in b, the atom couples through
     g0 sigma_eg (cosh(r) b + sinh(r) b†) + h.c., and the atomic dissipator
-    is kept unchanged since the frame change acts on the field alone.
+    is kept unchanged since the frame change acts on the field alone. Its
+    plan moves with r, so it is made for each call and not kept.
     """
     if bath.phi != 0.0 or params.delta_A != 0.0 or params.delta_C != 0.0:
         raise UnsupportedFrameError(
@@ -340,4 +385,5 @@ def build_bogoliubov_liouvillian(params: SystemParams, bath: SqueezedBath,
         )
     ch, sh = float(np.cosh(bath.r)), float(np.sinh(bath.r))
     b = embed_field(space, partial(bogoliubov_b, bath.r))
-    return _assemble(params, ch * b + sh * b.dag(), b, 0.0, 0.0)
+    plan = _make_plan(space, _hamiltonian(params, ch * b + sh * b.dag()), _jump_operators(b))
+    return _at(plan, _weights(params, 0.0, 0.0))

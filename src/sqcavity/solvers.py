@@ -21,7 +21,7 @@ from .errors import (
     SolverError,
     StepTooLargeError,
 )
-from .liouvillian import Superoperator, unvec, vec
+from .liouvillian import Superoperator, _kron_factors, unvec, vec
 from .operators import FieldSpace, Space, SpaceDims
 
 DEFAULT_EPSILON = 1e-8
@@ -57,13 +57,16 @@ class StateDiagnostics:
     `trace_error` is |tr rho - 1| of the raw input. For a state from
     `steady_state` it is round-off by construction, because the trace row
     of the solved system fixes tr rho = 1; there `residual`,
-    max |L vec(rho)| against the full generator, is the figure of the
+    max |L(rho)| against the full generator, is the figure of the
     solve's quality, `tail_mass` the value `check_truncation` measured on
     the solution, `lu_unknowns` is the size of the factorized block,
-    `lu_arithmetic` whether it was "real" (folded) or "complex",
-    `block_seconds` the time spent forming it from L, `lu_fill` the number
-    of entries SuperLU stores for its L and U factors and `lu_seconds` the
-    time spent in `spsolve`.
+    `lu_arithmetic` whether it was "real" (folded) or "complex", `lu_fill`
+    the number of entries SuperLU stores for its L and U factors, and the
+    seconds spent in each stage: `block_seconds` forming the block (the
+    real one from the generator's plan, the complex one from its matrix),
+    `lu_seconds` in `spsolve`, `unfold_seconds` scattering the solution
+    into rho, `tail_seconds` in `check_truncation`, `validate_seconds` in
+    `make_density_matrix` and `residual_seconds` taking the residual.
     """
 
     trace_error: float
@@ -76,6 +79,10 @@ class StateDiagnostics:
     block_seconds: float | None = None  # set by steady_state
     lu_fill: int | None = None  # set by steady_state
     lu_seconds: float | None = None  # set by steady_state
+    unfold_seconds: float | None = None  # set by steady_state
+    tail_seconds: float | None = None  # set by steady_state
+    validate_seconds: float | None = None  # set by steady_state
+    residual_seconds: float | None = None  # set by steady_state
 
 
 @dataclass(frozen=True)
@@ -227,25 +234,23 @@ def _sector_order(n: np.ndarray, even: np.ndarray) -> np.ndarray:
 
 
 class _SectorMaps(NamedTuple):
-    """Index maps of the equal-parity sector of one space, by vec index
-    v = i + d j; read-only.
+    """Index maps of the equal-parity sector of one space and of its real
+    fold, by vec index v = i + d j; read-only.
 
-    The complex block: `order` lists the sector in the order it is
-    factorized and `position` is each v's place in it (-1 outside the
-    sector). The real fold: `sign` is sigma(v) = u_i u_j, with
-    u_i = (-1)^(sigma_ee of basis state i); `folded` lists the
-    representative of each pair {v, t(v)} of the sector, t(v) = j + d i
-    (N_i > N_j, or N_i = N_j and i <= j: the k >= 0 half of the grid), in
-    the order they are factorized; `fold_row` is the place in `folded` of a
-    representative (-1 for any other v) and `fold_col` that of v's
-    representative, v or t(v) (-1 outside the sector), and `fold_sign` is
-    the factor y_v = fold_sign(v) y_rep: 1 for a representative, sigma(v)
-    for its partner.
+    `u` is u_i = (-1)^(sigma_ee of basis state i) and `sign`
+    sigma(v) = u_i u_j; `even` lists the sector in vec order; `folded`
+    lists the representative of each pair {v, t(v)} of the sector,
+    t(v) = j + d i (N_i > N_j, or N_i = N_j and i <= j: the k >= 0 half of
+    the grid), in the order they are factorized; `fold_row` is the place in
+    `folded` of a representative (-1 for any other v) and `fold_col` that
+    of v's representative, v or t(v) (-1 outside the sector), and
+    `fold_sign` is the factor y_v = fold_sign(v) y_rep: 1 for a
+    representative, sigma(v) for its partner.
     """
 
-    order: np.ndarray
-    position: np.ndarray
+    u: np.ndarray
     sign: np.ndarray
+    even: np.ndarray
     folded: np.ndarray
     fold_row: np.ndarray
     fold_col: np.ndarray
@@ -257,6 +262,12 @@ def _places(indices: np.ndarray, size: int) -> np.ndarray:
     place = np.full(size, -1)
     place[indices] = np.arange(indices.size)
     return place
+
+
+def _read_only(arrays):
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
 @functools.lru_cache(maxsize=4)
@@ -273,18 +284,176 @@ def _sector_maps(space: Space) -> _SectorMaps:
     u = np.where(np.arange(d) < space.fock_cutoff, 1.0, -1.0)
     sign = u[i] * u[j]
     representative = (n[i] > n[j]) | ((n[i] == n[j]) & (i <= j))
-    order = _sector_order(n, even)
     folded = _sector_order(n, even[representative[even]])
     fold_row = _places(folded, d * d)
     partner = even[~representative[even]]
     fold_col = fold_row.copy()
     fold_col[partner] = fold_row[j[partner] + d * i[partner]]
-    maps = _SectorMaps(order=order, position=_places(order, d * d), sign=sign, folded=folded,
-                       fold_row=fold_row, fold_col=fold_col,
-                       fold_sign=np.where(representative, 1.0, sign))
-    for array in maps:
-        array.flags.writeable = False
-    return maps
+    return _read_only(_SectorMaps(u=u, sign=sign, even=even, folded=folded, fold_row=fold_row,
+                                  fold_col=fold_col, fold_sign=np.where(representative, 1.0, sign)))
+
+
+@functools.lru_cache(maxsize=4)
+def _complex_order(space: Space) -> np.ndarray:
+    """The equal-parity sector of space in the order its complex block is
+    factorized, made on the first complex block solved on it; read-only."""
+    order = _sector_order(_excitations(space), _sector_maps(space).even)
+    order.flags.writeable = False
+    return order
+
+
+_COUPLED = ("generator couples the two excitation-parity sectors (a coherent drive or a "
+            "parity-breaking jump operator); this solver needs a generator that commutes "
+            "with rho -> P rho P, P = (-1)^(a†a + sigma_ee)")
+
+
+@functools.lru_cache(maxsize=4)
+def _plan_symmetries(plan) -> tuple[bool, bool]:
+    """Whether a plan's generator keeps the two parity sectors apart, and
+    whether it commutes with rho -> U rho* U†, U = (-1)^sigma_ee, at real
+    weights; both tested exactly on its factors.
+
+    Parity: H and every product B_j A_j conserve N mod 2, and A_j and B_j
+    change it alike. Phase symmetry: -iH and the products are real between
+    states of equal u and imaginary between states of different u, and so
+    are A_j and B_j, or i A_j and i B_j (sigma_ge is real between different
+    u). A product of such entries has the same structure in IEEE
+    arithmetic too (a finite x times 0 is ±0), so then is every entry of
+    every Kronecker product and of K, and each has the one part that
+    `_fold` takes of it.
+    """
+    n, u = _excitations(plan.space), _sector_maps(plan.space).u
+    k_terms = [(plan.row, plan.col, x) for x in (-1j * plan.h, *plan.products)]
+    jumps = [[(m.row, m.col, m.data) for m in map(sp.coo_matrix, pair)] for pair in plan.jumps]
+
+    def shifts(row, col, x):
+        return set((np.unique(n[row[x != 0]] - n[col[x != 0]]) % 2).tolist())
+
+    def structured(row, col, x):
+        return not np.any(np.where(u[row] == u[col], x.imag, x.real))
+
+    def structured_alike(A, B):
+        return any(structured(*A[:2], c * A[2]) and structured(*B[:2], c * B[2])
+                   for c in (1, 1j))
+
+    parity = (all(shifts(*term) <= {0} for term in k_terms)
+              and all(len(shifts(*A) | shifts(*B)) <= 1 for A, B in jumps))
+    phase = (all(structured(*term) for term in k_terms)
+             and all(structured_alike(A, B) for A, B in jumps))
+    return parity, phase
+
+
+class _Fold(NamedTuple):
+    """The real folded system of a planned generator with the phase
+    symmetry, for one set of jumps of nonzero weight; read-only.
+
+    (indices, indptr) is its CSC pattern, the trace row last, and
+    `positions` the place in it of every entry of the Kronecker products in
+    a kept row, then of the trace row's. An entry of I ⊗ K or conj(K) ⊗ I
+    takes the part of K's entry `k_entry` (real where `k_imag` is False,
+    imaginary where it is True) times `k_sign`; the entries of the jumps'
+    products, `jump_counts[j]` of jump j's, take w_j times `jump_values`;
+    the trace row's take 1.
+    """
+
+    indices: np.ndarray
+    indptr: np.ndarray
+    positions: np.ndarray
+    k_imag: np.ndarray
+    k_entry: np.ndarray
+    k_sign: np.ndarray
+    jump_values: np.ndarray
+    jump_counts: np.ndarray
+
+
+@functools.lru_cache(maxsize=4)
+def _fold(plan, used: tuple) -> _Fold:
+    """The `_Fold` of a plan whose jumps of nonzero weight are those marked
+    in `used`.
+
+    An entry of left ⊗ right at (row, col) of L lands in the real system at
+    (fold_row[row], fold_col[col]) with the value Re L_(row,col), or
+    sigma(col) Im L_(row,col) where sigma(row) != sigma(col), times
+    fold_sign[col]; that is p_col L_(row,col) / p_row, p_v = 1 for
+    sigma(v) = +1 and i for -1, made real. Rows that are not
+    representatives, and rho_00's, whose place the trace row takes, are
+    left out. Each factor entry is x or i x with x real, so the value is
+    the product of the factors' x, of -1 when both are imaginary, of
+    sigma(col) when one is, and of fold_sign[col].
+    """
+    space, d = plan.space, plan.space.dim
+    maps = _sector_maps(space)
+    m, u = maps.folded.size, maps.u
+    # K's entries as the unit of their part, 1 or i: the products' values
+    # on it are then the K-independent factor of each entry's
+    k_imag = u[plan.row] != u[plan.col]
+    unit = sp.coo_matrix((np.where(k_imag, 1j, 1.0), (plan.row, plan.col)), shape=(d, d))
+    factors = _kron_factors(space, unit, [(1.0, A, B) for (A, B), is_used
+                                          in zip(plan.jumps, used) if is_used])
+    rows, cols, values, k_entry = [], [], [], []
+    for number, (left, right, _) in enumerate(factors):
+        fold_row = maps.fold_row[(left.row[:, None] * d + right.row).ravel()]
+        kept = np.flatnonzero((fold_row >= 0) & (fold_row < m - 1))
+        li, ri = np.divmod(kept, right.row.size)
+        row, col = left.row[li] * d + right.row[ri], left.col[li] * d + right.col[ri]
+        (l_imag, l_x), (r_imag, r_x) = ((x.imag != 0, np.where(x.imag != 0, x.imag, x.real))
+                                        for x in (left.data, right.data))
+        rows.append(fold_row[kept])
+        cols.append(maps.fold_col[col])
+        values.append(l_x[li] * r_x[ri] * np.where(l_imag[li] & r_imag[ri], -1.0, 1.0)
+                      * np.where(maps.sign[row] != maps.sign[col], maps.sign[col], 1.0)
+                      * maps.fold_sign[col])
+        k_entry += [ri] if number == 0 else [li] if number == 1 else []
+    # the trace row in rho_00's place
+    rows.append(np.full(d, m - 1))
+    cols.append(maps.fold_col[np.arange(d) * (d + 1)])
+    keys, positions = np.unique(np.concatenate(cols) * m + np.concatenate(rows),
+                                return_inverse=True)
+    indptr = np.searchsorted(keys, np.arange(m + 1) * m)
+    return _read_only(_Fold(
+        indices=(keys % m).astype(np.int32), indptr=indptr.astype(np.int32),
+        positions=positions, k_imag=k_imag, k_entry=np.concatenate(k_entry),
+        k_sign=np.concatenate(values[:2]), jump_values=np.concatenate([[], *values[2:]]),
+        jump_counts=np.array([x.size for x in values[2:]], dtype=int)))
+
+
+def _real_block(L: Superoperator) -> sp.csc_matrix | None:
+    """The real folded system of a planned generator with the phase
+    symmetry at real weights, formed from its plan; None for any other
+    generator. SolverError when the plan couples the parity sectors."""
+    if L.point is None:
+        return None
+    plan, k, weights = L.point
+    parity, phase = _plan_symmetries(plan)
+    if not parity:
+        raise SolverError(_COUPLED)
+    if not (phase and all(np.imag(w) == 0 for w in weights)):
+        return None
+    fold = _fold(plan, tuple(bool(w != 0) for w in weights))
+    values = np.concatenate([
+        np.where(fold.k_imag, k.imag, k.real)[fold.k_entry] * fold.k_sign,
+        np.repeat(np.real([w for w in weights if w != 0]), fold.jump_counts) * fold.jump_values,
+        np.ones(L.dim)])
+    size = fold.indptr.size - 1
+    return sp.csc_matrix((np.bincount(fold.positions, values, minlength=fold.indices.size),
+                          fold.indices.copy(), fold.indptr.copy()), shape=(size, size))
+
+
+def _complex_block(L: Superoperator, order: np.ndarray) -> sp.csc_matrix:
+    """The equal-parity block of L's matrix with its unknowns in `order`,
+    the trace row in place of rho_00's row, which is last. SolverError when
+    L couples the parity sectors."""
+    d, matrix, m = L.dim, L.matrix, order.size
+    position = _places(order, d * d)
+    row, col = np.repeat(position, np.diff(matrix.indptr)), position[matrix.indices]
+    if np.any((row < 0) != (col < 0)):
+        raise SolverError(_COUPLED)
+    keep = (row >= 0) & (row < m - 1)
+    return sp.csc_matrix(
+        (np.concatenate([matrix.data[keep], np.ones(d)]),
+         (np.concatenate([row[keep], np.full(d, m - 1)]),
+          np.concatenate([col[keep], position[:: d + 1]]))),
+        shape=(m, m))
 
 
 def spsolve(system: sp.csc_matrix, rhs: np.ndarray) -> tuple[np.ndarray, int]:
@@ -293,26 +462,6 @@ def spsolve(system: sp.csc_matrix, rhs: np.ndarray) -> tuple[np.ndarray, int]:
     lu = splu(system, permc_spec="NATURAL", diag_pivot_thresh=0.1,
               options=dict(SymmetricMode=True))
     return lu.solve(rhs), int(lu.nnz)
-
-
-def _folded_values(L: Superoperator, maps: _SectorMaps, counts: np.ndarray):
-    """The entries of L as those of the real system in y = rho / p, folded
-    onto the representatives' columns, or None when L lacks the symmetry.
-
-    p(v) is 1 where sigma(v) = +1 and i where sigma(v) = -1. When every
-    entry of L between two vec indices of equal sigma is real and every
-    other one imaginary, L commutes with rho -> U rho* U†, U = (-1)^sigma_ee,
-    and each entry L_ab p_b / p_a is real: Re L_ab, or sigma(b) Im L_ab.
-    The steady state is then Hermitian with y real, y_t(v) = sigma(v) y_v,
-    so a column b that is not a representative is added to t(b)'s with the
-    factor sigma(b). The test is exact, on the data as stored.
-    """
-    data, cols = L.matrix.data, L.matrix.indices
-    col_sign = maps.sign[cols]
-    same = np.repeat(maps.sign, counts) == col_sign
-    if np.any(np.where(same, data.imag, data.real)):
-        return None
-    return np.where(same, data.real, col_sign * data.imag) * maps.fold_sign[cols]
 
 
 def steady_state(L: Superoperator, guard: int | None = None,
@@ -331,54 +480,46 @@ def steady_state(L: Superoperator, guard: int | None = None,
     At phi = 0 and zero detunings the model has one more symmetry: L
     commutes with rho -> U rho* U†, U = (-1)^sigma_ee, so every rho_ij is
     real where ket and bra have the same atom state and imaginary where
-    they differ, and rho is Hermitian. When the entries of L show that
-    structure exactly (`_folded_values`), the block is folded onto one
-    entry of each pair {rho_ij, rho_ji} and solved in real arithmetic:
-    about d²/4 real unknowns, against d²/2 complex ones. Any other
-    generator, such as one at phi != 0 or with a detuning, is solved as the
-    complex block.
+    they differ, and rho is Hermitian. When a generator from
+    `build_liouvillian` or `build_bogoliubov_liouvillian` has it, which is
+    tested exactly on its plan's factors and its weights
+    (`_plan_symmetries`), the block is folded onto one entry of each pair
+    {rho_ij, rho_ji} and solved in real arithmetic: about d²/4 real
+    unknowns, against d²/2 complex ones. The folded system is formed from
+    the plan (`_fold`), without L's matrix. Any other generator, such as
+    one at phi != 0, one with a detuning or one made from a matrix, is
+    solved as the complex block of its matrix.
 
     The solution is scattered into a full rho whose cross-sector entries
     are exactly zero. Its tail over the top `guard` Fock levels must stay
     below epsilon (`check_truncation`, math.inf turns that check off); it
     is then hermitized, renormalized and validated (`make_density_matrix`),
-    and the residual of the full complex generator must stay below
-    RESIDUAL_TOL, otherwise the kernel is considered degenerate. An invalid
-    guard or epsilon is refused before anything is factorized.
+    and the residual max |L(rho)| of the full generator (`L.act`) must stay
+    below RESIDUAL_TOL, otherwise the kernel is considered degenerate. An
+    invalid guard or epsilon is refused before anything is factorized.
 
     L itself must be finite and trace-preserving: max |vec(I)^T L| at most
     TRACE_TOL or, for large entries, whose round-off the trace row sums,
-    1e-14 max|L|.
+    1e-14 max|L| (max|K| for a generator from the builders).
     """
-    scale = float(np.abs(L.matrix.data).max(initial=0.0))
+    scale = float(np.abs(L.matrix.data if L.point is None else L.point.k).max(initial=0.0))
     if not (math.isfinite(scale) and L.trace_residual() <= max(TRACE_TOL, 1e-14 * scale)):
         raise SolverError("generator is not trace-preserving or not finite; refusing to solve")
     maps = _sector_maps(L.space)
     guard = truncation_guard(L.space.fock_cutoff, guard, epsilon)
     d = L.dim
-    start = time.perf_counter()
-    counts = np.diff(L.matrix.indptr)
-    row, col = np.repeat(maps.position, counts), maps.position[L.matrix.indices]
-    if np.any((row < 0) != (col < 0)):
-        raise SolverError(
-            "generator couples the two excitation-parity sectors (a coherent drive or a "
-            "parity-breaking jump operator); this solver needs a generator that commutes "
-            "with rho -> P rho P, P = (-1)^(a†a + sigma_ee)"
-        )
-    values = _folded_values(L, maps, counts)
-    if values is None:
-        arithmetic, m, values, columns = "complex", maps.order.size, L.matrix.data, maps.position
-    else:
-        arithmetic, m, columns = "real", maps.folded.size, maps.fold_col
-        row, col = np.repeat(maps.fold_row, counts), columns[L.matrix.indices]
-    # the block without rho_00's row, which is last, and the trace row in its place
-    keep = (row >= 0) & (row < m - 1)
-    system = sp.csc_matrix(
-        (np.concatenate([values[keep], np.ones(d)]),
-         (np.concatenate([row[keep], np.full(d, m - 1)]),
-          np.concatenate([col[keep], columns[:: d + 1]]))),
-        shape=(m, m))
-    block_seconds = time.perf_counter() - start
+    clock = [time.perf_counter()]
+
+    def lap() -> float:
+        clock.append(time.perf_counter())
+        return clock[-1] - clock[-2]
+
+    system, arithmetic = _real_block(L), "real"
+    if system is None:
+        order, arithmetic = _complex_order(L.space), "complex"
+        system = _complex_block(L, order)
+    block_seconds = lap()
+    m = system.shape[0]
     rhs = np.zeros(m, dtype=system.dtype)
     rhs[-1] = 1.0
     # numpy's and scipy's OpenBLAS pools on one thread each: a second thread
@@ -386,29 +527,33 @@ def steady_state(L: Superoperator, guard: int | None = None,
     # that other solving threads and processes need. Inside a sweep, which
     # holds the budget already, this changes nothing.
     with thread_budget():
-        start = time.perf_counter()
+        lap()
         try:
             sol, fill = spsolve(system, rhs)
         except Exception as exc:  # pragma: no cover - solver backend failure
             raise NonUniqueSteadyStateError(f"sparse LU solve failed: {exc}") from exc
-        lu_seconds = time.perf_counter() - start
+        lu_seconds = lap()
         if not np.all(np.isfinite(sol)):
             raise NonUniqueSteadyStateError("sparse LU solve returned non-finite entries")
         full = np.zeros(d * d, dtype=complex)
         if arithmetic == "complex":
-            full[maps.order] = sol
+            full[order] = sol
         else:
             # rho = p y: y_v is the real part of rho_v where sigma(v) = +1 and
             # its imaginary part where sigma(v) = -1; the other part stays +0.0
-            even = maps.order
+            even = maps.even
             full.view(float)[2 * even + (maps.sign[even] < 0)] = (
                 sol[maps.fold_col[even]] * maps.fold_sign[even])
         raw = unvec(full, d)
+        unfold_seconds = lap()
         # the tail first: a cutoff far too small also leaves a state that is
         # not positive, and the cutoff is what the error must name
         tail = check_truncation(DensityMatrix(L.space, raw), guard, epsilon)
+        tail_seconds = lap()
         rho = make_density_matrix(L.space, raw)
-        residual = float(np.abs(L.matrix @ vec(rho.matrix)).max())
+        validate_seconds = lap()
+        residual = float(np.abs(L.act(rho.matrix)).max())
+        residual_seconds = lap()
     if residual > RESIDUAL_TOL:
         assumption = ("; the real block assumes that L maps rho† to (L rho)†"
                       if arithmetic == "real" else "")
@@ -416,10 +561,11 @@ def steady_state(L: Superoperator, guard: int | None = None,
             f"steady-state residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e}; "
             f"the kernel may be degenerate{assumption}"
         )
-    return replace(rho, diagnostics=replace(rho.diagnostics, tail_mass=tail, residual=residual,
-                                            lu_unknowns=m, lu_arithmetic=arithmetic,
-                                            block_seconds=block_seconds, lu_fill=fill,
-                                            lu_seconds=lu_seconds))
+    return replace(rho, diagnostics=replace(
+        rho.diagnostics, tail_mass=tail, residual=residual, lu_unknowns=m,
+        lu_arithmetic=arithmetic, block_seconds=block_seconds, lu_fill=fill,
+        lu_seconds=lu_seconds, unfold_seconds=unfold_seconds, tail_seconds=tail_seconds,
+        validate_seconds=validate_seconds, residual_seconds=residual_seconds))
 
 
 def evolve(L: Superoperator, rho0: DensityMatrix, t_end: float, dt: float,

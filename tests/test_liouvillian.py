@@ -1,5 +1,6 @@
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from sqcavity import (
     UnsupportedFrameError,
     annihilation,
     atom_sigma,
+    bogoliubov_b,
     build_bogoliubov_liouvillian,
     build_liouvillian,
     lift,
@@ -303,21 +305,48 @@ def lab_reference(params, bath, space):
 
 def use_reference_terms(monkeypatch):
     """Make both builders, as this module and `test_solvers`' cases call
-    them, assemble from the reference terms: the squeezed frame through
-    `_assemble` and the lab frame in place of its cached plan, which then
-    must not be touched, so that no case can compare the fast path with
-    itself."""
-    monkeypatch.setattr(liouvillian, "_assemble", reference_assemble)
+    them, assemble from the reference terms in place of their plans, which
+    then must not be touched, so that no case can compare the fast path
+    with itself."""
     for module in (sys.modules[__name__], test_solvers):
         monkeypatch.setattr(module, "build_liouvillian", lab_reference)
-    monkeypatch.setattr(liouvillian, "_plan", lambda *args: pytest.fail("the plan was used"))
+        monkeypatch.setattr(module, "build_bogoliubov_liouvillian",
+                            partial(squeezed_frame, reference_assemble))
+    for name in ("_plan", "_make_plan"):
+        monkeypatch.setattr(liouvillian, name, lambda *args: pytest.fail("a plan was used"))
+
+
+def one_pass_assembly(params, x, c, n_th, m_corr):
+    """The generator summed once from all its Kronecker products, as both
+    frames were assembled before the plan: x is the field operator in H, c
+    the cavity's jump operator into a bath with (N, M). The reference the
+    planned matrix must match to the bit."""
+    space = x.space
+    operators = liouvillian._jump_operators(c)
+    weights = liouvillian._weights(params, n_th, m_corr)
+    K = liouvillian._no_jump_part(liouvillian._hamiltonian(params, x), weights,
+                                  [B @ A for A, B in operators])
+    factors = liouvillian._kron_factors(space, K, [
+        (w, A, B) for w, (A, B) in zip(weights, operators)])
+    m = sp.csr_matrix((np.concatenate([liouvillian._kron_values(left.data, right.data, w)
+                                       for left, right, w in factors]),
+                       liouvillian._kron_entries(space, factors)),
+                      shape=(space.dim**2, space.dim**2))
+    m.eliminate_zeros()
+    return Superoperator(space, m)
 
 
 def one_pass(params, bath, space):
-    """The lab-frame generator assembled in one pass, as the squeezed frame
-    is."""
     a = embed_field(space, annihilation)
-    return liouvillian._assemble(params, a, a, bath.n_th, bath.m_corr)
+    return one_pass_assembly(params, a, a, bath.n_th, bath.m_corr)
+
+
+def squeezed_frame(assemble, params, bath, space):
+    """The squeezed-frame generator by `assemble`: the field in H is
+    cosh(r) b + sinh(r) b†, and the cavity decays through b into the
+    vacuum."""
+    b = embed_field(space, partial(bogoliubov_b, bath.r))
+    return assemble(params, np.cosh(bath.r) * b + np.sinh(bath.r) * b.dag(), b, 0.0, 0.0)
 
 
 def assert_same_generator(fast, reference):
@@ -336,8 +365,8 @@ R_ZERO_CASES = {
 
 
 class TestOnePassAssembly:
-    """The whole generator is summed once from its Kronecker products; it
-    must keep the pattern and values of the term-by-term construction."""
+    """The generator, summed from its Kronecker products, must keep the
+    pattern and values of the term-by-term construction."""
 
     @pytest.mark.parametrize("case", sorted(SECTOR_CASES))
     def test_sector_cases_match_reference(self, case, monkeypatch):
@@ -365,9 +394,11 @@ class TestOnePassAssembly:
         assert len(products) == 3 + 2 + 4
         one_pass(ATOM, SqueezedBath(0.5), SpaceDims(8))
         assert len(products) == 9 + 2 + 5
-        # the squeezed frame's bath is the vacuum
-        build_bogoliubov_liouvillian(ATOM, SqueezedBath(0.5), SpaceDims(8))
-        assert len(products) == 16 + 2 + 2
+        # a planned matrix forms one product per jump of nonzero weight; the
+        # squeezed frame's bath is the vacuum, so the cavity's decay and the
+        # atom's are left
+        build_bogoliubov_liouvillian(ATOM, SqueezedBath(0.5), SpaceDims(8)).matrix
+        assert len(products) == 16 + 2
 
     def test_all_terms_at_once_match_reference(self, monkeypatch):
         params = SystemParams(delta_A=1.5, delta_C=-0.7, g0=15.0, gamma=0.8)
@@ -393,32 +424,38 @@ def assert_identical(fast, reference):
 
 
 class TestPlannedGenerator:
-    """The lab-frame generator is put together from a plan cached per
-    (params, space): the same matrix as the one-pass assembly, to the bit,
-    and a matrix of its own on every call."""
+    """Both frames' generators are put together from a plan, the lab
+    frame's cached per (params, space): the same matrix as the one-pass
+    assembly, to the bit, and a matrix of its own on every call."""
 
-    @pytest.mark.parametrize("case", sorted(c for c in SECTOR_CASES if "bogoliubov" not in c))
+    @pytest.mark.parametrize("case", sorted(SECTOR_CASES))
     def test_sector_cases_match_one_pass(self, case, monkeypatch):
         # the first call makes the plan, the second reuses it
         liouvillian._plan.cache_clear()
         cold, warm = SECTOR_CASES[case](), SECTOR_CASES[case]()
         monkeypatch.setattr(test_solvers, "build_liouvillian", one_pass)
-        monkeypatch.setattr(liouvillian, "_plan", lambda *args: pytest.fail("the plan was used"))
+        monkeypatch.setattr(test_solvers, "build_bogoliubov_liouvillian",
+                            partial(squeezed_frame, one_pass_assembly))
+        for name in ("_plan", "_make_plan"):
+            monkeypatch.setattr(liouvillian, name, lambda *args: pytest.fail("a plan was used"))
         reference = SECTOR_CASES[case]()
         assert_identical(cold, reference)
         assert_identical(warm, reference)
 
     def test_plan_is_made_once_per_model_and_space(self, monkeypatch):
-        plans, products = spy(monkeypatch, "_kron_entries"), spy(monkeypatch, "_kron_values")
+        plans, products = spy(monkeypatch, "_make_plan"), spy(monkeypatch, "_kron_values")
+        placements = spy(monkeypatch, "_kron_entries")
         liouvillian._plan.cache_clear()
         build_liouvillian(ATOM, SqueezedBath(0.5), SpaceDims(8))
         assert len(plans) == 1
-        # each call forms the product of each jump of nonzero weight: at
-        # r = 0 the cavity's decay and the atom's
-        build_liouvillian(ATOM, SqueezedBath(0.0), SpaceDims(8))
-        build_liouvillian(ATOM, SqueezedBath(0.9, phi=0.4), SpaceDims(8))
-        assert len(plans) == 1
-        assert len(products) == 5 + 2 + 5
+        assert len(products) == len(placements) == 0
+        # each matrix formed takes the product of each jump of nonzero
+        # weight: at r = 0 the cavity's decay and the atom's; the matrix
+        # pattern is placed once per plan
+        build_liouvillian(ATOM, SqueezedBath(0.0), SpaceDims(8)).matrix
+        build_liouvillian(ATOM, SqueezedBath(0.9, phi=0.4), SpaceDims(8)).matrix
+        assert len(plans) == len(placements) == 1
+        assert len(products) == 2 + 5
         build_liouvillian(ATOM, SqueezedBath(0.5), SpaceDims(9))
         build_liouvillian(SystemParams(g0=14.0, gamma=1.0), SqueezedBath(0.5), SpaceDims(8))
         assert len(plans) == 3
@@ -445,11 +482,18 @@ class TestPlannedGenerator:
         params, space = SystemParams(delta_C=0.3, g0=4.0, gamma=0.5), SpaceDims(7)
         baths = [SqueezedBath(0.05 * k, phi=0.1 * k) for k in range(24)]
         liouvillian._plan.cache_clear()
+        liouvillian._placement.cache_clear()
+
+        def formed(bath):
+            L = build_liouvillian(params, bath, space)
+            L.matrix
+            return L
+
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [pool.submit(build_liouvillian, params, bath, space) for bath in baths]
+                futures = [pool.submit(formed, bath) for bath in baths]
                 built = [future.result(timeout=60) for future in futures]
         finally:
             sys.setswitchinterval(interval)
@@ -458,6 +502,7 @@ class TestPlannedGenerator:
 
     def test_plan_is_read_only(self):
         plan = liouvillian._plan(ATOM, SpaceDims(6))
-        arrays = [plan.h, *plan.products, plan.positions, plan.indices, plan.indptr]
-        arrays += [x for pair in plan.factors for x in pair]
+        positions, _, indices, indptr = liouvillian._placement(plan)
+        arrays = [plan.row, plan.col, plan.h, *plan.products, positions, indices, indptr]
+        arrays += [x for pair in plan.jumps for m in pair for x in (m.data, m.indices, m.indptr)]
         assert not any(array.flags.writeable for array in arrays)

@@ -31,7 +31,7 @@ from sqcavity import (
     unvec,
     vec,
 )
-from sqcavity.liouvillian import _lindblad
+from sqcavity import liouvillian
 from sqcavity.operators import embed_field
 from sqcavity.solvers import MIN_EIG_TOL, RESIDUAL_TOL
 from conftest import excitation_numbers, parity_mismatch, squeezed_photon_numbers
@@ -79,11 +79,14 @@ class TestSteadyState:
 
     def test_trace_check_scales_with_the_generator(self, monkeypatch):
         # at r = 6 the entries reach 4.6e6 and the trace row's round-off,
-        # 4.7e-10, exceeds TRACE_TOL: the generator is still accepted
+        # 4.7e-10, exceeds TRACE_TOL: the generator is still accepted, from
+        # its matrix as from its plan, whose d×d sum cancels here exactly
         L = empty_cavity_liouvillian(6.0, 30)
-        assert L.trace_residual() > solvers.TRACE_TOL
-        with pytest.raises(CutoffTooSmallError):
-            steady_state(L)
+        plain = Superoperator(L.space, L.matrix)
+        assert plain.trace_residual() > solvers.TRACE_TOL
+        for generator in (plain, L):
+            with pytest.raises(CutoffTooSmallError):
+                steady_state(generator)
         # a trace defect of 1e-12 of the largest entry is refused
         matrix = L.matrix.copy()
         matrix[0, 0] += 1e-12 * np.abs(matrix.data).max()
@@ -194,6 +197,23 @@ SECTOR_CASES = {
         SystemParams(), SqueezedBath(0.8), FieldSpace(40)),
 }
 
+# generators without the phase symmetry, all on SpaceDims(24)
+COMPLEX_CASES = {
+    "phi": lambda: build_liouvillian(ATOM, SqueezedBath(0.5, phi=1.1), SpaceDims(24)),
+    "phi_pi": lambda: build_liouvillian(ATOM, SqueezedBath(0.5, phi=math.pi), SpaceDims(24)),
+    "delta_A": lambda: build_liouvillian(SystemParams(delta_A=0.5, g0=15.0, gamma=1.0),
+                                         SqueezedBath(0.5), SpaceDims(24)),
+    "delta_C": lambda: build_liouvillian(SystemParams(delta_C=-0.7, g0=15.0, gamma=1.0),
+                                         SqueezedBath(0.5), SpaceDims(24)),
+}
+
+
+def driven_model(space):
+    """A planned model on space, and the drive eps (a + a†) at eps = 0.5."""
+    a = embed_field(space, annihilation)
+    return (build_liouvillian(SystemParams(g0=2.0, gamma=1.0), SqueezedBath(0.3), space),
+            sp.csr_matrix(0.5 * (a + a.dag()).matrix))
+
 
 class TestSectorSolve:
     """steady_state factorizes only the equal-parity block of L; each case
@@ -225,16 +245,13 @@ class TestSectorSolve:
         assert rho.diagnostics.lu_unknowns == folded
         assert rho.diagnostics.lu_arithmetic == "real"
         assert 0 < rho.diagnostics.block_seconds
+        # the real system comes from the plan: L's matrix is never formed
+        assert "matrix" not in vars(L)
 
-    @pytest.mark.parametrize("params, bath", [
-        (ATOM, SqueezedBath(0.5, phi=1.1)),
-        (ATOM, SqueezedBath(0.5, phi=math.pi)),
-        (SystemParams(delta_A=0.5, g0=15.0, gamma=1.0), SqueezedBath(0.5)),
-        (SystemParams(delta_C=-0.7, g0=15.0, gamma=1.0), SqueezedBath(0.5)),
-    ], ids=["phi", "phi_pi", "delta_A", "delta_C"])
-    def test_complex_block_without_the_phase_symmetry(self, params, bath, monkeypatch):
+    @pytest.mark.parametrize("case", sorted(COMPLEX_CASES))
+    def test_complex_block_without_the_phase_symmetry(self, case, monkeypatch):
         # exp(i pi) has an imaginary part of 1.2e-16, so phi = pi is complex too
-        L = build_liouvillian(params, bath, SpaceDims(24))
+        L = COMPLEX_CASES[case]()
         systems = record_spsolve(monkeypatch)
         rho = steady_state(L, epsilon=math.inf)
         half = L.dim**2 // 2
@@ -243,25 +260,41 @@ class TestSectorSolve:
         assert rho.diagnostics.lu_unknowns == half
 
     def test_fold_without_hermiticity_preservation_is_caught(self):
-        # one real entry more in the row of rho_02, which the fold drops for
-        # that of rho_20: L keeps its trace, its parity and the phase
-        # symmetry, so the real block is solved and gives the state of the
-        # unbroken L, but L no longer maps rho† to (L rho)†, and the residual
-        # against the full L shows it
+        # one more jump, 1e-3 |0><0| rho |0><2|, puts rho_00 into the row of
+        # rho_02, which the fold drops for that of rho_20; its product
+        # |0><2|0><0| is zero, so L keeps its trace, its parity and the
+        # phase symmetry, and the real block is solved from the plan and
+        # gives the state of the unbroken L, but L no longer maps rho† to
+        # (L rho)†, and the residual against the full model shows it
         L = empty_cavity_liouvillian(0.3, 12)
-        matrix = L.matrix.tolil()
-        matrix[2 * L.dim, 0] += 1e-3
-        broken = Superoperator(L.space, matrix.tocsr())
+        plan, _, weights = L.point
+        d = L.dim
+        A = sp.csr_matrix(([1.0 + 0j], ([0], [0])), shape=(d, d))
+        B = sp.csr_matrix(([1.0 + 0j], ([0], [2])), shape=(d, d))
+        broken = liouvillian._at(
+            liouvillian._make_plan(L.space, plan.operator(plan.h), [*plan.jumps, (A, B)]),
+            (*weights, 1e-3))
+        assert steady_state(L, epsilon=math.inf).diagnostics.lu_arithmetic == "real"
         with pytest.raises(NonUniqueSteadyStateError, match="assumes that L maps rho†"):
             steady_state(broken, epsilon=math.inf)
 
     @pytest.mark.parametrize("space", [SpaceDims(6), FieldSpace(8)])
     def test_coherent_drive_refused_before_factorizing(self, space, monkeypatch):
         # -i[eps (a + a†), .] mixes the parity sectors
-        params = SystemParams(g0=2.0, gamma=1.0)
-        L = build_liouvillian(params, SqueezedBath(0.3), space)
-        a = embed_field(space, annihilation)
-        driven = Superoperator(space, L.matrix + _lindblad(space, -0.5j * (a + a.dag()).matrix))
+        L, drive = driven_model(space)
+        eye = sp.identity(space.dim)
+        driven = Superoperator(space, L.matrix - 1j * (sp.kron(eye, drive) - sp.kron(drive.T, eye)))
+        monkeypatch.setattr(solvers, "spsolve", lambda *args: pytest.fail("factorized"))
+        with pytest.raises(SolverError, match="parity"):
+            steady_state(driven)
+
+    @pytest.mark.parametrize("space", [SpaceDims(6), FieldSpace(8)])
+    def test_coherent_drive_in_the_plan_refused_before_factorizing(self, space, monkeypatch):
+        # the plan's Hamiltonian shows the drive: its factors are tested
+        L, drive = driven_model(space)
+        plan, _, weights = L.point
+        driven = liouvillian._at(liouvillian._make_plan(space, plan.operator(plan.h) + drive,
+                                                        plan.jumps), weights)
         monkeypatch.setattr(solvers, "spsolve", lambda *args: pytest.fail("factorized"))
         with pytest.raises(SolverError, match="parity"):
             steady_state(driven)
@@ -280,11 +313,86 @@ class TestSectorSolve:
             steady_state(Superoperator(AtomSpace(), sp.csr_matrix((4, 4))))
 
     def test_residual_recorded(self):
+        # taken in Lindblad form on the d×d state, it agrees with the full
+        # matrix's to round-off
         L = SECTOR_CASES["atom"]()
         rho = steady_state(L)
         residual = np.abs(L.matrix @ vec(rho.matrix)).max()
-        assert rho.diagnostics.residual == residual
+        assert abs(rho.diagnostics.residual - residual) <= 1e-14
         assert residual <= RESIDUAL_TOL
+
+
+def matrix_scan_fold(L):
+    """The real folded system formed from L's matrix, as before the plan
+    did it, or None when L's entries lack the phase symmetry: every entry
+    of L between vec indices of equal sigma must be real and every other
+    one imaginary. Entry L_ab of a representative's row other than rho_00's
+    goes to (fold_row[a], fold_col[b]) as Re L_ab, or sigma(b) Im L_ab,
+    times fold_sign[b]; the trace row takes rho_00's place."""
+    maps, matrix, d = solvers._sector_maps(L.space), L.matrix, L.dim
+    counts = np.diff(matrix.indptr)
+    col_sign = maps.sign[matrix.indices]
+    same = np.repeat(maps.sign, counts) == col_sign
+    if np.any(np.where(same, matrix.data.imag, matrix.data.real)):
+        return None
+    values = (np.where(same, matrix.data.real, col_sign * matrix.data.imag)
+              * maps.fold_sign[matrix.indices])
+    m = maps.folded.size
+    row, col = np.repeat(maps.fold_row, counts), maps.fold_col[matrix.indices]
+    keep = (row >= 0) & (row < m - 1)
+    return sp.csc_matrix((np.concatenate([values[keep], np.ones(d)]),
+                          (np.concatenate([row[keep], np.full(d, m - 1)]),
+                           np.concatenate([col[keep], maps.fold_col[:: d + 1]]))),
+                         shape=(m, m))
+
+
+def trace_broken(L):
+    """L's planned model with iH shifted by 0.3 on the diagonal, so that
+    K + K† = 0.6 I: a generator with a trace defect of 0.6."""
+    plan, _, weights = L.point
+    shifted = plan.operator(plan.h) + 0.3j * sp.identity(L.dim, format="csr")
+    return liouvillian._at(liouvillian._make_plan(L.space, shifted, plan.jumps), weights)
+
+
+class TestPlanPath:
+    """A generator from the builders is solved from its plan; each figure
+    taken from the plan is checked against the same figure taken from L's
+    matrix."""
+
+    @pytest.mark.parametrize("case", sorted(SECTOR_CASES))
+    def test_fold_matches_the_matrix_scan_fold(self, case):
+        L = SECTOR_CASES[case]()
+        system, reference = solvers._real_block(L), matrix_scan_fold(L)
+        assert (system is None) == (reference is None) == (case in ("phase", "detuned"))
+        if reference is not None:
+            assert system.shape == reference.shape
+            assert abs(system - reference).max() <= 1e-14 * abs(reference).max()
+
+    @pytest.mark.parametrize("case", sorted({**SECTOR_CASES, **COMPLEX_CASES}))
+    def test_symmetry_of_the_factors_matches_that_of_the_entries(self, case):
+        L = {**SECTOR_CASES, **COMPLEX_CASES}[case]()
+        parity, phase = solvers._plan_symmetries(L.point.plan)
+        real_weights = all(np.imag(w) == 0 for w in L.point.weights)
+        assert parity
+        assert (phase and real_weights) == (matrix_scan_fold(L) is not None)
+        assert (matrix_scan_fold(L) is None) == (case in ("phase", "detuned", *COMPLEX_CASES))
+
+    @pytest.mark.parametrize("case", sorted({**SECTOR_CASES, **COMPLEX_CASES}))
+    def test_lindblad_form_matches_the_matrix(self, case, rng):
+        L = {**SECTOR_CASES, **COMPLEX_CASES}[case]()
+        scale = np.abs(L.matrix.data).max()
+        rho = steady_state(L, epsilon=math.inf).matrix
+        x = rng.normal(size=rho.shape) + 1j * rng.normal(size=rho.shape)
+        for state in (rho, x):
+            assert np.abs(L.act(state) - unvec(L.matrix @ vec(state), L.dim)).max() <= (
+                1e-14 * scale * np.abs(state).max())
+        plain = Superoperator(L.space, L.matrix)
+        assert L.trace_residual() <= 1e-14 * scale
+        assert plain.trace_residual() <= 1e-14 * scale
+        broken = trace_broken(L)
+        assert broken.trace_residual() == pytest.approx(0.6, abs=1e-14 * scale)
+        assert Superoperator(L.space, broken.matrix).trace_residual() == pytest.approx(
+            0.6, abs=1e-14 * scale)
 
 
 def colamd_block_solve(L):
@@ -402,11 +510,13 @@ class TestNestedDissectionOrder:
 
     def test_cached_order_is_read_only_and_reused(self):
         space = SpaceDims(30)
-        maps = solvers._sector_maps(space)
+        maps, order = solvers._sector_maps(space), solvers._complex_order(space)
         n, even, _, _ = grid_coordinates(space)
-        assert np.array_equal(maps.order, solvers._sector_order(n, even))
+        assert np.array_equal(maps.even, even)
+        assert np.array_equal(order, solvers._sector_order(n, even))
         assert solvers._sector_maps(SpaceDims(30)) is maps
-        for array in maps:
+        assert solvers._complex_order(SpaceDims(30)) is order
+        for array in (*maps, order):
             with pytest.raises(ValueError):
                 array[0] = array[1]
 
@@ -414,7 +524,7 @@ class TestNestedDissectionOrder:
         for space in (FieldSpace(20), SpaceDims(20), FieldSpace(20)):
             n, even, _, folded = folded_coordinates(space)
             maps = solvers._sector_maps(space)
-            assert np.array_equal(maps.order, solvers._sector_order(n, even))
+            assert np.array_equal(solvers._complex_order(space), solvers._sector_order(n, even))
             assert np.array_equal(maps.folded, solvers._sector_order(n, folded))
 
     @pytest.mark.parametrize("case", ["atom", "atom_odd_cutoff", "empty_odd_cutoff"])
@@ -438,11 +548,16 @@ class TestNestedDissectionOrder:
         assert np.all(maps.fold_col[np.setdiff1d(np.arange(d * d), even)] == -1)
 
     def test_cold_and_warm_cache_give_identical_states(self):
+        # the real fold needs no complex-block order
         L = SECTOR_CASES["atom"]()
-        solvers._sector_maps.cache_clear()
+        for cache in (solvers._sector_maps, solvers._complex_order, solvers._plan_symmetries,
+                      solvers._fold):
+            cache.cache_clear()
         cold = steady_state(L, epsilon=math.inf)
         warm = steady_state(L, epsilon=math.inf)
         assert solvers._sector_maps.cache_info().hits >= 1
+        assert solvers._fold.cache_info().hits >= 1
+        assert solvers._complex_order.cache_info().currsize == 0
         folded = (L.dim**2 // 2 + L.dim) // 2
         assert cold.diagnostics.lu_unknowns == warm.diagnostics.lu_unknowns == folded
         assert cold.matrix.tobytes() == warm.matrix.tobytes()

@@ -524,9 +524,10 @@ def test_sweep_logs_one_record_per_sweep_and_per_point(tmp_path, caplog):
                                   "unknowns, residual ")
         for field in ("min eigenvalue ", "tail mass ", "LU fill "):
             assert field in message
-        assert re.search(r", LU \d+\.\d{3} s of \d+\.\d{3} s$", message)
         assert re.search(r", LU fill \d+, build \d+\.\d{3} s, block \d+\.\d{3} s, "
-                         r"LU \d+\.\d{3} s of \d+\.\d{3} s$", message)
+                         r"LU \d+\.\d{3} s, unfold \d+\.\d{3} s, tail \d+\.\d{3} s, "
+                         r"validate \d+\.\d{3} s, residual \d+\.\d{3} s of \d+\.\d{3} s$",
+                         message)
     # at phi != 0 the complex parity block is solved
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="sqcavity.sweep"):
@@ -558,9 +559,9 @@ def test_sweep_plans_the_generator_once_per_worker(tmp_path, monkeypatch, worker
     monkeypatch.setenv("SIM_THREADS", workers)
     liouvillian._plan.cache_clear()
     plans, generators = [], []
-    real_entries, real_build = liouvillian._kron_entries, sweep_module.build_liouvillian
-    monkeypatch.setattr(liouvillian, "_kron_entries",
-                        lambda *args: plans.append(1) or real_entries(*args))
+    real_plan, real_build = liouvillian._make_plan, sweep_module.build_liouvillian
+    monkeypatch.setattr(liouvillian, "_make_plan",
+                        lambda *args: plans.append(1) or real_plan(*args))
     monkeypatch.setattr(sweep_module, "build_liouvillian",
                         lambda *args: generators.append(real_build(*args)) or generators[-1])
     cfg = SweepConfig(r_values=(0.05, 0.1, 0.15, 0.2, 0.25, 0.3), fock_cutoff=20,
@@ -568,6 +569,8 @@ def test_sweep_plans_the_generator_once_per_worker(tmp_path, monkeypatch, worker
     run_moments_sweep(cfg)
     assert 1 <= len(plans) <= most
     assert len(generators) == 6
+    # solved at phi = 0 from the plan, no point formed its matrix
+    assert not any("matrix" in vars(L) for L in generators)
     assert len({id(L.matrix.data) for L in generators}) == 6
 
 
