@@ -36,9 +36,8 @@ jump operators, the products B_j A_j and K's pattern do not depend on
 `build_bogoliubov_liouvillian`, whose b = cosh(r) a - sinh(r) a† moves
 with r, makes one per call. A generator is then its plan with the point's
 K and weights. `steady_state` forms the system it solves from the plan,
-and the d²×d² matrix is put together only when it is asked for, with the
-arithmetic of the one-pass sum of all Kronecker products, so the same to
-the bit.
+and the d²×d² matrix is formed only when it is asked for, as the one-pass
+sum of all Kronecker products; no pattern of it is cached.
 """
 
 from __future__ import annotations
@@ -194,6 +193,11 @@ def _no_jump_part(h, weights, products):
     return -1j * h + -0.5 * sum(w * p for w, p in zip(weights, products) if w != 0)
 
 
+def _read_only(arrays):
+    """Mark each of these arrays read-only; returns them."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,9 +238,8 @@ def _make_plan(space: Space, h, operators) -> _Plan:
     plan = _Plan(space, K.row, K.col, h.toarray()[K.row, K.col],
                  tuple(p.toarray()[K.row, K.col] for p in products),
                  tuple((A.tocsr(), B.tocsr()) for A, B in operators))
-    for array in (plan.row, plan.col, plan.h, *plan.products,
-                  *(x for pair in plan.jumps for m in pair for x in (m.data, m.indices, m.indptr))):
-        array.flags.writeable = False
+    _read_only((plan.row, plan.col, plan.h, *plan.products,
+                *(x for pair in plan.jumps for m in pair for x in (m.data, m.indices, m.indptr))))
     return plan
 
 
@@ -254,54 +257,16 @@ def _at(plan: _Plan, weights) -> Superoperator:
                                                                       plan.products), weights))
 
 
-@lru_cache(maxsize=4)
-def _placement(plan: _Plan) -> tuple:
-    """The CSR pattern (indices, indptr) of a plan's generator with the
-    place in it of every entry of I ⊗ K, conj(K) ⊗ I and each B_jᵀ ⊗ A_j,
-    product k's from bounds[k] to bounds[k + 1]: (positions, bounds,
-    indices, indptr), made on the first matrix formed from the plan."""
-    space = plan.space
-    pattern = sp.coo_matrix((np.ones(plan.row.size), (plan.row, plan.col)),
-                            shape=(space.dim, space.dim))
-    factors = _kron_factors(space, pattern, [(1.0, A, B) for A, B in plan.jumps])
-    sizes = [left.nnz * right.nnz for left, right, _ in factors]
-    row, col = _kron_entries(space, factors)
-    # each entry's product number in the low bits of its column: no two
-    # entries are summed, and within a row they sort by column, then
-    # product, so each entry is traced to its place in the union pattern
-    n, bits = space.dim**2, (len(factors) - 1).bit_length()
-    tag = np.repeat(np.arange(len(factors), dtype=col.dtype), sizes)
-    tagged = sp.csr_matrix((np.arange(row.size, dtype=col.dtype), (row, col << bits | tag)),
-                           shape=(n, n << bits))
-    column = tagged.indices >> bits
-    first = np.ones(tagged.nnz, dtype=bool)  # the first entry of its (row, column)
-    first[1:] = column[1:] != column[:-1]
-    starts = tagged.indptr[:-1]
-    first[starts[starts < tagged.nnz]] = True
-    count = np.cumsum(first, dtype=tagged.indices.dtype)
-    positions = np.empty_like(count)
-    positions[tagged.data] = count - 1
-    indices = column[first]
-    indptr = np.concatenate(([0], count))[tagged.indptr].astype(tagged.indptr.dtype)
-    for array in (positions, indices, indptr):
-        array.flags.writeable = False
-    return positions, tuple(np.cumsum([0, *sizes]).tolist()), indices, indptr
-
-
 def _planned_matrix(point: _Point) -> sp.csr_matrix:
-    """The matrix of a planned generator: each Kronecker product's values
-    put in place in a fresh matrix, exact zeros dropped. The arithmetic is
-    that of the one-pass sum of the products, so is the result, to the bit."""
+    """The matrix of a planned generator: the one-pass sum of its Kronecker
+    products, exact zeros dropped."""
     plan, k, weights = point
-    (positions, bounds, indices, indptr), d = _placement(plan), plan.space.dim
-    place = [positions[start:stop] for start, stop in zip(bounds, bounds[1:])]
-    data = np.zeros(indices.size, dtype=complex)
-    data[place[0]] = np.tile(k, d)  # I ⊗ K
-    data[place[1]] += np.repeat(k.conj(), d)  # conj(K) ⊗ I
-    for w, (A, B), positions in zip(weights, plan.jumps, place[2:]):
-        if w != 0:
-            data[positions] += _kron_values(B.data, A.data, w)
-    m = sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(d * d, d * d))
+    space = plan.space
+    factors = _kron_factors(space, plan.operator(k),
+                            [(w, A, B) for w, (A, B) in zip(weights, plan.jumps)])
+    m = sp.csr_matrix((np.concatenate([_kron_values(left.data, right.data, w)
+                                       for left, right, w in factors]),
+                       _kron_entries(space, factors)), shape=(space.dim**2, space.dim**2))
     m.eliminate_zeros()
     return m
 
@@ -311,8 +276,8 @@ class Superoperator:
 
     Made from a matrix, or by a builder as one point of a planned model: the
     model's `_Plan` with the point's K and jump weights. A planned generator
-    forms its matrix on first access, the same to the bit as the one-pass
-    sum of its Kronecker products; its trace check and its action on a
+    forms its matrix on first access as the one-pass sum of its Kronecker
+    products, with no pattern cached; its trace check and its action on a
     state need no matrix, and `steady_state` solves it from the plan.
     """
 

@@ -21,7 +21,7 @@ from .errors import (
     SolverError,
     StepTooLargeError,
 )
-from .liouvillian import Superoperator, _kron_factors, unvec, vec
+from .liouvillian import Superoperator, _kron_factors, _read_only, unvec, vec
 from .operators import FieldSpace, Space, SpaceDims
 
 DEFAULT_EPSILON = 1e-8
@@ -131,11 +131,15 @@ def check_truncation(rho: DensityMatrix, guard: int | None = None,
 def make_density_matrix(space: Space, raw: np.ndarray) -> DensityMatrix:
     """Hermitize, renormalize, and validate a raw solver output.
 
-    Negative eigenvalues below the tolerance abort the run: they signal a
-    cutoff or solver failure that must not leak into results.
+    Non-finite entries and negative eigenvalues below the tolerance abort
+    the run: they signal a cutoff or solver failure that must not leak into
+    results.
     """
     raw = np.asarray(raw, dtype=complex)
     herm_err = float(np.abs(raw - raw.conj().T).max())
+    # any non-finite entry leaves a non-finite difference at its place
+    if not math.isfinite(herm_err):
+        raise CorruptedStateError("state has non-finite entries")
     m = 0.5 * (raw + raw.conj().T)
     tr = m.trace()
     if abs(tr) < 1e-300:
@@ -264,12 +268,6 @@ def _places(indices: np.ndarray, size: int) -> np.ndarray:
     return place
 
 
-def _read_only(arrays):
-    for array in arrays:
-        array.flags.writeable = False
-    return arrays
-
-
 @functools.lru_cache(maxsize=4)
 def _sector_maps(space: Space) -> _SectorMaps:
     """The `_SectorMaps` of space, computed once per space for the sweep
@@ -298,7 +296,7 @@ def _complex_order(space: Space) -> np.ndarray:
     """The equal-parity sector of space in the order its complex block is
     factorized, made on the first complex block solved on it; read-only."""
     order = _sector_order(_excitations(space), _sector_maps(space).even)
-    order.flags.writeable = False
+    _read_only([order])
     return order
 
 
@@ -580,8 +578,10 @@ def evolve(L: Superoperator, rho0: DensityMatrix, t_end: float, dt: float,
 
     Returns a list of (t, DensityMatrix) pairs.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
+    if not (math.isfinite(t_end) and t_end > 0):
+        raise ValueError(f"t_end must be finite and > 0, got {t_end}")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and > 0, got {dt}")
     n_steps = max(1, int(round(t_end / dt)))
     h = t_end / n_steps
     norm = float(abs(L.matrix).sum(axis=1).max())

@@ -394,11 +394,10 @@ class TestOnePassAssembly:
         assert len(products) == 3 + 2 + 4
         one_pass(ATOM, SqueezedBath(0.5), SpaceDims(8))
         assert len(products) == 9 + 2 + 5
-        # a planned matrix forms one product per jump of nonzero weight; the
-        # squeezed frame's bath is the vacuum, so the cavity's decay and the
-        # atom's are left
+        # a planned matrix is the same one-pass sum; the squeezed frame's
+        # bath is the vacuum, so the cavity's decay and the atom's are left
         build_bogoliubov_liouvillian(ATOM, SqueezedBath(0.5), SpaceDims(8)).matrix
-        assert len(products) == 16 + 2
+        assert len(products) == 16 + 2 + 2
 
     def test_all_terms_at_once_match_reference(self, monkeypatch):
         params = SystemParams(delta_A=1.5, delta_C=-0.7, g0=15.0, gamma=0.8)
@@ -444,18 +443,17 @@ class TestPlannedGenerator:
 
     def test_plan_is_made_once_per_model_and_space(self, monkeypatch):
         plans, products = spy(monkeypatch, "_make_plan"), spy(monkeypatch, "_kron_values")
-        placements = spy(monkeypatch, "_kron_entries")
         liouvillian._plan.cache_clear()
         build_liouvillian(ATOM, SqueezedBath(0.5), SpaceDims(8))
         assert len(plans) == 1
-        assert len(products) == len(placements) == 0
-        # each matrix formed takes the product of each jump of nonzero
-        # weight: at r = 0 the cavity's decay and the atom's; the matrix
-        # pattern is placed once per plan
+        assert len(products) == 0
+        # no product is formed before the matrix is read; then I ⊗ K,
+        # conj(K) ⊗ I and one per jump of nonzero weight, at r = 0 the
+        # cavity's decay and the atom's
         build_liouvillian(ATOM, SqueezedBath(0.0), SpaceDims(8)).matrix
         build_liouvillian(ATOM, SqueezedBath(0.9, phi=0.4), SpaceDims(8)).matrix
-        assert len(plans) == len(placements) == 1
-        assert len(products) == 2 + 5
+        assert len(plans) == 1
+        assert len(products) == (2 + 2) + (2 + 5)
         build_liouvillian(ATOM, SqueezedBath(0.5), SpaceDims(9))
         build_liouvillian(SystemParams(g0=14.0, gamma=1.0), SqueezedBath(0.5), SpaceDims(8))
         assert len(plans) == 3
@@ -482,7 +480,6 @@ class TestPlannedGenerator:
         params, space = SystemParams(delta_C=0.3, g0=4.0, gamma=0.5), SpaceDims(7)
         baths = [SqueezedBath(0.05 * k, phi=0.1 * k) for k in range(24)]
         liouvillian._plan.cache_clear()
-        liouvillian._placement.cache_clear()
 
         def formed(bath):
             L = build_liouvillian(params, bath, space)
@@ -502,7 +499,6 @@ class TestPlannedGenerator:
 
     def test_plan_is_read_only(self):
         plan = liouvillian._plan(ATOM, SpaceDims(6))
-        positions, _, indices, indptr = liouvillian._placement(plan)
-        arrays = [plan.row, plan.col, plan.h, *plan.products, positions, indices, indptr]
+        arrays = [plan.row, plan.col, plan.h, *plan.products]
         arrays += [x for pair in plan.jumps for m in pair for x in (m.data, m.indices, m.indptr)]
         assert not any(array.flags.writeable for array in arrays)

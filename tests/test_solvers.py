@@ -611,6 +611,18 @@ class TestSuggestedCutoff:
         assert suggest_fock_cutoff(20.0) == 400
 
 
+def never_integrated(L):
+    """L with a matrix that fails the test when it is applied to a state."""
+
+    class Unused(type(L.matrix)):
+        def __matmul__(self, other):
+            pytest.fail("integrated")
+
+    unused = Superoperator(L.space, L.matrix)
+    object.__setattr__(unused, "matrix", Unused(L.matrix))
+    return unused
+
+
 class TestEvolve:
     def test_frozen_dynamics(self):
         space = FieldSpace(4)
@@ -646,16 +658,18 @@ class TestEvolve:
 
     def test_unstable_step_refused_before_integrating(self):
         # ||L||_inf = 408, so dt ||L||_inf = 7.5: RK4 diverges at this step
-        L = empty_cavity_liouvillian(0.5, 40)
-
-        class Unused(type(L.matrix)):
-            def __matmul__(self, other):
-                pytest.fail("integrated")
-
-        unused = Superoperator(L.space, L.matrix)
-        object.__setattr__(unused, "matrix", Unused(L.matrix))
+        unused = never_integrated(empty_cavity_liouvillian(0.5, 40))
         with pytest.raises(StepTooLargeError, match="stability guard"):
             evolve(unused, fock_state(FieldSpace(40), 0), 1.0, 0.0184)
+
+    @pytest.mark.parametrize("name, value", [
+        ("t_end", -1.0), ("t_end", 0.0), ("t_end", math.nan), ("t_end", math.inf),
+        ("dt", math.nan), ("dt", math.inf), ("dt", 0.0), ("dt", -0.01)])
+    def test_times_refused_before_integrating(self, name, value):
+        times = {"t_end": 1.0, "dt": 0.01, name: value}
+        unused = never_integrated(empty_cavity_liouvillian(0.0, 6))
+        with pytest.raises(ValueError, match=f"{name} must be finite and > 0, got {value}"):
+            evolve(unused, fock_state(FieldSpace(6), 1), **times)
 
     def test_relaxes_to_steady_state(self):
         params = SystemParams(g0=15.0, gamma=1.0)
@@ -673,6 +687,13 @@ class TestStateValidation:
     def test_negative_eigenvalue_aborts(self):
         m = np.diag([1.1, -0.1]).astype(complex)
         with pytest.raises(CorruptedStateError):
+            make_density_matrix(FieldSpace(2), m)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.inf)])
+    def test_non_finite_entry_aborts(self, bad):
+        m = np.diag([0.5, 0.5]).astype(complex)
+        m[0, 1] = bad
+        with pytest.raises(CorruptedStateError, match="non-finite"):
             make_density_matrix(FieldSpace(2), m)
 
     def test_small_negative_eigenvalue_recorded_not_clipped(self):
