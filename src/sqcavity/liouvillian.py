@@ -34,23 +34,24 @@ jump operators, the products B_j A_j and K's pattern do not depend on
 (N, M). Both builders go through one plan of these (`_Plan`):
 `build_liouvillian` keeps it per (params, space) in a small cache, and
 `build_bogoliubov_liouvillian`, whose b = cosh(r) a - sinh(r) a† moves
-with r, makes one per call. A generator is then its plan with the point's
-K and weights. `steady_state` forms the system it solves from the plan,
+with r, makes one per call. A generator, `Superoperator(plan, k, weights)`,
+is then its plan with the point's K and weights, and it is made no other
+way. `steady_state` forms the system it solves from the plan,
 and the d²×d² matrix is formed only when it is asked for, as the one-pass
 sum of all Kronecker products; no pattern of it is cached.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InvalidDimensionError, UnsupportedFrameError
+from .errors import UnsupportedFrameError
 from .operators import (
     Operator,
     Space,
@@ -100,6 +101,11 @@ class SqueezedBath:
             raise ValueError(f"r and phi must be finite, got r = {self.r}, phi = {self.phi}")
         if self.r < 0:
             raise ValueError(f"squeezing strength must be >= 0, got {self.r}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            bath = (self.n_th, self.m_corr)
+        if not all(map(cmath.isfinite, bath)):  # r above about 355
+            raise ValueError(f"squeezing strength r = {self.r} overflows the bath: "
+                             "N = sinh²r or M = cosh r sinh r e^{i phi} is not finite")
 
     @property
     def n_th(self) -> float:
@@ -119,13 +125,6 @@ def vec(rho: np.ndarray) -> np.ndarray:
 
 def unvec(v: np.ndarray, dim: int) -> np.ndarray:
     return np.asarray(v).reshape((dim, dim), order="F")
-
-
-def trace_row(dim: int) -> np.ndarray:
-    """Row vector vec(I)^T: left null vector of any trace-preserving generator."""
-    row = np.zeros(dim * dim)
-    row[:: dim + 1] = 1.0
-    return row
 
 
 def _kron_factors(space: Space, K, jumps) -> list:
@@ -221,15 +220,6 @@ class _Plan:
         return sp.csr_matrix((values, (self.row, self.col)), shape=(d, d))
 
 
-class _Point(NamedTuple):
-    """One point of a planned model: K's values on the plan's pattern and
-    the weights of the plan's jumps."""
-
-    plan: _Plan
-    k: np.ndarray
-    weights: tuple
-
-
 def _make_plan(space: Space, h, operators) -> _Plan:
     """The plan of the generator with Hamiltonian h and jumps (A_j, B_j)."""
     products = [B @ A for A, B in operators]
@@ -253,43 +243,28 @@ def _plan(params: SystemParams, space: Space) -> _Plan:
 def _at(plan: _Plan, weights) -> Superoperator:
     """The generator of the planned model at these jump weights."""
     weights = tuple(weights[:len(plan.jumps)])
-    return Superoperator(plan.space, point=_Point(plan, _no_jump_part(plan.h, weights,
-                                                                      plan.products), weights))
+    return Superoperator(plan, _no_jump_part(plan.h, weights, plan.products), weights)
 
 
-def _planned_matrix(point: _Point) -> sp.csr_matrix:
-    """The matrix of a planned generator: the one-pass sum of its Kronecker
-    products, exact zeros dropped."""
-    plan, k, weights = point
-    space = plan.space
-    factors = _kron_factors(space, plan.operator(k),
-                            [(w, A, B) for w, (A, B) in zip(weights, plan.jumps)])
-    m = sp.csr_matrix((np.concatenate([_kron_values(left.data, right.data, w)
-                                       for left, right, w in factors]),
-                       _kron_entries(space, factors)), shape=(space.dim**2, space.dim**2))
-    m.eliminate_zeros()
-    return m
-
-
+@dataclass(frozen=True, eq=False)
 class Superoperator:
     """Sparse d²×d² generator on a space of dimension d, acting on vec(rho).
 
-    Made from a matrix, or by a builder as one point of a planned model: the
-    model's `_Plan` with the point's K and jump weights. A planned generator
-    forms its matrix on first access as the one-pass sum of its Kronecker
-    products, with no pattern cached; its trace check and its action on a
-    state need no matrix, and `steady_state` solves it from the plan.
+    One point of a planned model: the model's `_Plan`, K's values `k` on
+    the plan's pattern and the weights of the plan's jumps, as the builders
+    make it. It forms its matrix on first access as the one-pass sum of its
+    Kronecker products, with no pattern cached; its trace check and its
+    action on a state need no matrix, and `steady_state` solves it from the
+    plan.
     """
 
-    def __init__(self, space: Space, matrix=None, *, point: _Point | None = None):
-        self.space, self.point = space, point
-        if point is None:
-            m = matrix.tocsr()
-            if m.shape != (self.dim**2, self.dim**2):
-                raise InvalidDimensionError(
-                    f"superoperator matrix shape {m.shape} does not match its space {space}"
-                )
-            self.matrix = m
+    plan: _Plan
+    k: np.ndarray
+    weights: tuple
+
+    @property
+    def space(self) -> Space:
+        return self.plan.space
 
     @property
     def dim(self) -> int:
@@ -297,29 +272,32 @@ class Superoperator:
 
     @cached_property
     def matrix(self) -> sp.csr_matrix:
-        return _planned_matrix(self.point)
+        """The one-pass sum of the Kronecker products, exact zeros dropped."""
+        space = self.space
+        factors = _kron_factors(space, self.plan.operator(self.k),
+                                [(w, A, B) for w, (A, B) in zip(self.weights, self.plan.jumps)])
+        m = sp.csr_matrix((np.concatenate([_kron_values(left.data, right.data, w)
+                                           for left, right, w in factors]),
+                           _kron_entries(space, factors)), shape=(self.dim**2, self.dim**2))
+        m.eliminate_zeros()
+        return m
 
     def trace_residual(self) -> float:
         """max |vec(I)^T L|; zero for any trace-preserving generator. Entry
         (k, l) of vec(I)^T L is entry (l, k) of K + K† + sum_j w_j B_j A_j,
-        which a planned generator sums on the d×d space."""
-        if self.point is None:
-            return float(np.abs(trace_row(self.dim) @ self.matrix).max())
-        plan, k, weights = self.point
-        K = plan.operator(k)
-        jumps = sum((w * p for w, p in zip(weights, plan.products) if w != 0), np.zeros_like(k))
-        return float(np.abs((K + K.conj().T + plan.operator(jumps)).data).max(initial=0.0))
+        which is summed on the d×d space."""
+        K = self.plan.operator(self.k)
+        jumps = sum((w * p for w, p in zip(self.weights, self.plan.products) if w != 0),
+                    np.zeros_like(self.k))
+        return float(np.abs((K + K.conj().T + self.plan.operator(jumps)).data).max(initial=0.0))
 
     def act(self, rho: np.ndarray) -> np.ndarray:
-        """L(rho) for a d×d rho: L vec(rho), or for a planned generator the
-        Lindblad form K rho + rho K† + sum_j w_j A_j rho B_j with sparse
-        factors, which needs no d²×d² matrix."""
-        if self.point is None:
-            return unvec(self.matrix @ vec(rho), self.dim)
-        plan, k, weights = self.point
-        K = plan.operator(k)
+        """L(rho) for a d×d rho, in the Lindblad form
+        K rho + rho K† + sum_j w_j A_j rho B_j with sparse factors, which
+        needs no d²×d² matrix."""
+        K = self.plan.operator(self.k)
         out = K @ rho + (K.conj() @ rho.T).T  # rho K† = (conj(K) rho^T)^T
-        for w, (A, B) in zip(weights, plan.jumps):
+        for w, (A, B) in zip(self.weights, self.plan.jumps):
             if w != 0:
                 out += w * (A @ (B.T @ rho.T).T)
         return out

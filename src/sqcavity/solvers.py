@@ -22,7 +22,7 @@ from .errors import (
     StepTooLargeError,
 )
 from .liouvillian import Superoperator, _kron_factors, _read_only, unvec, vec
-from .operators import FieldSpace, Space, SpaceDims
+from .operators import Space, SpaceDims
 
 DEFAULT_EPSILON = 1e-8
 TRACE_TOL = 1e-10
@@ -188,15 +188,10 @@ def suggest_fock_cutoff(r: float, epsilon: float = DEFAULT_EPSILON) -> int:
 def _excitations(space: Space) -> np.ndarray:
     """Excitation number of each basis state: a†a, plus sigma_ee on the
     composite space."""
+    n = np.arange(space.dim)
     if isinstance(space, SpaceDims):
-        n = np.arange(space.dim)
         return n // space.fock_cutoff + n % space.fock_cutoff
-    if isinstance(space, FieldSpace):
-        return np.arange(space.dim)
-    raise SolverError(
-        f"steady_state needs a generator on a field or composite space, got {space}; "
-        "build it with build_liouvillian or build_bogoliubov_liouvillian"
-    )
+    return n
 
 
 _ND_LEAF = 16
@@ -416,12 +411,10 @@ def _fold(plan, used: tuple) -> _Fold:
 
 
 def _real_block(L: Superoperator) -> sp.csc_matrix | None:
-    """The real folded system of a planned generator with the phase
-    symmetry at real weights, formed from its plan; None for any other
-    generator. SolverError when the plan couples the parity sectors."""
-    if L.point is None:
-        return None
-    plan, k, weights = L.point
+    """The real folded system of a generator with the phase symmetry at
+    real weights, formed from its plan; None for any other generator.
+    SolverError when the plan couples the parity sectors."""
+    plan, k, weights = L.plan, L.k, L.weights
     parity, phase = _plan_symmetries(plan)
     if not parity:
         raise SolverError(_COUPLED)
@@ -439,13 +432,11 @@ def _real_block(L: Superoperator) -> sp.csc_matrix | None:
 
 def _complex_block(L: Superoperator, order: np.ndarray) -> sp.csc_matrix:
     """The equal-parity block of L's matrix with its unknowns in `order`,
-    the trace row in place of rho_00's row, which is last. SolverError when
-    L couples the parity sectors."""
+    the trace row in place of rho_00's row, which is last; `_real_block`
+    has checked before that L keeps the parity sectors apart."""
     d, matrix, m = L.dim, L.matrix, order.size
     position = _places(order, d * d)
     row, col = np.repeat(position, np.diff(matrix.indptr)), position[matrix.indices]
-    if np.any((row < 0) != (col < 0)):
-        raise SolverError(_COUPLED)
     keep = (row >= 0) & (row < m - 1)
     return sp.csc_matrix(
         (np.concatenate([matrix.data[keep], np.ones(d)]),
@@ -478,15 +469,14 @@ def steady_state(L: Superoperator, guard: int | None = None,
     At phi = 0 and zero detunings the model has one more symmetry: L
     commutes with rho -> U rho* U†, U = (-1)^sigma_ee, so every rho_ij is
     real where ket and bra have the same atom state and imaginary where
-    they differ, and rho is Hermitian. When a generator from
-    `build_liouvillian` or `build_bogoliubov_liouvillian` has it, which is
+    they differ, and rho is Hermitian. When a generator has it, which is
     tested exactly on its plan's factors and its weights
     (`_plan_symmetries`), the block is folded onto one entry of each pair
     {rho_ij, rho_ji} and solved in real arithmetic: about d²/4 real
     unknowns, against d²/2 complex ones. The folded system is formed from
-    the plan (`_fold`), without L's matrix. Any other generator, such as
-    one at phi != 0, one with a detuning or one made from a matrix, is
-    solved as the complex block of its matrix.
+    the plan (`_fold`), without L's matrix. Any other generator, one at
+    phi != 0 or with a detuning, is solved as the complex block of its
+    matrix.
 
     The solution is scattered into a full rho whose cross-sector entries
     are exactly zero. Its tail over the top `guard` Fock levels must stay
@@ -498,9 +488,9 @@ def steady_state(L: Superoperator, guard: int | None = None,
 
     L itself must be finite and trace-preserving: max |vec(I)^T L| at most
     TRACE_TOL or, for large entries, whose round-off the trace row sums,
-    1e-14 max|L| (max|K| for a generator from the builders).
+    1e-14 max|K|.
     """
-    scale = float(np.abs(L.matrix.data if L.point is None else L.point.k).max(initial=0.0))
+    scale = float(np.abs(L.k).max(initial=0.0))
     if not (math.isfinite(scale) and L.trace_residual() <= max(TRACE_TOL, 1e-14 * scale)):
         raise SolverError("generator is not trace-preserving or not finite; refusing to solve")
     maps = _sector_maps(L.space)
@@ -574,7 +564,8 @@ def evolve(L: Superoperator, rho0: DensityMatrix, t_end: float, dt: float,
     hermitized and validated. dt and the grid's step must not exceed
     RK4_RADIUS / ||L||_inf, where RK4 is stable: the eigenvalues of a
     generator lie in the left half of the disc of radius ||L||_inf, its
-    largest absolute row sum (Gershgorin). A longer step is refused at once.
+    largest absolute row sum (Gershgorin). A longer step is refused at once,
+    as is a sample time that is not finite or lies outside [0, t_end].
 
     Returns a list of (t, DensityMatrix) pairs.
     """
@@ -582,6 +573,11 @@ def evolve(L: Superoperator, rho0: DensityMatrix, t_end: float, dt: float,
         raise ValueError(f"t_end must be finite and > 0, got {t_end}")
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and > 0, got {dt}")
+    if sample_times is None:
+        sample_times = np.linspace(0.0, t_end, 11)
+    for t in sample_times:
+        if not (math.isfinite(t) and 0 <= t <= t_end):
+            raise ValueError(f"sample time {t} must be finite and in [0, t_end = {t_end}]")
     n_steps = max(1, int(round(t_end / dt)))
     h = t_end / n_steps
     norm = float(abs(L.matrix).sum(axis=1).max())
@@ -590,9 +586,7 @@ def evolve(L: Superoperator, rho0: DensityMatrix, t_end: float, dt: float,
             f"dt = {dt:g} (grid step {h:g}) exceeds the stability guard "
             f"{RK4_RADIUS:g} / ||L||_inf = {RK4_RADIUS / norm:g}"
         )
-    if sample_times is None:
-        sample_times = np.linspace(0.0, t_end, 11)
-    sample_steps = sorted({min(n_steps, max(0, int(round(t / h)))) for t in sample_times})
+    sample_steps = sorted({int(round(t / h)) for t in sample_times})
 
     mat = L.matrix
     v = vec(rho0.matrix).astype(complex)

@@ -183,7 +183,7 @@ def coerce_field(key: str, value, context: str | None = None):
 
 def load_config(path) -> SweepConfig:
     """Parse a flat key = value config file."""
-    values = {}
+    values, lines = {}, {}
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -198,6 +198,10 @@ def load_config(path) -> SweepConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _FIELD_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in lines:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} is given twice, on lines "
+                              f"{lines[key]} and {lineno}")
+        lines[key] = lineno
         values[key] = coerce_field(key, value, f"{path}:{lineno}: bad value for {key}")
     return SweepConfig(**values).validate()
 

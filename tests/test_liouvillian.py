@@ -1,4 +1,6 @@
+import re
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
@@ -7,11 +9,11 @@ import pytest
 import scipy.sparse as sp
 
 from sqcavity import (
+    AtomSpace,
     FieldSpace,
     InvalidDimensionError,
     SpaceDims,
     SqueezedBath,
-    Superoperator,
     SystemParams,
     UnsupportedFrameError,
     annihilation,
@@ -25,11 +27,10 @@ from sqcavity import (
     vec,
 )
 from sqcavity import liouvillian
-from sqcavity.liouvillian import trace_row
 from sqcavity.operators import embed_field
 from conftest import squeezed_state_vector
 import test_solvers
-from test_solvers import ATOM, SECTOR_CASES
+from test_solvers import ATOM, SECTOR_CASES, matrix_trace_residual
 
 
 def random_hermitian(rng, d):
@@ -52,6 +53,17 @@ class TestSqueezedBath:
     def test_negative_r_rejected(self):
         with pytest.raises(ValueError):
             SqueezedBath(r=-0.2)
+
+    @pytest.mark.parametrize("r", [356.0, 711.0, 1e300])
+    @pytest.mark.parametrize("phi", [0.0, 0.7])
+    def test_overflowing_bath_rejected(self, r, phi):
+        # sinh²r overflows above r of about 355, sinh r itself above 710;
+        # the strength is refused without a numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(f"squeezing strength r = {r} over")):
+                SqueezedBath(r=r, phi=phi)
+            assert np.isfinite(SqueezedBath(r=355.0, phi=phi).n_th)
 
 
 def hamiltonian(params, space):
@@ -215,14 +227,13 @@ class TestFullLiouvillian:
 
     def test_left_null_vector_is_trace(self):
         L = build_liouvillian(SystemParams(g0=2.0, gamma=0.3), SqueezedBath(0.4), SpaceDims(4))
-        assert np.abs(trace_row(8) @ L.matrix).max() < 1e-12
+        assert matrix_trace_residual(L) < 1e-12
 
-    def test_space_must_match_the_dimension(self):
-        L = build_liouvillian(SystemParams(), SqueezedBath(0.4), FieldSpace(6))
-        with pytest.raises(InvalidDimensionError, match="does not match its space"):
-            Superoperator(FieldSpace(8), L.matrix)
-        with pytest.raises(InvalidDimensionError):
-            Superoperator(SpaceDims(6), L.matrix)
+    @pytest.mark.parametrize("build", [build_liouvillian, build_bogoliubov_liouvillian])
+    def test_atom_space_refused(self, build):
+        # no plan, and so no generator, exists on the atom's space alone
+        with pytest.raises(InvalidDimensionError, match="expected a field or composite space"):
+            build(SystemParams(), SqueezedBath(0.4), AtomSpace())
 
 
 class TestBogoliubovFrame:
@@ -295,7 +306,7 @@ def reference_assemble(params, x, c, n_th, m_corr):
     m = -1j * (spre(h) - spost(h)) + reference_cavity_damping(params.kappa, c, n_th, m_corr)
     if isinstance(x.space, SpaceDims):
         m = m + reference_atom_damping(params.gamma, x.space)
-    return Superoperator(x.space, m)
+    return m
 
 
 def lab_reference(params, bath, space):
@@ -333,7 +344,7 @@ def one_pass_assembly(params, x, c, n_th, m_corr):
                        liouvillian._kron_entries(space, factors)),
                       shape=(space.dim**2, space.dim**2))
     m.eliminate_zeros()
-    return Superoperator(space, m)
+    return m
 
 
 def one_pass(params, bath, space):
@@ -350,8 +361,9 @@ def squeezed_frame(assemble, params, bath, space):
 
 
 def assert_same_generator(fast, reference):
-    """Same stored pattern, no explicit zeros, values equal to round-off."""
-    fast, reference = fast.matrix, reference.matrix
+    """fast's matrix has reference's stored pattern, no explicit zeros, and
+    values equal to round-off."""
+    fast = fast.matrix
     assert fast.nnz == reference.nnz == reference.count_nonzero()
     assert np.array_equal(fast.indptr, reference.indptr)
     assert np.array_equal(fast.indices, reference.indices)
@@ -416,7 +428,8 @@ def spy(monkeypatch, name):
 
 
 def assert_identical(fast, reference):
-    fast, reference = fast.matrix, reference.matrix
+    """fast's matrix is the matrix reference, to the bit."""
+    fast = fast.matrix
     assert fast.dtype == reference.dtype
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(fast, name), getattr(reference, name))
@@ -462,7 +475,7 @@ class TestPlannedGenerator:
     def test_each_call_returns_a_matrix_of_its_own(self, r):
         params, bath, space = ATOM, SqueezedBath(r, phi=0.3), SpaceDims(6)
         first = build_liouvillian(params, bath, space)
-        expected = Superoperator(space, first.matrix.copy())
+        expected = first.matrix.copy()
         second = build_liouvillian(params, bath, space)
         assert second is not first
         for name in ("data", "indices", "indptr"):

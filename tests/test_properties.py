@@ -36,7 +36,6 @@ from sqcavity import (
     FieldSpace,
     SpaceDims,
     SqueezedBath,
-    Superoperator,
     SystemParams,
     atom_excited_population,
     build_bogoliubov_liouvillian,
@@ -51,6 +50,7 @@ from sqcavity import (
 )
 from conftest import excitation_numbers, parity_mismatch
 from test_liouvillian import assert_identical, assert_same_generator, one_pass
+from test_solvers import complex_block_state
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -186,10 +186,7 @@ def test_phase_symmetric_generator_takes_the_real_fold(cutoff, atom_present, bog
     # hold at any cutoff, so the truncation is not checked
     folded = steady_state(L, guard=1, epsilon=math.inf)
     assert folded.diagnostics.lu_arithmetic == "real"
-    # a generator given as a matrix takes the complex block
-    plain = steady_state(Superoperator(L.space, L.matrix), guard=1, epsilon=math.inf)
-    assert plain.diagnostics.lu_arithmetic == "complex"
-    np.testing.assert_allclose(folded.matrix, plain.matrix, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(folded.matrix, complex_block_state(L), rtol=0, atol=1e-12)
 
 
 def gauge(space, angle):

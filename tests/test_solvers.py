@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu, spsolve
 
 from sqcavity import (
-    AtomSpace,
     CorruptedStateError,
     CutoffTooSmallError,
     FieldSpace,
@@ -48,6 +48,30 @@ def fock_state(space, n):
     return make_density_matrix(space, m)
 
 
+def planned(space, h, operators=(), weights=()):
+    """The generator with Hamiltonian h and jumps (A_j, B_j) at these
+    weights, as the one point of a plan of its own."""
+    return liouvillian._at(liouvillian._make_plan(space, h, operators), weights)
+
+
+def zero_generator(space):
+    """The generator under which every state is steady."""
+    return planned(space, sp.csr_matrix((space.dim, space.dim), dtype=complex))
+
+
+def matrix_trace_residual(L):
+    """max |vec(I)^T L| taken on L's matrix."""
+    return float(np.abs(vec(np.eye(L.dim)) @ L.matrix).max())
+
+
+def with_trace_defect(L, defect):
+    """L's point with K_00 raised by defect / 2, so that K + K† and the
+    trace row of L gain `defect` at (0, 0)."""
+    k = L.k.copy()
+    k[(L.plan.row == 0) & (L.plan.col == 0)] += defect / 2
+    return Superoperator(L.plan, k, L.weights)
+
+
 class TestSteadyState:
     def test_dark_bath_gives_vacuum(self):
         rho = steady_state(empty_cavity_liouvillian(0.0, 10))
@@ -73,26 +97,29 @@ class TestSteadyState:
         assert np.abs(L.matrix @ vec(rho.matrix)).max() < 1e-8
 
     def test_rejects_non_trace_preserving_generator(self):
-        bad = Superoperator(FieldSpace(3), sp.identity(9, format="csr") * 1.0)
+        # K = I/2: rho -> K rho + rho K† is the identity
+        bad = planned(FieldSpace(3), 0.5j * sp.identity(3, dtype=complex, format="csr"))
+        assert (bad.matrix != sp.identity(9)).nnz == 0
         with pytest.raises(SolverError):
             steady_state(bad)
 
     def test_trace_check_scales_with_the_generator(self, monkeypatch):
-        # at r = 6 the entries reach 4.6e6 and the trace row's round-off,
-        # 4.7e-10, exceeds TRACE_TOL: the generator is still accepted, from
-        # its matrix as from its plan, whose d×d sum cancels here exactly
+        # at r = 6 the entries reach 4.6e6 and the trace row's round-off on
+        # the matrix, 4.7e-10, exceeds TRACE_TOL; the d×d sum of the plan
+        # cancels here, and a defect of 1e-15 max|K|, above TRACE_TOL too,
+        # is accepted
         L = empty_cavity_liouvillian(6.0, 30)
-        plain = Superoperator(L.space, L.matrix)
-        assert plain.trace_residual() > solvers.TRACE_TOL
-        for generator in (plain, L):
+        scale = np.abs(L.k).max()
+        assert matrix_trace_residual(L) > solvers.TRACE_TOL >= L.trace_residual()
+        rounded = with_trace_defect(L, 1e-15 * scale)
+        assert rounded.trace_residual() > solvers.TRACE_TOL
+        for generator in (L, rounded):
             with pytest.raises(CutoffTooSmallError):
                 steady_state(generator)
-        # a trace defect of 1e-12 of the largest entry is refused
-        matrix = L.matrix.copy()
-        matrix[0, 0] += 1e-12 * np.abs(matrix.data).max()
+        # a trace defect of 1e-12 max|K| is refused
         monkeypatch.setattr(solvers, "spsolve", lambda *args: pytest.fail("factorized"))
         with pytest.raises(SolverError, match="not trace-preserving"):
-            steady_state(Superoperator(L.space, matrix))
+            steady_state(with_trace_defect(L, 1e-12 * scale))
 
     @pytest.mark.parametrize("guard", [0, -1])
     def test_guard_below_one_refused(self, guard):
@@ -166,6 +193,18 @@ def full_system_state(L):
     return rho / rho.trace().real
 
 
+def complex_block_state(L):
+    """The state from the complex parity block of L's matrix, solved and
+    validated as steady_state does it, but never folded: the reference for
+    the real fold."""
+    order = solvers._complex_order(L.space)
+    rhs = np.zeros(order.size, dtype=complex)
+    rhs[-1] = 1.0
+    full = np.zeros(L.dim**2, dtype=complex)
+    full[order], _ = solvers.spsolve(solvers._complex_block(L, order), rhs)
+    return make_density_matrix(L.space, unvec(full, L.dim)).matrix
+
+
 def record_spsolve(monkeypatch):
     """Replace solvers.spsolve by a spy; returns the list of (system, fill)
     of each factorization."""
@@ -225,6 +264,13 @@ class TestSectorSolve:
         rho = steady_state(L, epsilon=math.inf)
         assert np.abs(rho.matrix - full_system_state(L)).max() <= 1e-12
 
+    @pytest.mark.parametrize("case", sorted(set(SECTOR_CASES) - {"phase", "detuned"}))
+    def test_real_fold_matches_the_complex_block(self, case):
+        L = SECTOR_CASES[case]()
+        rho = steady_state(L, epsilon=math.inf)
+        assert rho.diagnostics.lu_arithmetic == "real"
+        assert np.abs(rho.matrix - complex_block_state(L)).max() <= 1e-12
+
     @pytest.mark.parametrize("case", sorted(SECTOR_CASES))
     def test_cross_sector_entries_are_exactly_zero(self, case):
         L = SECTOR_CASES[case]()
@@ -267,50 +313,32 @@ class TestSectorSolve:
         # gives the state of the unbroken L, but L no longer maps rho† to
         # (L rho)†, and the residual against the full model shows it
         L = empty_cavity_liouvillian(0.3, 12)
-        plan, _, weights = L.point
-        d = L.dim
+        plan, d = L.plan, L.dim
         A = sp.csr_matrix(([1.0 + 0j], ([0], [0])), shape=(d, d))
         B = sp.csr_matrix(([1.0 + 0j], ([0], [2])), shape=(d, d))
-        broken = liouvillian._at(
-            liouvillian._make_plan(L.space, plan.operator(plan.h), [*plan.jumps, (A, B)]),
-            (*weights, 1e-3))
+        broken = planned(L.space, plan.operator(plan.h), [*plan.jumps, (A, B)],
+                         (*L.weights, 1e-3))
         assert steady_state(L, epsilon=math.inf).diagnostics.lu_arithmetic == "real"
         with pytest.raises(NonUniqueSteadyStateError, match="assumes that L maps rho†"):
             steady_state(broken, epsilon=math.inf)
 
     @pytest.mark.parametrize("space", [SpaceDims(6), FieldSpace(8)])
-    def test_coherent_drive_refused_before_factorizing(self, space, monkeypatch):
-        # -i[eps (a + a†), .] mixes the parity sectors
-        L, drive = driven_model(space)
-        eye = sp.identity(space.dim)
-        driven = Superoperator(space, L.matrix - 1j * (sp.kron(eye, drive) - sp.kron(drive.T, eye)))
-        monkeypatch.setattr(solvers, "spsolve", lambda *args: pytest.fail("factorized"))
-        with pytest.raises(SolverError, match="parity"):
-            steady_state(driven)
-
-    @pytest.mark.parametrize("space", [SpaceDims(6), FieldSpace(8)])
     def test_coherent_drive_in_the_plan_refused_before_factorizing(self, space, monkeypatch):
-        # the plan's Hamiltonian shows the drive: its factors are tested
+        # -i[eps (a + a†), .] mixes the parity sectors, and the plan's
+        # Hamiltonian shows the drive: its factors are tested
         L, drive = driven_model(space)
-        plan, _, weights = L.point
-        driven = liouvillian._at(liouvillian._make_plan(space, plan.operator(plan.h) + drive,
-                                                        plan.jumps), weights)
+        driven = planned(space, L.plan.operator(L.plan.h) + drive, L.plan.jumps, L.weights)
         monkeypatch.setattr(solvers, "spsolve", lambda *args: pytest.fail("factorized"))
         with pytest.raises(SolverError, match="parity"):
             steady_state(driven)
 
     def test_nan_generator_refused_before_factorizing(self, monkeypatch):
         L = SECTOR_CASES["atom"]()
-        matrix = L.matrix.copy()
-        matrix.data[matrix.nnz // 2] = np.nan
+        k = L.k.copy()
+        k[k.size // 2] = np.nan
         monkeypatch.setattr(solvers, "spsolve", lambda *args: pytest.fail("factorized"))
         with pytest.raises(SolverError, match="not finite"):
-            steady_state(Superoperator(L.space, matrix))
-
-    def test_generator_without_field_space_refused(self, monkeypatch):
-        monkeypatch.setattr(solvers, "spsolve", lambda *args: pytest.fail("factorized"))
-        with pytest.raises(SolverError, match="field or composite space"):
-            steady_state(Superoperator(AtomSpace(), sp.csr_matrix((4, 4))))
+            steady_state(Superoperator(L.plan, k, L.weights))
 
     def test_residual_recorded(self):
         # taken in Lindblad form on the d×d state, it agrees with the full
@@ -349,9 +377,8 @@ def matrix_scan_fold(L):
 def trace_broken(L):
     """L's planned model with iH shifted by 0.3 on the diagonal, so that
     K + K† = 0.6 I: a generator with a trace defect of 0.6."""
-    plan, _, weights = L.point
-    shifted = plan.operator(plan.h) + 0.3j * sp.identity(L.dim, format="csr")
-    return liouvillian._at(liouvillian._make_plan(L.space, shifted, plan.jumps), weights)
+    shifted = L.plan.operator(L.plan.h) + 0.3j * sp.identity(L.dim, format="csr")
+    return planned(L.space, shifted, L.plan.jumps, L.weights)
 
 
 class TestPlanPath:
@@ -371,8 +398,8 @@ class TestPlanPath:
     @pytest.mark.parametrize("case", sorted({**SECTOR_CASES, **COMPLEX_CASES}))
     def test_symmetry_of_the_factors_matches_that_of_the_entries(self, case):
         L = {**SECTOR_CASES, **COMPLEX_CASES}[case]()
-        parity, phase = solvers._plan_symmetries(L.point.plan)
-        real_weights = all(np.imag(w) == 0 for w in L.point.weights)
+        parity, phase = solvers._plan_symmetries(L.plan)
+        real_weights = all(np.imag(w) == 0 for w in L.weights)
         assert parity
         assert (phase and real_weights) == (matrix_scan_fold(L) is not None)
         assert (matrix_scan_fold(L) is None) == (case in ("phase", "detuned", *COMPLEX_CASES))
@@ -386,13 +413,11 @@ class TestPlanPath:
         for state in (rho, x):
             assert np.abs(L.act(state) - unvec(L.matrix @ vec(state), L.dim)).max() <= (
                 1e-14 * scale * np.abs(state).max())
-        plain = Superoperator(L.space, L.matrix)
         assert L.trace_residual() <= 1e-14 * scale
-        assert plain.trace_residual() <= 1e-14 * scale
+        assert matrix_trace_residual(L) <= 1e-14 * scale
         broken = trace_broken(L)
         assert broken.trace_residual() == pytest.approx(0.6, abs=1e-14 * scale)
-        assert Superoperator(L.space, broken.matrix).trace_residual() == pytest.approx(
-            0.6, abs=1e-14 * scale)
+        assert matrix_trace_residual(broken) == pytest.approx(0.6, abs=1e-14 * scale)
 
 
 def colamd_block_solve(L):
@@ -618,7 +643,7 @@ def never_integrated(L):
         def __matmul__(self, other):
             pytest.fail("integrated")
 
-    unused = Superoperator(L.space, L.matrix)
+    unused = Superoperator(L.plan, L.k, L.weights)
     object.__setattr__(unused, "matrix", Unused(L.matrix))
     return unused
 
@@ -626,7 +651,7 @@ def never_integrated(L):
 class TestEvolve:
     def test_frozen_dynamics(self):
         space = FieldSpace(4)
-        zero = Superoperator(space, sp.csr_matrix((16, 16)))
+        zero = zero_generator(space)
         rho0 = fock_state(space, 2)
         traj = evolve(zero, rho0, 1.0, 0.05)
         for _, rho in traj:
@@ -662,13 +687,23 @@ class TestEvolve:
         with pytest.raises(StepTooLargeError, match="stability guard"):
             evolve(unused, fock_state(FieldSpace(40), 0), 1.0, 0.0184)
 
-    @pytest.mark.parametrize("name, value", [
-        ("t_end", -1.0), ("t_end", 0.0), ("t_end", math.nan), ("t_end", math.inf),
-        ("dt", math.nan), ("dt", math.inf), ("dt", 0.0), ("dt", -0.01)])
-    def test_times_refused_before_integrating(self, name, value):
-        times = {"t_end": 1.0, "dt": 0.01, name: value}
+    @pytest.mark.parametrize("name, value, message", [
+        ("t_end", -1.0, "t_end must be finite and > 0, got -1.0"),
+        ("t_end", 0.0, "t_end must be finite and > 0, got 0.0"),
+        ("t_end", math.nan, "t_end must be finite and > 0, got nan"),
+        ("t_end", math.inf, "t_end must be finite and > 0, got inf"),
+        ("dt", math.nan, "dt must be finite and > 0, got nan"),
+        ("dt", math.inf, "dt must be finite and > 0, got inf"),
+        ("dt", 0.0, "dt must be finite and > 0, got 0.0"),
+        ("dt", -0.01, "dt must be finite and > 0, got -0.01"),
+        ("sample_times", [math.nan], "sample time nan must be finite and in [0, t_end = 2.0]"),
+        ("sample_times", [5.0], "sample time 5.0 must be finite and in [0, t_end = 2.0]"),
+        ("sample_times", [-1.0], "sample time -1.0 must be finite and in [0, t_end = 2.0]"),
+        ("sample_times", [1.0, math.inf], "sample time inf must be finite and in [0, t_end = 2.0]")])
+    def test_times_refused_before_integrating(self, name, value, message):
+        times = {"t_end": 2.0, "dt": 0.01, name: value}
         unused = never_integrated(empty_cavity_liouvillian(0.0, 6))
-        with pytest.raises(ValueError, match=f"{name} must be finite and > 0, got {value}"):
+        with pytest.raises(ValueError, match=re.escape(message)):
             evolve(unused, fock_state(FieldSpace(6), 1), **times)
 
     def test_relaxes_to_steady_state(self):

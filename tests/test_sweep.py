@@ -2,13 +2,13 @@ import logging
 import math
 import re
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from sqcavity import (
     ConfigError,
@@ -17,7 +17,6 @@ from sqcavity import (
     NonUniqueSteadyStateError,
     SpaceDims,
     SqueezedBath,
-    Superoperator,
     SweepConfig,
     SystemParams,
     _blas,
@@ -38,6 +37,7 @@ from sqcavity.sweep import (
     run_wigner,
 )
 from conftest import squeezed_photon_numbers
+from test_solvers import zero_generator
 
 
 def write_config(path, text):
@@ -66,6 +66,13 @@ class TestConfigParsing:
     def test_unknown_key_rejected(self, tmp_path):
         path = write_config(tmp_path / "bad.cfg", "fock_cutof = 10\n")
         with pytest.raises(ConfigError):
+            load_config(path)
+
+    def test_key_given_twice_rejected(self, tmp_path):
+        path = write_config(tmp_path / "twice.cfg",
+                            "fock_cutoff = 30\nr_values = 0.1\nfock_cutoff = 20\n")
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{path}:3: key 'fock_cutoff' is given twice, on lines 1 and 3")):
             load_config(path)
 
     def test_bad_boolean_rejected(self, tmp_path):
@@ -277,6 +284,17 @@ class TestCli:
     def test_config_error_exit_code(self, tmp_path):
         bad = write_config(tmp_path / "bad.cfg", "mode = nonsense\n")
         assert main(["--config", bad]) == 2
+
+    def test_overflowing_squeezing_exit_code(self, tmp_path, capsys):
+        # the bath's N = sinh²r overflows: a config error, and no numpy
+        # overflow warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--no-atom", "--r", "800", "--cutoff", "20", "--guard", "2",
+                         "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: squeezing strength r = 800.0 overflows the bath")
+        assert not (tmp_path / "x.csv").exists()
 
     def test_truncation_error_exit_code(self, tmp_path):
         assert main([
@@ -697,6 +715,6 @@ def test_steady_state_alone_restores_blas_after_a_failing_solve(blas_spy):
     # every state is steady under the zero generator, so its LU is singular;
     # guard 1, as the default guard 4 is refused at cutoff 4 before the LU
     with pytest.raises(NonUniqueSteadyStateError, match="sparse LU solve failed"):
-        steady_state(Superoperator(FieldSpace(4), sp.csr_matrix((16, 16))), guard=1)
+        steady_state(zero_generator(FieldSpace(4)), guard=1)
     assert blas_spy == [(1, 1)]
     assert blas_threads() == before
