@@ -37,8 +37,8 @@ jump operators, the products B_j A_j and K's pattern do not depend on
 with r, makes one per call. A generator, `Superoperator(plan, k, weights)`,
 is then its plan with the point's K and weights, and it is made no other
 way. `steady_state` forms the system it solves from the plan,
-and the d²×d² matrix is formed only when it is asked for, as the one-pass
-sum of all Kronecker products; no pattern of it is cached.
+and the d²×d² matrix is formed only when it is asked for (`evolve` asks),
+as the one-pass sum of all Kronecker products; no pattern of it is cached.
 """
 
 from __future__ import annotations
@@ -188,8 +188,10 @@ def _weights(params: SystemParams, n_th: float, m_corr: complex) -> tuple:
 def _no_jump_part(h, weights, products):
     """K = -iH - ½ sum_j w_j B_j A_j over the jumps of nonzero weight, from H
     and the products B_j A_j: sparse matrices, or their values on one
-    pattern, which gives the same values."""
-    return -1j * h + -0.5 * sum(w * p for w, p in zip(weights, products) if w != 0)
+    pattern, which gives the same values. A bath strong enough to overflow
+    K leaves it non-finite without a warning: `steady_state` refuses it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return -1j * h + -0.5 * sum(w * p for w, p in zip(weights, products) if w != 0)
 
 
 def _read_only(arrays):

@@ -59,14 +59,13 @@ class StateDiagnostics:
     of the solved system fixes tr rho = 1; there `residual`,
     max |L(rho)| against the full generator, is the figure of the
     solve's quality, `tail_mass` the value `check_truncation` measured on
-    the solution, `lu_unknowns` is the size of the factorized block,
-    `lu_arithmetic` whether it was "real" (folded) or "complex", `lu_fill`
-    the number of entries SuperLU stores for its L and U factors, and the
-    seconds spent in each stage: `block_seconds` forming the block (the
-    real one from the generator's plan, the complex one from its matrix),
-    `lu_seconds` in `spsolve`, `unfold_seconds` scattering the solution
-    into rho, `tail_seconds` in `check_truncation`, `validate_seconds` in
-    `make_density_matrix` and `residual_seconds` taking the residual.
+    the solution, `lu_unknowns` the number of real unknowns of the folded
+    system, `lu_fill` the number of entries SuperLU stores for its L and U
+    factors, and the seconds spent in each stage: `block_seconds` forming
+    the system from the generator's plan, `lu_seconds` in `spsolve`,
+    `unfold_seconds` scattering the solution into rho, `tail_seconds` in
+    `check_truncation`, `validate_seconds` in `make_density_matrix` and
+    `residual_seconds` taking the residual.
     """
 
     trace_error: float
@@ -75,7 +74,6 @@ class StateDiagnostics:
     tail_mass: float | None = None  # set by steady_state
     residual: float | None = None  # set by steady_state
     lu_unknowns: int | None = None  # set by steady_state
-    lu_arithmetic: str | None = None  # set by steady_state
     block_seconds: float | None = None  # set by steady_state
     lu_fill: int | None = None  # set by steady_state
     lu_seconds: float | None = None  # set by steady_state
@@ -233,8 +231,8 @@ def _sector_order(n: np.ndarray, even: np.ndarray) -> np.ndarray:
 
 
 class _SectorMaps(NamedTuple):
-    """Index maps of the equal-parity sector of one space and of its real
-    fold, by vec index v = i + d j; read-only.
+    """Index maps of the equal-parity sector of one space and of its fold
+    by Hermiticity, by vec index v = i + d j; read-only.
 
     `u` is u_i = (-1)^(sigma_ee of basis state i) and `sign`
     sigma(v) = u_i u_j; `even` lists the sector in vec order; `folded`
@@ -242,9 +240,7 @@ class _SectorMaps(NamedTuple):
     t(v) = j + d i (N_i > N_j, or N_i = N_j and i <= j: the k >= 0 half of
     the grid), in the order they are factorized; `fold_row` is the place in
     `folded` of a representative (-1 for any other v) and `fold_col` that
-    of v's representative, v or t(v) (-1 outside the sector), and
-    `fold_sign` is the factor y_v = fold_sign(v) y_rep: 1 for a
-    representative, sigma(v) for its partner.
+    of v's representative, v or t(v) (-1 outside the sector).
     """
 
     u: np.ndarray
@@ -253,7 +249,6 @@ class _SectorMaps(NamedTuple):
     folded: np.ndarray
     fold_row: np.ndarray
     fold_col: np.ndarray
-    fold_sign: np.ndarray
 
 
 def _places(indices: np.ndarray, size: int) -> np.ndarray:
@@ -283,16 +278,7 @@ def _sector_maps(space: Space) -> _SectorMaps:
     fold_col = fold_row.copy()
     fold_col[partner] = fold_row[j[partner] + d * i[partner]]
     return _read_only(_SectorMaps(u=u, sign=sign, even=even, folded=folded, fold_row=fold_row,
-                                  fold_col=fold_col, fold_sign=np.where(representative, 1.0, sign)))
-
-
-@functools.lru_cache(maxsize=4)
-def _complex_order(space: Space) -> np.ndarray:
-    """The equal-parity sector of space in the order its complex block is
-    factorized, made on the first complex block solved on it; read-only."""
-    order = _sector_order(_excitations(space), _sector_maps(space).even)
-    _read_only([order])
-    return order
+                                  fold_col=fold_col))
 
 
 _COUPLED = ("generator couples the two excitation-parity sectors (a coherent drive or a "
@@ -312,8 +298,8 @@ def _plan_symmetries(plan) -> tuple[bool, bool]:
     are A_j and B_j, or i A_j and i B_j (sigma_ge is real between different
     u). A product of such entries has the same structure in IEEE
     arithmetic too (a finite x times 0 is ±0), so then is every entry of
-    every Kronecker product and of K, and each has the one part that
-    `_fold` takes of it.
+    every Kronecker product and of K, and the parts of the state and of
+    the equations that `_fold` then leaves out are exactly zero.
     """
     n, u = _excitations(plan.space), _sector_maps(plan.space).u
     k_terms = [(plan.row, plan.col, x) for x in (-1j * plan.h, *plan.products)]
@@ -337,112 +323,121 @@ def _plan_symmetries(plan) -> tuple[bool, bool]:
 
 
 class _Fold(NamedTuple):
-    """The real folded system of a planned generator with the phase
-    symmetry, for one set of jumps of nonzero weight; read-only.
+    """The real system of a planned generator folded by Hermiticity, for
+    one set of jumps of nonzero weight, with or without the phase symmetry;
+    read-only.
 
-    (indices, indptr) is its CSC pattern, the trace row last, and
-    `positions` the place in it of every entry of the Kronecker products in
-    a kept row, then of the trace row's. An entry of I ⊗ K or conj(K) ⊗ I
-    takes the part of K's entry `k_entry` (real where `k_imag` is False,
-    imaginary where it is True) times `k_sign`; the entries of the jumps'
-    products, `jump_counts[j]` of jump j's, take w_j times `jump_values`;
-    the trace row's take 1.
+    (indices, indptr) is the system's CSC pattern, the trace row last. Its
+    entries are sums of terms: term t adds `coefficients[t]` times the
+    `sources[t]`-th of (Re x, Im x) at `positions[t]`, x being K's values,
+    conj(K)'s values, the nonzero weights and 1 (the trace row's). The
+    solution y unfolds into the real view of vec(rho): its places
+    `rho_places` take the entries `solution_places` of (y, -y).
     """
 
     indices: np.ndarray
     indptr: np.ndarray
     positions: np.ndarray
-    k_imag: np.ndarray
-    k_entry: np.ndarray
-    k_sign: np.ndarray
-    jump_values: np.ndarray
-    jump_counts: np.ndarray
+    coefficients: np.ndarray
+    sources: np.ndarray
+    rho_places: np.ndarray
+    solution_places: np.ndarray
 
 
 @functools.lru_cache(maxsize=4)
-def _fold(plan, used: tuple) -> _Fold:
+def _fold(plan, used: tuple, phase: bool) -> _Fold:
     """The `_Fold` of a plan whose jumps of nonzero weight are those marked
-    in `used`.
+    in `used`, with the phase symmetry's parts left out if `phase`.
 
-    An entry of left ⊗ right at (row, col) of L lands in the real system at
-    (fold_row[row], fold_col[col]) with the value Re L_(row,col), or
-    sigma(col) Im L_(row,col) where sigma(row) != sigma(col), times
-    fold_sign[col]; that is p_col L_(row,col) / p_row, p_v = 1 for
-    sigma(v) = +1 and i for -1, made real. Rows that are not
-    representatives, and rho_00's, whose place the trace row takes, are
-    left out. Each factor entry is x or i x with x real, so the value is
-    the product of the factors' x, of -1 when both are imaginary, of
-    sigma(col) when one is, and of fold_sign[col].
+    The unknowns are y = (Re, Im) of each representative, so
+    rho_col = y_0 + i s y_1 with s = 1 for a representative and -1 for its
+    partner. An entry c of left ⊗ right at (row, col) of L, in a
+    representative's row other than rho_00's, whose place the trace row
+    takes, adds part p of c, Re (-i)^p c, to equation part p of its row on
+    unknown part 0 of col's representative, and part p of i s c on unknown
+    part 1. With K's values as 1 in the factors, c is their product q
+    times x, K's value, conj(K)'s or the weight, and each such part is
+    Re z q x = Re(z q) Re x - Im(z q) Im x for a unit z: one term for each
+    nonzero part of z q, the real one where both are zero.
     """
     space, d = plan.space, plan.space.dim
     maps = _sector_maps(space)
-    m, u = maps.folded.size, maps.u
-    # K's entries as the unit of their part, 1 or i: the products' values
-    # on it are then the K-independent factor of each entry's
-    k_imag = u[plan.row] != u[plan.col]
-    unit = sp.coo_matrix((np.where(k_imag, 1j, 1.0), (plan.row, plan.col)), shape=(d, d))
+    # slots[p, q]: the place among the unknowns, and among the equations, of
+    # part p of the q-th representative, -1 where it is left out. Both parts
+    # are numbered together in the order of `folded`, but for a diagonal
+    # entry's imaginary part and, with the phase symmetry, the imaginary
+    # part where sigma = +1 and the real part where sigma = -1
+    present = np.ones((maps.folded.size, 2), dtype=bool)
+    present[maps.folded % d == maps.folded // d, 1] = False
+    if phase:
+        present &= (maps.sign[maps.folded, None] > 0) == [True, False]
+    place = np.cumsum(present).reshape(present.shape) - 1
+    slots = np.ascontiguousarray(np.where(present, place, -1).T, dtype=np.int32)
+    last = maps.folded.size - 1
+    size = int(slots[0, last]) + 1
+    n_k = plan.row.size
+    unit = sp.coo_matrix((np.ones(n_k, dtype=complex), (plan.row, plan.col)), shape=(d, d))
     factors = _kron_factors(space, unit, [(1.0, A, B) for (A, B), is_used
                                           in zip(plan.jumps, used) if is_used])
-    rows, cols, values, k_entry = [], [], [], []
+    n_x = 2 * n_k + len(factors) - 1
+    keys, coefficients, sources = [], [], []
     for number, (left, right, _) in enumerate(factors):
         fold_row = maps.fold_row[(left.row[:, None] * d + right.row).ravel()]
-        kept = np.flatnonzero((fold_row >= 0) & (fold_row < m - 1))
+        kept = np.flatnonzero((fold_row >= 0) & (fold_row < last))
         li, ri = np.divmod(kept, right.row.size)
-        row, col = left.row[li] * d + right.row[ri], left.col[li] * d + right.col[ri]
-        (l_imag, l_x), (r_imag, r_x) = ((x.imag != 0, np.where(x.imag != 0, x.imag, x.real))
-                                        for x in (left.data, right.data))
-        rows.append(fold_row[kept])
-        cols.append(maps.fold_col[col])
-        values.append(l_x[li] * r_x[ri] * np.where(l_imag[li] & r_imag[ri], -1.0, 1.0)
-                      * np.where(maps.sign[row] != maps.sign[col], maps.sign[col], 1.0)
-                      * maps.fold_sign[col])
-        k_entry += [ri] if number == 0 else [li] if number == 1 else []
-    # the trace row in rho_00's place
-    rows.append(np.full(d, m - 1))
-    cols.append(maps.fold_col[np.arange(d) * (d + 1)])
-    keys, positions = np.unique(np.concatenate(cols) * m + np.concatenate(rows),
-                                return_inverse=True)
-    indptr = np.searchsorted(keys, np.arange(m + 1) * m)
+        col = left.col[li] * d + right.col[ri]
+        equations, unknowns = (np.take(slots, places, axis=1)
+                               for places in (fold_row[kept], maps.fold_col[col]))
+        q = left.data[li] * right.data[ri]
+        source = (ri if number == 0 else n_k + li if number == 1
+                  else np.full(kept.size, 2 * n_k + number - 2))
+        s = np.where(maps.fold_row[col] >= 0, 1.0, -1.0)
+        # the unit z of each (p, p_col): part p of c (i s)^p_col is Re z c
+        for p, p_col, z in ((0, 0, 1.0), (1, 0, -1j), (0, 1, 1j * s), (1, 1, s)):
+            t = np.flatnonzero((equations[p] >= 0) & (unknowns[p_col] >= 0))
+            key = unknowns[p_col, t].astype(np.int64) * size + equations[p, t]
+            zq = q[t] * (z[t] if p_col else z)
+            imag = (zq.real == 0) & (zq.imag != 0)
+            both = np.flatnonzero((zq.real != 0) & (zq.imag != 0))
+            keys += [key, key[both]]
+            coefficients += [np.where(imag, -zq.imag, zq.real), -zq.imag[both]]
+            sources += [(source[t] + n_x * imag).astype(np.int32),
+                        (source[t][both] + n_x).astype(np.int32)]
+    # the trace row, sum_i Re rho_ii = 1, in rho_00's place
+    keys.append(slots[0, maps.fold_col[np.arange(d) * (d + 1)]].astype(np.int64) * size
+                + size - 1)
+    coefficients.append(np.ones(d))
+    sources.append(np.full(d, n_x - 1, dtype=np.int32))
+    keys, positions = np.unique(np.concatenate(keys), return_inverse=True)
+    indptr = np.searchsorted(keys, np.arange(size + 1) * size)
+    # rho_v = y_0 + i s y_1 of v's representative, s = -1 for a partner
+    even = maps.even
+    part, entry = np.nonzero(np.take(slots, maps.fold_col[even], axis=1) >= 0)
+    partner = (part == 1) & (maps.fold_row[even[entry]] < 0)
     return _read_only(_Fold(
-        indices=(keys % m).astype(np.int32), indptr=indptr.astype(np.int32),
-        positions=positions, k_imag=k_imag, k_entry=np.concatenate(k_entry),
-        k_sign=np.concatenate(values[:2]), jump_values=np.concatenate([[], *values[2:]]),
-        jump_counts=np.array([x.size for x in values[2:]], dtype=int)))
+        indices=(keys % size).astype(np.int32), indptr=indptr.astype(np.int32),
+        positions=positions.astype(np.int32), coefficients=np.concatenate(coefficients),
+        sources=np.concatenate(sources), rho_places=2 * even[entry] + part,
+        solution_places=slots[part, maps.fold_col[even[entry]]] + size * partner))
 
 
-def _real_block(L: Superoperator) -> sp.csc_matrix | None:
-    """The real folded system of a generator with the phase symmetry at
-    real weights, formed from its plan; None for any other generator.
-    SolverError when the plan couples the parity sectors."""
+def _block(L: Superoperator) -> tuple[_Fold, sp.csc_matrix]:
+    """The fold of L and its real system, formed from L's plan, K and
+    weights; the phase symmetry's parts are left out when the plan has it
+    and the weights are real. SolverError when the plan couples the parity
+    sectors."""
     plan, k, weights = L.plan, L.k, L.weights
     parity, phase = _plan_symmetries(plan)
     if not parity:
         raise SolverError(_COUPLED)
-    if not (phase and all(np.imag(w) == 0 for w in weights)):
-        return None
-    fold = _fold(plan, tuple(bool(w != 0) for w in weights))
-    values = np.concatenate([
-        np.where(fold.k_imag, k.imag, k.real)[fold.k_entry] * fold.k_sign,
-        np.repeat(np.real([w for w in weights if w != 0]), fold.jump_counts) * fold.jump_values,
-        np.ones(L.dim)])
+    fold = _fold(plan, tuple(bool(w != 0) for w in weights),
+                 phase and all(np.imag(w) == 0 for w in weights))
+    x = np.concatenate([k, k.conj(), [w for w in weights if w != 0], [1.0]])
+    values = fold.coefficients * np.take(np.concatenate([x.real, x.imag]), fold.sources)
     size = fold.indptr.size - 1
-    return sp.csc_matrix((np.bincount(fold.positions, values, minlength=fold.indices.size),
-                          fold.indices.copy(), fold.indptr.copy()), shape=(size, size))
-
-
-def _complex_block(L: Superoperator, order: np.ndarray) -> sp.csc_matrix:
-    """The equal-parity block of L's matrix with its unknowns in `order`,
-    the trace row in place of rho_00's row, which is last; `_real_block`
-    has checked before that L keeps the parity sectors apart."""
-    d, matrix, m = L.dim, L.matrix, order.size
-    position = _places(order, d * d)
-    row, col = np.repeat(position, np.diff(matrix.indptr)), position[matrix.indices]
-    keep = (row >= 0) & (row < m - 1)
-    return sp.csc_matrix(
-        (np.concatenate([matrix.data[keep], np.ones(d)]),
-         (np.concatenate([row[keep], np.full(d, m - 1)]),
-          np.concatenate([col[keep], position[:: d + 1]]))),
-        shape=(m, m))
+    return fold, sp.csc_matrix(
+        (np.bincount(fold.positions, values, minlength=fold.indices.size),
+         fold.indices.copy(), fold.indptr.copy()), shape=(size, size))
 
 
 def spsolve(system: sp.csc_matrix, rhs: np.ndarray) -> tuple[np.ndarray, int]:
@@ -461,30 +456,31 @@ def steady_state(L: Superoperator, guard: int | None = None,
     and H conserves it, so L has no entries between the sector where ket
     and bra have equal parity and the one where they differ (a weak
     symmetry, Buca & Prosen, New J. Phys. 14, 073007 (2012)), and the
-    steady state lives in the equal-parity sector. Only that block of L is
-    factorized, in nested-dissection order with rho_00 last: its rho_00 row
-    is replaced by the trace row and the right-hand side by the last unit
-    vector, keeping the system square.
+    steady state lives in the equal-parity sector. Only that sector is
+    solved. L maps rho† to (L rho)†, so the steady state is Hermitian: the
+    sector is folded onto one entry of each pair {rho_ij, rho_ji}, and the
+    real and imaginary parts of those entries, a diagonal entry's real
+    part only, are the unknowns of one real system of about d²/2 unknowns,
+    in nested-dissection order with rho_00 last. Its rho_00 row is replaced
+    by the trace row and the right-hand side by the last unit vector,
+    keeping the system square.
 
     At phi = 0 and zero detunings the model has one more symmetry: L
     commutes with rho -> U rho* U†, U = (-1)^sigma_ee, so every rho_ij is
     real where ket and bra have the same atom state and imaginary where
-    they differ, and rho is Hermitian. When a generator has it, which is
-    tested exactly on its plan's factors and its weights
-    (`_plan_symmetries`), the block is folded onto one entry of each pair
-    {rho_ij, rho_ji} and solved in real arithmetic: about d²/4 real
-    unknowns, against d²/2 complex ones. The folded system is formed from
-    the plan (`_fold`), without L's matrix. Any other generator, one at
-    phi != 0 or with a detuning, is solved as the complex block of its
-    matrix.
+    they differ. When a generator has it, which is tested exactly on its
+    plan's factors and its weights (`_plan_symmetries`), the parts it makes
+    zero are left out too: about d²/4 unknowns. Either way the system is
+    formed from the plan (`_fold`, `_block`), never from L's matrix.
 
     The solution is scattered into a full rho whose cross-sector entries
     are exactly zero. Its tail over the top `guard` Fock levels must stay
     below epsilon (`check_truncation`, math.inf turns that check off); it
     is then hermitized, renormalized and validated (`make_density_matrix`),
     and the residual max |L(rho)| of the full generator (`L.act`) must stay
-    below RESIDUAL_TOL, otherwise the kernel is considered degenerate. An
-    invalid guard or epsilon is refused before anything is factorized.
+    below RESIDUAL_TOL or, for large entries, 1e-14 max|K|, otherwise the
+    kernel is considered degenerate. An invalid guard or epsilon is refused
+    before anything is factorized.
 
     L itself must be finite and trace-preserving: max |vec(I)^T L| at most
     TRACE_TOL or, for large entries, whose round-off the trace row sums,
@@ -493,7 +489,6 @@ def steady_state(L: Superoperator, guard: int | None = None,
     scale = float(np.abs(L.k).max(initial=0.0))
     if not (math.isfinite(scale) and L.trace_residual() <= max(TRACE_TOL, 1e-14 * scale)):
         raise SolverError("generator is not trace-preserving or not finite; refusing to solve")
-    maps = _sector_maps(L.space)
     guard = truncation_guard(L.space.fock_cutoff, guard, epsilon)
     d = L.dim
     clock = [time.perf_counter()]
@@ -502,13 +497,10 @@ def steady_state(L: Superoperator, guard: int | None = None,
         clock.append(time.perf_counter())
         return clock[-1] - clock[-2]
 
-    system, arithmetic = _real_block(L), "real"
-    if system is None:
-        order, arithmetic = _complex_order(L.space), "complex"
-        system = _complex_block(L, order)
+    fold, system = _block(L)
     block_seconds = lap()
     m = system.shape[0]
-    rhs = np.zeros(m, dtype=system.dtype)
+    rhs = np.zeros(m)
     rhs[-1] = 1.0
     # numpy's and scipy's OpenBLAS pools on one thread each: a second thread
     # does not speed up this LU, and idle pool threads spin on the cores
@@ -523,15 +515,9 @@ def steady_state(L: Superoperator, guard: int | None = None,
         lu_seconds = lap()
         if not np.all(np.isfinite(sol)):
             raise NonUniqueSteadyStateError("sparse LU solve returned non-finite entries")
+        # a part left out stays +0.0
         full = np.zeros(d * d, dtype=complex)
-        if arithmetic == "complex":
-            full[order] = sol
-        else:
-            # rho = p y: y_v is the real part of rho_v where sigma(v) = +1 and
-            # its imaginary part where sigma(v) = -1; the other part stays +0.0
-            even = maps.even
-            full.view(float)[2 * even + (maps.sign[even] < 0)] = (
-                sol[maps.fold_col[even]] * maps.fold_sign[even])
+        full.view(float)[fold.rho_places] = np.concatenate([sol, -sol])[fold.solution_places]
         raw = unvec(full, d)
         unfold_seconds = lap()
         # the tail first: a cutoff far too small also leaves a state that is
@@ -542,17 +528,15 @@ def steady_state(L: Superoperator, guard: int | None = None,
         validate_seconds = lap()
         residual = float(np.abs(L.act(rho.matrix)).max())
         residual_seconds = lap()
-    if residual > RESIDUAL_TOL:
-        assumption = ("; the real block assumes that L maps rho† to (L rho)†"
-                      if arithmetic == "real" else "")
+    bound = max(RESIDUAL_TOL, 1e-14 * scale)
+    if residual > bound:
         raise NonUniqueSteadyStateError(
-            f"steady-state residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e}; "
-            f"the kernel may be degenerate{assumption}"
-        )
+            f"steady-state residual {residual:.3e} exceeds {bound:.0e}; the kernel may be "
+            "degenerate; the fold assumes that L maps rho† to (L rho)†")
     return replace(rho, diagnostics=replace(
         rho.diagnostics, tail_mass=tail, residual=residual, lu_unknowns=m,
-        lu_arithmetic=arithmetic, block_seconds=block_seconds, lu_fill=fill,
-        lu_seconds=lu_seconds, unfold_seconds=unfold_seconds, tail_seconds=tail_seconds,
+        block_seconds=block_seconds, lu_fill=fill, lu_seconds=lu_seconds,
+        unfold_seconds=unfold_seconds, tail_seconds=tail_seconds,
         validate_seconds=validate_seconds, residual_seconds=residual_seconds))
 
 

@@ -259,7 +259,7 @@ def solve_point(config: SweepConfig, r: float):
 
 def _solve(config: SweepConfig, r: float, build):
     """Steady state of the generator build(*config.model(r)), with one
-    DEBUG record of what was solved (the LU unknowns and their arithmetic),
+    DEBUG record of what was solved (the real unknowns of the LU),
     how well, and in how many seconds, in all and in each stage: building
     the generator, forming the factorized block, the LU, unfolding the
     solution, the tail check, validation and the residual."""
@@ -268,11 +268,11 @@ def _solve(config: SweepConfig, r: float, build):
     build_seconds = time.perf_counter() - start
     rho = steady_state(L, guard=config.guard, epsilon=config.epsilon)
     diag = rho.diagnostics
-    log.debug("solved r = %r: cutoff %d, guard %d, %d %s LU unknowns, residual %.3e, "
+    log.debug("solved r = %r: cutoff %d, guard %d, %d LU unknowns, residual %.3e, "
               "min eigenvalue %.3e, tail mass %.3e, LU fill %d, build %.3f s, "
               "block %.3f s, LU %.3f s, unfold %.3f s, tail %.3f s, validate %.3f s, "
               "residual %.3f s of %.3f s", r, config.fock_cutoff,
-              config.effective_guard(), diag.lu_unknowns, diag.lu_arithmetic, diag.residual,
+              config.effective_guard(), diag.lu_unknowns, diag.residual,
               diag.min_eigenvalue, diag.tail_mass, diag.lu_fill, build_seconds,
               diag.block_seconds, diag.lu_seconds, diag.unfold_seconds, diag.tail_seconds,
               diag.validate_seconds, diag.residual_seconds, time.perf_counter() - start)

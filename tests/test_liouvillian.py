@@ -65,6 +65,15 @@ class TestSqueezedBath:
                 SqueezedBath(r=r, phi=phi)
             assert np.isfinite(SqueezedBath(r=355.0, phi=phi).n_th)
 
+    @pytest.mark.parametrize("space", [FieldSpace(20), SpaceDims(20)], ids=repr)
+    def test_bath_that_overflows_the_generator_builds_without_a_warning(self, space):
+        # at r = 355 the bath is finite but w_j B_j A_j is not: K is built
+        # non-finite and silently, for steady_state to refuse
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            L = build_liouvillian(SystemParams(g0=1.0, gamma=1.0), SqueezedBath(r=355.0), space)
+        assert not np.all(np.isfinite(L.k))
+
 
 def hamiltonian(params, space):
     return liouvillian._hamiltonian(params, embed_field(space, annihilation)).toarray()

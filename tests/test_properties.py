@@ -185,7 +185,8 @@ def test_phase_symmetric_generator_takes_the_real_fold(cutoff, atom_present, bog
     # the real fold against the complex block of the same L; the symmetries
     # hold at any cutoff, so the truncation is not checked
     folded = steady_state(L, guard=1, epsilon=math.inf)
-    assert folded.diagnostics.lu_arithmetic == "real"
+    even = int(np.count_nonzero(~parity_mismatch(L.space)))
+    assert folded.diagnostics.lu_unknowns == (even + L.dim) // 2
     np.testing.assert_allclose(folded.matrix, complex_block_state(L), rtol=0, atol=1e-12)
 
 
@@ -209,8 +210,15 @@ def test_squeezing_phase_is_a_gauge(cutoff, atom_present, r, phi, g0, gamma, kap
     params = SystemParams(delta_A=delta_a, delta_C=delta_c, g0=g0, gamma=gamma, kappa=kappa)
     space = model_space(atom_present, cutoff)
     # the gauge is exact at any cutoff, so the truncation is not checked
-    rho, rotated = (steady_state(build_liouvillian(params, SqueezedBath(r=r, phi=p), space),
-                                 guard=1, epsilon=math.inf).matrix for p in (0.0, phi))
+    states = [steady_state(build_liouvillian(params, SqueezedBath(r=r, phi=p), space),
+                           guard=1, epsilon=math.inf) for p in (0.0, phi)]
+    rho, rotated = (state.matrix for state in states)
+    # phi = 0 without a detuning takes the phase-symmetric fold, every
+    # phi != 0 the Hermitian one (a field space has no delta_A)
+    even = int(np.count_nonzero(~parity_mismatch(space)))
+    symmetric = delta_c == 0 and (delta_a == 0 or not atom_present)
+    assert [state.diagnostics.lu_unknowns for state in states] == [
+        (even + space.dim) // 2 if symmetric else even, even]
 
     def turned(angle):
         u = gauge(space, angle)

@@ -89,6 +89,19 @@ class TestSteadyState:
 
         assert abs(photon_distribution(rho).probabilities[2] - expected_p2) < 1e-6
 
+    def test_residual_bound_scales_with_the_generator(self):
+        # every rate times s, as in s⁻¹, leaves the state alone, but its
+        # residual grows with max|K|: 1.9e-8 at s = 1e7, above RESIDUAL_TOL;
+        # the bound is 1e-14 max|K| there, as for the trace check
+        states = []
+        for s in (1.0, 1e4, 1e7, 1e9):
+            L = build_liouvillian(SystemParams(g0=15.0 * s, gamma=s, kappa=s), SqueezedBath(0.5),
+                                  SpaceDims(40))
+            rho = steady_state(L)
+            assert rho.diagnostics.residual <= max(RESIDUAL_TOL, 1e-14 * np.abs(L.k).max())
+            states.append(rho.matrix)
+        assert np.abs(np.array(states) - states[0]).max() <= 1e-10
+
     def test_residual_invariant(self):
         L = build_liouvillian(
             SystemParams(g0=15.0, gamma=1.0), SqueezedBath(0.5), SpaceDims(40)
@@ -194,15 +207,10 @@ def full_system_state(L):
 
 
 def complex_block_state(L):
-    """The state from the complex parity block of L's matrix, solved and
-    validated as steady_state does it, but never folded: the reference for
-    the real fold."""
-    order = solvers._complex_order(L.space)
-    rhs = np.zeros(order.size, dtype=complex)
-    rhs[-1] = 1.0
-    full = np.zeros(L.dim**2, dtype=complex)
-    full[order], _ = solvers.spsolve(solvers._complex_block(L, order), rhs)
-    return make_density_matrix(L.space, unvec(full, L.dim)).matrix
+    """The state from the complex parity block of L's matrix, never
+    folded, hermitized and normalized (`colamd_block_solve`): the reference
+    for the fold."""
+    return colamd_block_solve(L)[0]
 
 
 def record_spsolve(monkeypatch):
@@ -236,14 +244,27 @@ SECTOR_CASES = {
         SystemParams(), SqueezedBath(0.8), FieldSpace(40)),
 }
 
+def with_complex_jumps(L, angle=0.3):
+    """L's model with each jump (A, B) as (A D, D* B), D = diag(e^{i angle j}):
+    a generator that keeps its trace and maps rho† to (L rho)†, whose
+    jumps' Kronecker products have entries with nonzero real and
+    imaginary parts, which meet the imaginary part of a complex weight."""
+    phases, plan = np.exp(1j * angle * np.arange(L.dim)), L.plan
+    D, D_conj = sp.diags(phases), sp.diags(phases.conj())
+    return planned(L.space, plan.operator(plan.h),
+                   [((A @ D).tocsr(), (D_conj @ B).tocsr()) for A, B in plan.jumps], L.weights)
+
+
 # generators without the phase symmetry, all on SpaceDims(24)
-COMPLEX_CASES = {
+PHASE_BROKEN_CASES = {
     "phi": lambda: build_liouvillian(ATOM, SqueezedBath(0.5, phi=1.1), SpaceDims(24)),
     "phi_pi": lambda: build_liouvillian(ATOM, SqueezedBath(0.5, phi=math.pi), SpaceDims(24)),
     "delta_A": lambda: build_liouvillian(SystemParams(delta_A=0.5, g0=15.0, gamma=1.0),
                                          SqueezedBath(0.5), SpaceDims(24)),
     "delta_C": lambda: build_liouvillian(SystemParams(delta_C=-0.7, g0=15.0, gamma=1.0),
                                          SqueezedBath(0.5), SpaceDims(24)),
+    "complex_jumps": lambda: with_complex_jumps(
+        build_liouvillian(ATOM, SqueezedBath(0.5, phi=1.1), SpaceDims(24))),
 }
 
 
@@ -268,7 +289,8 @@ class TestSectorSolve:
     def test_real_fold_matches_the_complex_block(self, case):
         L = SECTOR_CASES[case]()
         rho = steady_state(L, epsilon=math.inf)
-        assert rho.diagnostics.lu_arithmetic == "real"
+        even = np.count_nonzero(~parity_mismatch(L.space))
+        assert rho.diagnostics.lu_unknowns == (even + L.dim) // 2
         assert np.abs(rho.matrix - complex_block_state(L)).max() <= 1e-12
 
     @pytest.mark.parametrize("case", sorted(SECTOR_CASES))
@@ -289,21 +311,25 @@ class TestSectorSolve:
         assert [fill for _, fill in systems] == [rho.diagnostics.lu_fill]
         assert rho.diagnostics.lu_fill > folded
         assert rho.diagnostics.lu_unknowns == folded
-        assert rho.diagnostics.lu_arithmetic == "real"
         assert 0 < rho.diagnostics.block_seconds
         # the real system comes from the plan: L's matrix is never formed
         assert "matrix" not in vars(L)
 
-    @pytest.mark.parametrize("case", sorted(COMPLEX_CASES))
-    def test_complex_block_without_the_phase_symmetry(self, case, monkeypatch):
-        # exp(i pi) has an imaginary part of 1.2e-16, so phi = pi is complex too
-        L = COMPLEX_CASES[case]()
+    @pytest.mark.parametrize("case", sorted(PHASE_BROKEN_CASES))
+    def test_hermitian_fold_without_the_phase_symmetry(self, case, monkeypatch):
+        # the real and imaginary parts of one entry of each pair, the
+        # diagonal's real part only: as many real unknowns as the sector
+        # has entries; exp(i pi) has an imaginary part of 1.2e-16, so
+        # phi = pi lacks the symmetry too
+        L = PHASE_BROKEN_CASES[case]()
         systems = record_spsolve(monkeypatch)
         rho = steady_state(L, epsilon=math.inf)
         half = L.dim**2 // 2
-        assert [(s.shape, s.dtype) for s, _ in systems] == [((half, half), np.complex128)]
-        assert rho.diagnostics.lu_arithmetic == "complex"
+        assert [(s.shape, s.dtype) for s, _ in systems] == [((half, half), np.float64)]
         assert rho.diagnostics.lu_unknowns == half
+        # the system comes from the plan: L's matrix is never formed
+        assert "matrix" not in vars(L)
+        assert np.abs(rho.matrix - complex_block_state(L)).max() <= 1e-12
 
     def test_fold_without_hermiticity_preservation_is_caught(self):
         # one more jump, 1e-3 |0><0| rho |0><2|, puts rho_00 into the row of
@@ -318,7 +344,8 @@ class TestSectorSolve:
         B = sp.csr_matrix(([1.0 + 0j], ([0], [2])), shape=(d, d))
         broken = planned(L.space, plan.operator(plan.h), [*plan.jumps, (A, B)],
                          (*L.weights, 1e-3))
-        assert steady_state(L, epsilon=math.inf).diagnostics.lu_arithmetic == "real"
+        folded = (L.dim**2 // 2 + L.dim) // 2
+        assert steady_state(L, epsilon=math.inf).diagnostics.lu_unknowns == folded
         with pytest.raises(NonUniqueSteadyStateError, match="assumes that L maps rho†"):
             steady_state(broken, epsilon=math.inf)
 
@@ -351,20 +378,22 @@ class TestSectorSolve:
 
 
 def matrix_scan_fold(L):
-    """The real folded system formed from L's matrix, as before the plan
-    did it, or None when L's entries lack the phase symmetry: every entry
-    of L between vec indices of equal sigma must be real and every other
-    one imaginary. Entry L_ab of a representative's row other than rho_00's
-    goes to (fold_row[a], fold_col[b]) as Re L_ab, or sigma(b) Im L_ab,
-    times fold_sign[b]; the trace row takes rho_00's place."""
+    """The real folded system of a phase-symmetric L formed from L's
+    matrix, as before the plan did it, or None when L's entries lack the
+    phase symmetry: every entry of L between vec indices of equal sigma
+    must be real and every other one imaginary. Entry L_ab of a
+    representative's row other than rho_00's goes to
+    (fold_row[a], fold_col[b]) as Re L_ab, or sigma(b) Im L_ab, times 1
+    for a representative b and sigma(b) for a partner; the trace row takes
+    rho_00's place."""
     maps, matrix, d = solvers._sector_maps(L.space), L.matrix, L.dim
     counts = np.diff(matrix.indptr)
     col_sign = maps.sign[matrix.indices]
     same = np.repeat(maps.sign, counts) == col_sign
     if np.any(np.where(same, matrix.data.imag, matrix.data.real)):
         return None
-    values = (np.where(same, matrix.data.real, col_sign * matrix.data.imag)
-              * maps.fold_sign[matrix.indices])
+    partner_sign = np.where(maps.fold_row[matrix.indices] >= 0, 1.0, col_sign)
+    values = np.where(same, matrix.data.real, col_sign * matrix.data.imag) * partner_sign
     m = maps.folded.size
     row, col = np.repeat(maps.fold_row, counts), maps.fold_col[matrix.indices]
     keep = (row >= 0) & (row < m - 1)
@@ -372,6 +401,37 @@ def matrix_scan_fold(L):
                           (np.concatenate([row[keep], np.full(d, m - 1)]),
                            np.concatenate([col[keep], maps.fold_col[:: d + 1]]))),
                          shape=(m, m))
+
+
+def matrix_scan_hermitian_fold(L):
+    """The real system of L folded by Hermiticity alone, formed from L's
+    matrix. Its unknowns are (Re, Im) of each representative in the order
+    of `folded`, Re only for a diagonal one, and so are its equations:
+    with rho_b = y_0 + i s y_1 of b's representative (s = 1 for a
+    representative, -1 for a partner), entry L_ab of a representative's
+    row other than rho_00's goes, as part p of L_ab, to equation part p of
+    a on y_0, and as part p of i s L_ab on y_1; the trace row takes
+    rho_00's place."""
+    maps, matrix, d = solvers._sector_maps(L.space), L.matrix.tocoo(), L.dim
+    reps = maps.folded
+    parts = np.ones((reps.size, 2), dtype=bool)
+    parts[reps % d == reps // d, 1] = False
+    place = np.where(parts, np.cumsum(parts).reshape(parts.shape) - 1, -1)
+    size = parts.sum()
+    a, b = maps.fold_row[matrix.row], maps.fold_col[matrix.col]
+    keep = (a >= 0) & (a < reps.size - 1)
+    a, b, c = a[keep], b[keep], matrix.data[keep]
+    s = np.where(maps.fold_row[matrix.col[keep]] >= 0, 1.0, -1.0)
+    rows, cols, values = [np.full(d, size - 1)], [place[maps.fold_col[:: d + 1], 0]], [np.ones(d)]
+    for p in (0, 1):
+        for p_col, unit in ((0, 1.0), (1, 1j * s)):
+            kept = (place[a, p] >= 0) & (place[b, p_col] >= 0)
+            rows.append(place[a[kept], p])
+            cols.append(place[b[kept], p_col])
+            value = (unit * c)[kept]
+            values.append(value.imag if p else value.real)
+    return sp.csc_matrix((np.concatenate(values), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(size, size))
 
 
 def trace_broken(L):
@@ -389,24 +449,39 @@ class TestPlanPath:
     @pytest.mark.parametrize("case", sorted(SECTOR_CASES))
     def test_fold_matches_the_matrix_scan_fold(self, case):
         L = SECTOR_CASES[case]()
-        system, reference = solvers._real_block(L), matrix_scan_fold(L)
-        assert (system is None) == (reference is None) == (case in ("phase", "detuned"))
+        _, system = solvers._block(L)
+        reference = matrix_scan_fold(L)
+        assert (reference is None) == (case in ("phase", "detuned"))
         if reference is not None:
             assert system.shape == reference.shape
             assert abs(system - reference).max() <= 1e-14 * abs(reference).max()
 
-    @pytest.mark.parametrize("case", sorted({**SECTOR_CASES, **COMPLEX_CASES}))
+    @pytest.mark.parametrize("case", sorted({**SECTOR_CASES, **PHASE_BROKEN_CASES}))
+    def test_fold_matches_the_matrix_scan_hermitian_fold(self, case, monkeypatch):
+        # a phase-symmetric generator whose symmetry is hidden takes the
+        # Hermitian fold too
+        L = {**SECTOR_CASES, **PHASE_BROKEN_CASES}[case]()
+        monkeypatch.setattr(solvers, "_plan_symmetries", lambda plan: (True, False))
+        _, system = solvers._block(L)
+        reference = matrix_scan_hermitian_fold(L)
+        assert system.dtype == np.float64
+        even = np.count_nonzero(~parity_mismatch(L.space))
+        assert system.shape == reference.shape == (even, even)
+        assert abs(system - reference).max() <= 1e-14 * abs(reference).max()
+
+    @pytest.mark.parametrize("case", sorted({**SECTOR_CASES, **PHASE_BROKEN_CASES}))
     def test_symmetry_of_the_factors_matches_that_of_the_entries(self, case):
-        L = {**SECTOR_CASES, **COMPLEX_CASES}[case]()
+        L = {**SECTOR_CASES, **PHASE_BROKEN_CASES}[case]()
         parity, phase = solvers._plan_symmetries(L.plan)
         real_weights = all(np.imag(w) == 0 for w in L.weights)
         assert parity
         assert (phase and real_weights) == (matrix_scan_fold(L) is not None)
-        assert (matrix_scan_fold(L) is None) == (case in ("phase", "detuned", *COMPLEX_CASES))
+        assert (matrix_scan_fold(L) is None) == (
+            case in ("phase", "detuned", *PHASE_BROKEN_CASES))
 
-    @pytest.mark.parametrize("case", sorted({**SECTOR_CASES, **COMPLEX_CASES}))
+    @pytest.mark.parametrize("case", sorted({**SECTOR_CASES, **PHASE_BROKEN_CASES}))
     def test_lindblad_form_matches_the_matrix(self, case, rng):
-        L = {**SECTOR_CASES, **COMPLEX_CASES}[case]()
+        L = {**SECTOR_CASES, **PHASE_BROKEN_CASES}[case]()
         scale = np.abs(L.matrix.data).max()
         rho = steady_state(L, epsilon=math.inf).matrix
         x = rng.normal(size=rho.shape) + 1j * rng.normal(size=rho.shape)
@@ -535,13 +610,12 @@ class TestNestedDissectionOrder:
 
     def test_cached_order_is_read_only_and_reused(self):
         space = SpaceDims(30)
-        maps, order = solvers._sector_maps(space), solvers._complex_order(space)
-        n, even, _, _ = grid_coordinates(space)
+        maps = solvers._sector_maps(space)
+        n, even, _, folded = folded_coordinates(space)
         assert np.array_equal(maps.even, even)
-        assert np.array_equal(order, solvers._sector_order(n, even))
+        assert np.array_equal(maps.folded, solvers._sector_order(n, folded))
         assert solvers._sector_maps(SpaceDims(30)) is maps
-        assert solvers._complex_order(SpaceDims(30)) is order
-        for array in (*maps, order):
+        for array in maps:
             with pytest.raises(ValueError):
                 array[0] = array[1]
 
@@ -549,7 +623,7 @@ class TestNestedDissectionOrder:
         for space in (FieldSpace(20), SpaceDims(20), FieldSpace(20)):
             n, even, _, folded = folded_coordinates(space)
             maps = solvers._sector_maps(space)
-            assert np.array_equal(solvers._complex_order(space), solvers._sector_order(n, even))
+            assert np.array_equal(maps.even, even)
             assert np.array_equal(maps.folded, solvers._sector_order(n, folded))
 
     @pytest.mark.parametrize("case", ["atom", "atom_odd_cutoff", "empty_odd_cutoff"])
@@ -568,24 +642,21 @@ class TestNestedDissectionOrder:
                               np.where(maps.fold_row[even] >= 0, even, transposed))
         atom_i, atom_j = i >= space.fock_cutoff, j >= space.fock_cutoff
         assert np.array_equal(maps.sign[even], np.where(atom_i == atom_j, 1.0, -1.0))
-        assert np.array_equal(maps.fold_sign[even],
-                              np.where(maps.fold_row[even] >= 0, 1.0, maps.sign[even]))
         assert np.all(maps.fold_col[np.setdiff1d(np.arange(d * d), even)] == -1)
 
     def test_cold_and_warm_cache_give_identical_states(self):
-        # the real fold needs no complex-block order
-        L = SECTOR_CASES["atom"]()
-        for cache in (solvers._sector_maps, solvers._complex_order, solvers._plan_symmetries,
-                      solvers._fold):
-            cache.cache_clear()
-        cold = steady_state(L, epsilon=math.inf)
-        warm = steady_state(L, epsilon=math.inf)
-        assert solvers._sector_maps.cache_info().hits >= 1
-        assert solvers._fold.cache_info().hits >= 1
-        assert solvers._complex_order.cache_info().currsize == 0
-        folded = (L.dim**2 // 2 + L.dim) // 2
-        assert cold.diagnostics.lu_unknowns == warm.diagnostics.lu_unknowns == folded
-        assert cold.matrix.tobytes() == warm.matrix.tobytes()
+        # with the phase symmetry and without it: one fold each
+        for case in ("atom", "phase"):
+            L = SECTOR_CASES[case]()
+            for cache in (solvers._sector_maps, solvers._plan_symmetries, solvers._fold):
+                cache.cache_clear()
+            cold = steady_state(L, epsilon=math.inf)
+            warm = steady_state(L, epsilon=math.inf)
+            assert solvers._sector_maps.cache_info().hits >= 1
+            assert solvers._fold.cache_info().hits >= 1
+            assert solvers._fold.cache_info().currsize == 1
+            assert cold.diagnostics.lu_unknowns == warm.diagnostics.lu_unknowns
+            assert cold.matrix.tobytes() == warm.matrix.tobytes()
 
     def test_matches_colamd_at_cutoff_60(self):
         L = build_liouvillian(ATOM, SqueezedBath(0.8), SpaceDims(60))

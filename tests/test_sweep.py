@@ -296,6 +296,19 @@ class TestCli:
             "config error: squeezing strength r = 800.0 overflows the bath")
         assert not (tmp_path / "x.csv").exists()
 
+    def test_generator_overflowing_squeezing_exit_code(self, tmp_path, capsys):
+        # the bath at r = 355 is finite but its generator is not: a solver
+        # error naming the point is the only report, with no numpy warning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["--no-atom", "--r", "355", "--cutoff", "20", "--guard", "2",
+                         "--out", str(tmp_path / "x.csv")]) == 3
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        err = capsys.readouterr().err
+        assert err.startswith("solver error: at r = 355.0: generator is not trace-preserving")
+        assert "RuntimeWarning" not in err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_truncation_error_exit_code(self, tmp_path):
         assert main([
             "--mode", "moments_sweep", "--no-atom", "--r", "1.2",
@@ -538,20 +551,21 @@ def test_sweep_logs_one_record_per_sweep_and_per_point(tmp_path, caplog):
     # largest r first; the 313 (25² / 2, rounded up) parity-sector unknowns
     # folded onto the 169 with N_i > N_j, or N_i = N_j and i <= j
     for message, r in zip(records[1:], (0.3, 0.1)):
-        assert message.startswith(f"solved r = {r!r}: cutoff 25, guard 5, 169 real LU "
-                                  "unknowns, residual ")
+        assert message.startswith(f"solved r = {r!r}: cutoff 25, guard 5, 169 LU unknowns, "
+                                  "residual ")
         for field in ("min eigenvalue ", "tail mass ", "LU fill "):
             assert field in message
         assert re.search(r", LU fill \d+, build \d+\.\d{3} s, block \d+\.\d{3} s, "
                          r"LU \d+\.\d{3} s, unfold \d+\.\d{3} s, tail \d+\.\d{3} s, "
                          r"validate \d+\.\d{3} s, residual \d+\.\d{3} s of \d+\.\d{3} s$",
                          message)
-    # at phi != 0 the complex parity block is solved
+    # at phi != 0 the sector is folded by Hermiticity alone: the real and
+    # imaginary parts of 144 off-diagonal pairs and 25 real diagonal entries
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="sqcavity.sweep"):
         run_moments_sweep(replace(cfg, r_values=(0.3,), phi=0.7))
     message = [r.getMessage() for r in caplog.records if r.name == "sqcavity.sweep"][-1]
-    assert message.startswith("solved r = 0.3: cutoff 25, guard 5, 313 complex LU unknowns, ")
+    assert message.startswith("solved r = 0.3: cutoff 25, guard 5, 313 LU unknowns, ")
 
 
 def atom_sweep(tmp_path, name):
