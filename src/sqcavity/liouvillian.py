@@ -38,7 +38,7 @@ with r, makes one per call. A generator, `Superoperator(plan, k, weights)`,
 is then its plan with the point's K and weights, and it is made no other
 way. `steady_state` forms the system it solves from the plan,
 and the d²×d² matrix is formed only when it is asked for (`evolve` asks),
-as the one-pass sum of all Kronecker products; no pattern of it is cached.
+as the one-pass sum of all `sp.kron` products; no pattern of it is cached.
 """
 
 from __future__ import annotations
@@ -135,21 +135,6 @@ def _kron_factors(space: Space, K, jumps) -> list:
     K = sp.coo_matrix(K)
     return [(eye, K, 1.0), (K.conj(), eye, 1.0)] + [
         (sp.coo_matrix(B).T, sp.coo_matrix(A), w) for w, A, B in jumps if w != 0]
-
-
-def _kron_entries(space: Space, factors) -> tuple:
-    """(row, col) of every entry of the products left ⊗ right, in order."""
-    d = space.dim
-    return (np.concatenate([(left.row[:, None] * d + right.row).ravel()
-                            for left, right, _ in factors]),
-            np.concatenate([(left.col[:, None] * d + right.col).ravel()
-                            for left, right, _ in factors]))
-
-
-def _kron_values(left, right, weight) -> np.ndarray:
-    """The values of weight · left ⊗ right from those of its factors, in the
-    order of _kron_entries."""
-    return weight * (left[:, None] * right).ravel()
 
 
 def _hamiltonian(params: SystemParams, x: Operator) -> sp.csr_matrix:
@@ -255,9 +240,9 @@ class Superoperator:
     One point of a planned model: the model's `_Plan`, K's values `k` on
     the plan's pattern and the weights of the plan's jumps, as the builders
     make it. It forms its matrix on first access as the one-pass sum of its
-    Kronecker products, with no pattern cached; its trace check and its
-    action on a state need no matrix, and `steady_state` solves it from the
-    plan.
+    Kronecker products, each by `sp.kron` and scaled by its weight, with no
+    pattern cached; its trace check and its action on a state need no
+    matrix, and `steady_state` solves it from the plan.
     """
 
     plan: _Plan
@@ -274,13 +259,13 @@ class Superoperator:
 
     @cached_property
     def matrix(self) -> sp.csr_matrix:
-        """The one-pass sum of the Kronecker products, exact zeros dropped."""
-        space = self.space
-        factors = _kron_factors(space, self.plan.operator(self.k),
+        """The one-pass sum of the weighted Kronecker products, exact zeros dropped."""
+        factors = _kron_factors(self.space, self.plan.operator(self.k),
                                 [(w, A, B) for w, (A, B) in zip(self.weights, self.plan.jumps)])
-        m = sp.csr_matrix((np.concatenate([_kron_values(left.data, right.data, w)
-                                           for left, right, w in factors]),
-                           _kron_entries(space, factors)), shape=(self.dim**2, self.dim**2))
+        products = [(sp.kron(left, right, format="coo"), w) for left, right, w in factors]
+        rows, cols, values = zip(*[(p.row, p.col, w * p.data) for p, w in products])
+        m = sp.csr_matrix((np.concatenate(values), (np.concatenate(rows), np.concatenate(cols))),
+                          shape=(self.dim**2, self.dim**2), dtype=complex)
         m.eliminate_zeros()
         return m
 

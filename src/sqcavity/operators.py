@@ -170,7 +170,7 @@ def embed_field(space: Space, field_op) -> Operator:
 
 def bogoliubov_b(r: float, fock_cutoff: int) -> Operator:
     """Squeezed-frame mode b = cosh(r) a - sinh(r) a† (phase 0)."""
-    if r < 0:
-        raise ValueError(f"squeezing strength must be >= 0, got {r}")
+    if not 0 <= r < np.inf:
+        raise ValueError(f"squeezing strength must be finite and >= 0, got {r}")
     a = annihilation(fock_cutoff)
     return np.cosh(r) * a - np.sinh(r) * a.dag()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import time
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -37,11 +38,15 @@ RK4_RADIUS = 2.5
 def truncation_guard(fock_cutoff: int, guard: int | None = None,
                      epsilon: float = DEFAULT_EPSILON) -> int:
     """The guard band of the truncation check at this cutoff: `guard`, or
-    max(4, fock_cutoff // 5) when it is None. ValueError unless
-    0 < guard < fock_cutoff and epsilon > 0."""
+    max(4, fock_cutoff // 5) when it is None. ValueError unless guard is
+    an integer with 0 < guard < fock_cutoff and epsilon > 0."""
     source = "guard"
     if guard is None:
         source, guard = "default guard max(4, cutoff // 5)", max(4, fock_cutoff // 5)
+    try:
+        guard = operator.index(guard)
+    except TypeError:
+        raise ValueError(f"guard = {guard!r} must be an integer") from None
     if not 0 < guard < fock_cutoff:
         raise ValueError(f"{source} = {guard} must satisfy 0 < guard < fock_cutoff = "
                          f"{fock_cutoff}")
@@ -52,35 +57,33 @@ def truncation_guard(fock_cutoff: int, guard: int | None = None,
 
 @dataclass(frozen=True)
 class StateDiagnostics:
-    """Checks of one state, measured on it before it was returned.
+    """Checks of one state, measured on it before it was returned; for a
+    state from `steady_state`, which sets the fields from `tail_mass` on,
+    the one record of its solve.
 
     `trace_error` is |tr rho - 1| of the raw input. For a state from
     `steady_state` it is round-off by construction, because the trace row
-    of the solved system fixes tr rho = 1; there `residual`,
-    max |L(rho)| against the full generator, is the figure of the
-    solve's quality, `tail_mass` the value `check_truncation` measured on
-    the solution, `lu_unknowns` the number of real unknowns of the folded
-    system, `lu_fill` the number of entries SuperLU stores for its L and U
-    factors, and the seconds spent in each stage: `block_seconds` forming
-    the system from the generator's plan, `lu_seconds` in `spsolve`,
-    `unfold_seconds` scattering the solution into rho, `tail_seconds` in
-    `check_truncation`, `validate_seconds` in `make_density_matrix` and
-    `residual_seconds` taking the residual.
+    of the solved system fixes tr rho = 1; there `residual`, max |L(rho)|
+    against the full generator, is the figure of the solve's quality,
+    `tail_mass` the value `check_truncation` measured on the solution over
+    the top `guard` Fock levels, `lu_unknowns` the number of real unknowns
+    of the folded system, `lu_fill` the number of entries SuperLU stores
+    for its L and U factors, and `seconds` the seconds of each stage, in
+    order: "block" forming the system from the generator's plan, "LU" in
+    `spsolve`, "unfold" scattering the solution into rho, "tail" in
+    `check_truncation`, "validate" in `make_density_matrix` and
+    "residual" taking the residual.
     """
 
     trace_error: float
     hermiticity_error: float
     min_eigenvalue: float
-    tail_mass: float | None = None  # set by steady_state
-    residual: float | None = None  # set by steady_state
-    lu_unknowns: int | None = None  # set by steady_state
-    block_seconds: float | None = None  # set by steady_state
-    lu_fill: int | None = None  # set by steady_state
-    lu_seconds: float | None = None  # set by steady_state
-    unfold_seconds: float | None = None  # set by steady_state
-    tail_seconds: float | None = None  # set by steady_state
-    validate_seconds: float | None = None  # set by steady_state
-    residual_seconds: float | None = None  # set by steady_state
+    tail_mass: float | None = None
+    residual: float | None = None
+    guard: int | None = None
+    lu_unknowns: int | None = None
+    lu_fill: int | None = None
+    seconds: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -129,7 +132,8 @@ def check_truncation(rho: DensityMatrix, guard: int | None = None,
 def make_density_matrix(space: Space, raw: np.ndarray) -> DensityMatrix:
     """Hermitize, renormalize, and validate a raw solver output.
 
-    Non-finite entries and negative eigenvalues below the tolerance abort
+    Non-finite entries, a Hermiticity error max |raw - raw†| above
+    HERM_TOL |Re tr raw| and negative eigenvalues below the tolerance abort
     the run: they signal a cutoff or solver failure that must not leak into
     results.
     """
@@ -142,6 +146,8 @@ def make_density_matrix(space: Space, raw: np.ndarray) -> DensityMatrix:
     tr = m.trace()
     if abs(tr) < 1e-300:
         raise CorruptedStateError("state has zero trace")
+    if herm_err > HERM_TOL * abs(tr):
+        raise CorruptedStateError(f"hermiticity error {herm_err:.3e} exceeds {HERM_TOL:.0e} |tr|")
     trace_err = float(abs(tr - 1.0))
     m = m / tr.real
     eigs = np.linalg.eigvalsh(m)
@@ -159,10 +165,13 @@ def suggest_fock_cutoff(r: float, epsilon: float = DEFAULT_EPSILON) -> int:
 
     The empty-cavity distribution P(2m) ∝ tanh(r)^{2m} C(2m, m) / 4^m upper
     bounds the atom-present one, so a cutoff adequate for the bare squeezed
-    state is adequate for the full model at the same r.
+    state is adequate for the full model at the same r. ValueError unless
+    r is finite and >= 0 and epsilon > 0.
     """
+    if not (0 <= r < math.inf and epsilon > 0):
+        raise ValueError(f"need 0 <= r < inf and epsilon > 0, got r = {r}, epsilon = {epsilon}")
     guard_frac, n_min, n_max = 0.2, 40, 400
-    if r <= 0:
+    if r == 0:
         return n_min
     t2 = math.tanh(r) ** 2
     if t2 >= 1.0:  # r above about 19.1, where tanh²r rounds to 1
@@ -491,14 +500,16 @@ def steady_state(L: Superoperator, guard: int | None = None,
         raise SolverError("generator is not trace-preserving or not finite; refusing to solve")
     guard = truncation_guard(L.space.fock_cutoff, guard, epsilon)
     d = L.dim
-    clock = [time.perf_counter()]
+    clock, seconds = [time.perf_counter()], {}
 
-    def lap() -> float:
+    def lap(stage: str | None = None):
+        """The seconds since the last lap are `stage`'s, if one is named."""
         clock.append(time.perf_counter())
-        return clock[-1] - clock[-2]
+        if stage:
+            seconds[stage] = clock[-1] - clock[-2]
 
     fold, system = _block(L)
-    block_seconds = lap()
+    lap("block")
     m = system.shape[0]
     rhs = np.zeros(m)
     rhs[-1] = 1.0
@@ -512,32 +523,30 @@ def steady_state(L: Superoperator, guard: int | None = None,
             sol, fill = spsolve(system, rhs)
         except Exception as exc:  # pragma: no cover - solver backend failure
             raise NonUniqueSteadyStateError(f"sparse LU solve failed: {exc}") from exc
-        lu_seconds = lap()
+        lap("LU")
         if not np.all(np.isfinite(sol)):
             raise NonUniqueSteadyStateError("sparse LU solve returned non-finite entries")
         # a part left out stays +0.0
         full = np.zeros(d * d, dtype=complex)
         full.view(float)[fold.rho_places] = np.concatenate([sol, -sol])[fold.solution_places]
         raw = unvec(full, d)
-        unfold_seconds = lap()
+        lap("unfold")
         # the tail first: a cutoff far too small also leaves a state that is
         # not positive, and the cutoff is what the error must name
         tail = check_truncation(DensityMatrix(L.space, raw), guard, epsilon)
-        tail_seconds = lap()
+        lap("tail")
         rho = make_density_matrix(L.space, raw)
-        validate_seconds = lap()
+        lap("validate")
         residual = float(np.abs(L.act(rho.matrix)).max())
-        residual_seconds = lap()
+        lap("residual")
     bound = max(RESIDUAL_TOL, 1e-14 * scale)
     if residual > bound:
         raise NonUniqueSteadyStateError(
             f"steady-state residual {residual:.3e} exceeds {bound:.0e}; the kernel may be "
             "degenerate; the fold assumes that L maps rho† to (L rho)†")
     return replace(rho, diagnostics=replace(
-        rho.diagnostics, tail_mass=tail, residual=residual, lu_unknowns=m,
-        block_seconds=block_seconds, lu_fill=fill, lu_seconds=lu_seconds,
-        unfold_seconds=unfold_seconds, tail_seconds=tail_seconds,
-        validate_seconds=validate_seconds, residual_seconds=residual_seconds))
+        rho.diagnostics, tail_mass=tail, residual=residual, guard=guard, lu_unknowns=m,
+        lu_fill=fill, seconds=seconds))
 
 
 def evolve(L: Superoperator, rho0: DensityMatrix, t_end: float, dt: float,

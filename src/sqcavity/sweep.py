@@ -252,30 +252,22 @@ def _map_points(config: SweepConfig, fn):
     return [solved[k] for k in range(len(points))]
 
 
-def solve_point(config: SweepConfig, r: float):
-    """Steady state of the configured model at one squeezing strength."""
-    return _solve(config, r, build_liouvillian)
-
-
-def _solve(config: SweepConfig, r: float, build):
-    """Steady state of the generator build(*config.model(r)), with one
-    DEBUG record of what was solved (the real unknowns of the LU),
-    how well, and in how many seconds, in all and in each stage: building
-    the generator, forming the factorized block, the LU, unfolding the
-    solution, the tail check, validation and the residual."""
+def solve_point(config: SweepConfig, r: float, build=None):
+    """Steady state of the generator build(*config.model(r)), by default
+    `build_liouvillian` as named at the call, with one DEBUG record of what
+    was solved, how well, and the seconds of the build, of each stage of
+    `StateDiagnostics.seconds` and of all."""
     start = time.perf_counter()
-    L = build(*config.model(r))
+    L = (build or build_liouvillian)(*config.model(r))
     build_seconds = time.perf_counter() - start
     rho = steady_state(L, guard=config.guard, epsilon=config.epsilon)
     diag = rho.diagnostics
     log.debug("solved r = %r: cutoff %d, guard %d, %d LU unknowns, residual %.3e, "
-              "min eigenvalue %.3e, tail mass %.3e, LU fill %d, build %.3f s, "
-              "block %.3f s, LU %.3f s, unfold %.3f s, tail %.3f s, validate %.3f s, "
-              "residual %.3f s of %.3f s", r, config.fock_cutoff,
-              config.effective_guard(), diag.lu_unknowns, diag.residual,
+              "min eigenvalue %.3e, tail mass %.3e, LU fill %d, build %.3f s, %s of %.3f s",
+              r, config.fock_cutoff, diag.guard, diag.lu_unknowns, diag.residual,
               diag.min_eigenvalue, diag.tail_mass, diag.lu_fill, build_seconds,
-              diag.block_seconds, diag.lu_seconds, diag.unfold_seconds, diag.tail_seconds,
-              diag.validate_seconds, diag.residual_seconds, time.perf_counter() - start)
+              ", ".join(f"{stage} {seconds:.3f} s" for stage, seconds in diag.seconds.items()),
+              time.perf_counter() - start)
     return rho
 
 
@@ -317,12 +309,11 @@ def _wigner_file(config: SweepConfig, r: float) -> str:
 
 def run_distribution(config: SweepConfig) -> dict[float, dict]:
     """One {n, P(n)} file per r, reported up to the guard band."""
-    guard = config.effective_guard()
 
     def point(r):
         rho = solve_point(config, r)
         dist = photon_distribution(rho, guard=config.guard)
-        return {"probabilities": dist.probabilities[: config.fock_cutoff - guard],
+        return {"probabilities": dist.probabilities[: config.fock_cutoff - rho.diagnostics.guard],
                 "tail_mass": dist.tail_mass}
 
     data = dict(zip(config.r_values, _map_points(config, point)))
@@ -364,8 +355,8 @@ def run_bogoliubov_check(config: SweepConfig) -> list[dict]:
     domain (phi, delta_a or delta_c not 0) before anything is factorized."""
 
     def point(r):
-        rho_bog = _solve(config, r, build_bogoliubov_liouvillian)
-        rho_lab = _solve(config, r, build_liouvillian)
+        rho_bog = solve_point(config, r, build_bogoliubov_liouvillian)
+        rho_lab = solve_point(config, r)
         mean_lab = mean_photon_number(rho_lab)
         mean_bog = mean_photon_number(rho_bog)
         disc = abs(mean_lab - mean_bog)

@@ -30,7 +30,7 @@ from sqcavity import liouvillian
 from sqcavity.operators import embed_field
 from conftest import squeezed_state_vector
 import test_solvers
-from test_solvers import ATOM, SECTOR_CASES, matrix_trace_residual
+from test_solvers import ATOM, PHASE_BROKEN_CASES, SECTOR_CASES, matrix_trace_residual
 
 
 def random_hermitian(rng, d):
@@ -336,24 +336,34 @@ def use_reference_terms(monkeypatch):
         monkeypatch.setattr(liouvillian, name, lambda *args: pytest.fail("a plan was used"))
 
 
+def kron_sum(space, K, jumps):
+    """The one-pass sum of the Kronecker products of
+    rho -> K rho + rho K† + sum_j w_j A_j rho B_j over jumps (w_j, A_j, B_j),
+    each product's entries (row, col) and values found by index arithmetic
+    on its factors' entries, in the order of its left factor's, then of its
+    right factor's, and its values scaled by the weight."""
+    d = space.dim
+    factors = liouvillian._kron_factors(space, K, jumps)
+    row, col, values = zip(*[((left.row[:, None] * d + right.row).ravel(),
+                              (left.col[:, None] * d + right.col).ravel(),
+                              w * (left.data[:, None] * right.data).ravel())
+                             for left, right, w in factors])
+    m = sp.csr_matrix((np.concatenate(values), (np.concatenate(row), np.concatenate(col))),
+                      shape=(d * d, d * d))
+    m.eliminate_zeros()
+    return m
+
+
 def one_pass_assembly(params, x, c, n_th, m_corr):
     """The generator summed once from all its Kronecker products, as both
     frames were assembled before the plan: x is the field operator in H, c
     the cavity's jump operator into a bath with (N, M). The reference the
     planned matrix must match to the bit."""
-    space = x.space
     operators = liouvillian._jump_operators(c)
     weights = liouvillian._weights(params, n_th, m_corr)
     K = liouvillian._no_jump_part(liouvillian._hamiltonian(params, x), weights,
                                   [B @ A for A, B in operators])
-    factors = liouvillian._kron_factors(space, K, [
-        (w, A, B) for w, (A, B) in zip(weights, operators)])
-    m = sp.csr_matrix((np.concatenate([liouvillian._kron_values(left.data, right.data, w)
-                                       for left, right, w in factors]),
-                       liouvillian._kron_entries(space, factors)),
-                      shape=(space.dim**2, space.dim**2))
-    m.eliminate_zeros()
-    return m
+    return kron_sum(x.space, K, [(w, A, B) for w, (A, B) in zip(weights, operators)])
 
 
 def one_pass(params, bath, space):
@@ -407,7 +417,7 @@ class TestOnePassAssembly:
         assert_same_generator(fast_cavity, cavity_only(params.kappa, SqueezedBath(0.0), space))
 
     def test_zero_weight_jumps_are_skipped(self, monkeypatch):
-        products = spy(monkeypatch, "_kron_values")
+        products = product_spy(monkeypatch)
         # I ⊗ K and conj(K) ⊗ I, then one product per jump of nonzero weight
         one_pass(SystemParams(), SqueezedBath(0.0), FieldSpace(8))
         assert len(products) == 2 + 1
@@ -434,6 +444,22 @@ def spy(monkeypatch, name):
     real = getattr(liouvillian, name)
     monkeypatch.setattr(liouvillian, name, lambda *args: calls.append(1) or real(*args))
     return calls
+
+
+def product_spy(monkeypatch):
+    """A list that grows by one for each Kronecker product whose factors
+    liouvillian._kron_factors returns: one product is formed per factor
+    pair, by the matrix and by `kron_sum` alike."""
+    products = []
+    real = liouvillian._kron_factors
+
+    def counting(*args):
+        factors = real(*args)
+        products.extend([1] * len(factors))
+        return factors
+
+    monkeypatch.setattr(liouvillian, "_kron_factors", counting)
+    return products
 
 
 def assert_identical(fast, reference):
@@ -463,8 +489,28 @@ class TestPlannedGenerator:
         assert_identical(cold, reference)
         assert_identical(warm, reference)
 
+    @pytest.mark.parametrize("case", sorted({**SECTOR_CASES, **PHASE_BROKEN_CASES}))
+    def test_matrix_matches_the_index_arithmetic(self, case):
+        # sp.kron forms each product with the entries and values, in the
+        # order, of the index arithmetic on its factors; the squeezed
+        # frame's cases are among SECTOR_CASES
+        L = {**SECTOR_CASES, **PHASE_BROKEN_CASES}[case]()
+        reference = kron_sum(L.space, L.plan.operator(L.k), [
+            (w, A, B) for w, (A, B) in zip(L.weights, L.plan.jumps)])
+        # byte for byte, so that the sign of a zero part counts too
+        for name in ("indptr", "indices", "data"):
+            mine, theirs = getattr(L.matrix, name), getattr(reference, name)
+            assert mine.dtype == theirs.dtype
+            assert mine.tobytes() == theirs.tobytes()
+
+    def test_generator_without_entries_keeps_a_complex_matrix(self):
+        # sp.kron returns a float product where a factor has no entries
+        m = test_solvers.zero_generator(FieldSpace(3)).matrix
+        assert m.dtype == complex
+        assert m.nnz == 0
+
     def test_plan_is_made_once_per_model_and_space(self, monkeypatch):
-        plans, products = spy(monkeypatch, "_make_plan"), spy(monkeypatch, "_kron_values")
+        plans, products = spy(monkeypatch, "_make_plan"), product_spy(monkeypatch)
         liouvillian._plan.cache_clear()
         build_liouvillian(ATOM, SqueezedBath(0.5), SpaceDims(8))
         assert len(plans) == 1

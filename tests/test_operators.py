@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -118,3 +120,9 @@ class TestBogoliubov:
     def test_negative_r_rejected(self):
         with pytest.raises(ValueError):
             bogoliubov_b(-0.1, 10)
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf])
+    def test_non_finite_r_rejected(self, r):
+        # cosh and sinh of these would fill b with NaN
+        with pytest.raises(ValueError, match=f"finite and >= 0, got {r}"):
+            bogoliubov_b(r, 10)

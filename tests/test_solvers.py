@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import re
 
@@ -28,6 +30,7 @@ from sqcavity import (
     solvers,
     steady_state,
     suggest_fock_cutoff,
+    truncation_guard,
     unvec,
     vec,
 )
@@ -192,6 +195,30 @@ class TestSteadyState:
         assert d.min_eigenvalue > -1e-8
         assert d.tail_mass < 1e-8
 
+    @pytest.mark.parametrize("guard", [None, np.int64(8)])
+    def test_diagnostics_are_one_record_of_the_solve(self, guard):
+        # the seconds of each stage, in the order they run; the guard the
+        # tail was measured over, a Python int; the whole record as JSON
+        d = steady_state(empty_cavity_liouvillian(0.3, 30), guard=guard).diagnostics
+        assert list(d.seconds) == ["block", "LU", "unfold", "tail", "validate", "residual"]
+        assert all(seconds >= 0 for seconds in d.seconds.values())
+        assert d.guard == truncation_guard(30, guard)
+        assert type(d.guard) is int
+        record = json.loads(json.dumps(dataclasses.asdict(d)))
+        assert record["seconds"] == d.seconds
+        assert record["guard"] == d.guard
+        assert record["lu_unknowns"] == d.lu_unknowns
+
+    @pytest.mark.parametrize("guard", [2.5, 3.0, "4", np.float64(5.0)])
+    def test_non_integer_guard_refused_before_the_lu(self, guard, monkeypatch):
+        # an integral float too: a guard counts Fock levels
+        message = re.escape(f"guard = {guard!r} must be an integer")
+        with pytest.raises(ValueError, match=message):
+            truncation_guard(20, guard)
+        monkeypatch.setattr(solvers, "spsolve", lambda *args: pytest.fail("factorized"))
+        with pytest.raises(ValueError, match=message):
+            steady_state(empty_cavity_liouvillian(0.3, 20), guard=guard)
+
 
 def full_system_state(L):
     """The plain solve: the whole d²×d² generator with its first row
@@ -311,7 +338,7 @@ class TestSectorSolve:
         assert [fill for _, fill in systems] == [rho.diagnostics.lu_fill]
         assert rho.diagnostics.lu_fill > folded
         assert rho.diagnostics.lu_unknowns == folded
-        assert 0 < rho.diagnostics.block_seconds
+        assert 0 < rho.diagnostics.seconds["block"]
         # the real system comes from the plan: L's matrix is never formed
         assert "matrix" not in vars(L)
 
@@ -706,6 +733,12 @@ class TestSuggestedCutoff:
         assert cuts == sorted(cuts)
         assert suggest_fock_cutoff(20.0) == 400
 
+    @pytest.mark.parametrize("r, epsilon", [(math.nan, 1e-8), (-1.0, 1e-8), (math.inf, 1e-8),
+                                            (0.5, 0.0), (0.5, -1.0), (0.5, math.nan)])
+    def test_invalid_r_or_epsilon_refused(self, r, epsilon):
+        with pytest.raises(ValueError, match=re.escape(f"got r = {r}, epsilon = {epsilon}")):
+            suggest_fock_cutoff(r, epsilon)
+
 
 def never_integrated(L):
     """L with a matrix that fails the test when it is applied to a state."""
@@ -801,6 +834,22 @@ class TestStateValidation:
         m[0, 1] = bad
         with pytest.raises(CorruptedStateError, match="non-finite"):
             make_density_matrix(FieldSpace(2), m)
+
+    def test_non_hermitian_state_aborts(self):
+        # hermitized, this would be diag(0.5, 0.5) + 0.5 sigma_x, a valid
+        # state, with a Hermiticity error of 1
+        with pytest.raises(CorruptedStateError, match=r"hermiticity error 1\.000e\+00"):
+            make_density_matrix(FieldSpace(2), [[0.5, 1], [0, 0.5]])
+
+    @pytest.mark.parametrize("scale", [1.0, 1e4])
+    def test_round_off_asymmetry_passes(self, scale):
+        # the bound is HERM_TOL |tr|: a state of trace 1e4 may be 1e4 times
+        # as far from Hermitian, 1e-8 here, above HERM_TOL
+        m = np.array([[0.5, 0.1], [0.1, 0.5]], dtype=complex)
+        m[0, 1] += 1e-12
+        rho = make_density_matrix(FieldSpace(2), scale * m)
+        assert rho.diagnostics.hermiticity_error == pytest.approx(scale * 1e-12)
+        assert np.allclose(rho.matrix, [[0.5, 0.1], [0.1, 0.5]])
 
     def test_small_negative_eigenvalue_recorded_not_clipped(self):
         eps = 5e-10
