@@ -169,8 +169,20 @@ def embed_field(space: Space, field_op) -> Operator:
 
 
 def bogoliubov_b(r: float, fock_cutoff: int) -> Operator:
-    """Squeezed-frame mode b = cosh(r) a - sinh(r) a† (phase 0)."""
+    """Squeezed-frame mode b = cosh(r) a - sinh(r) a† (phase 0).
+
+    ValueError unless r is finite and >= 0 and every entry of b, the
+    largest cosh(r) sqrt(fock_cutoff - 1), is a finite float: r at most
+    acosh(max float / sqrt(fock_cutoff - 1)), 710.48 at cutoff 2 and
+    709.38 at cutoff 10.
+    """
     if not 0 <= r < np.inf:
         raise ValueError(f"squeezing strength must be finite and >= 0, got {r}")
     a = annihilation(fock_cutoff)
-    return np.cosh(r) * a - np.sinh(r) * a.dag()
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = np.cosh(r) * a - np.sinh(r) * a.dag()
+    if not np.all(np.isfinite(b.matrix)):
+        limit = np.arccosh(np.finfo(float).max / np.sqrt(fock_cutoff - 1))
+        raise ValueError(f"squeezing strength r = {r} overflows b = cosh(r) a - sinh(r) a† at "
+                         f"cutoff {fock_cutoff}: r must be at most {limit:.2f}")
+    return b

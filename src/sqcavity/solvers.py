@@ -204,24 +204,43 @@ def _excitations(space: Space) -> np.ndarray:
 _ND_LEAF = 16
 
 
-def _bisect(k: np.ndarray, s: np.ndarray, idx: np.ndarray):
-    """Split the unknowns idx of the (k, s) grid at the midpoint line of its
-    longer side into (lower half, upper half, separator line)."""
-    c = k[idx] if np.ptp(k[idx]) >= np.ptp(s[idx]) else s[idx]
-    mid = (c.min() + c.max()) // 2
-    return idx[c < mid], idx[c > mid], idx[c == mid]
+def _dissect(k: np.ndarray, s: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Nested dissection of the points (k, s) of a grid where every
+    coupling moves at most 1 in k and 1 in s, point q standing for
+    weight[q] > 0 unknowns (George, SIAM J. Numer. Anal. 10, 345 (1973)).
 
-
-def _nested_dissection(k: np.ndarray, s: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Nested-dissection order of the unknowns idx on a grid where every
-    coupling moves at most 1 in k and 1 in s: each half is numbered before
-    the line that separates it from the other, down to _ND_LEAF unknowns
-    (George, SIAM J. Numer. Anal. 10, 345 (1973))."""
-    if idx.size <= _ND_LEAF:
-        return idx
-    low, high, separator = _bisect(k, s, idx)
-    return np.concatenate([_nested_dissection(k, s, low), _nested_dissection(k, s, high),
-                           separator])
+    A part of more than _ND_LEAF unknowns is split at the midpoint line of
+    its longer side, k on a tie: the points below it are numbered first,
+    then those above it, then the line itself; a smaller part is a leaf.
+    All the parts of one level are split at once. Returns, for each point,
+    the number of the first unknown of its leaf or line.
+    """
+    first = np.empty(k.size, dtype=np.intp)
+    # the points of the parts of a level, part by part, where each part
+    # begins among them, and the number of each part's first unknown
+    points, begin, base = np.arange(k.size), np.zeros(1, np.intp), np.zeros(1, np.intp)
+    while points.size:
+        part = np.repeat(np.arange(begin.size), np.diff(begin, append=points.size))
+        w, kk, ss = weight[points], k[points], s[points]
+        leaf = (np.add.reduceat(w, begin) <= _ND_LEAF)[part]
+        first[points[leaf]] = base[part[leaf]]
+        k_min, k_max = np.minimum.reduceat(kk, begin), np.maximum.reduceat(kk, begin)
+        s_min, s_max = np.minimum.reduceat(ss, begin), np.maximum.reduceat(ss, begin)
+        along_k = k_max - k_min >= s_max - s_min
+        side = np.where(along_k[part], kk, ss) - (np.where(along_k, k_min + k_max,
+                                                           s_min + s_max) // 2)[part]
+        side[leaf] = 0
+        low, high = side < 0, side > 0
+        n_low, n_high = np.add.reduceat(w * low, begin), np.add.reduceat(w * high, begin)
+        line = (side == 0) & ~leaf
+        first[points[line]] = (base + n_low + n_high)[part[line]]
+        # the halves, the lower one first, are the parts of the next level
+        half = (2 * part + high)[low | high]
+        by_half = np.argsort(half, kind="stable")
+        points, half = points[low | high][by_half], half[by_half]
+        begin = np.flatnonzero(np.diff(half, prepend=-1))
+        base = np.stack([base, base + n_low], axis=1).ravel()[half[begin]]
+    return first
 
 
 def _sector_order(n: np.ndarray, even: np.ndarray) -> np.ndarray:
@@ -232,11 +251,19 @@ def _sector_order(n: np.ndarray, even: np.ndarray) -> np.ndarray:
     Every term of the generator moves an entry rho_(N_i, N_j) by at most 2
     in N_i and in N_j, keeping their parity, so on this sector
     k = (N_i - N_j)/2 and s = (N_i + N_j)/2 move by at most 1: the block is
-    a 2-D grid problem.
+    a 2-D grid problem. The unknowns of one grid point share their leaf or
+    line, so the points are dissected (`_dissect`) and each leaf and line
+    keeps its unknowns in vec order.
     """
-    n_i, n_j = n[even % n.size], n[even // n.size]
+    n_i, n_j = n[even[1:] % n.size], n[even[1:] // n.size]
     k, s = (n_i - n_j) // 2, (n_i + n_j) // 2
-    return even[np.append(_nested_dissection(k, s, np.arange(1, even.size)), 0)]
+    width = s.max(initial=0) + 1
+    cell = (k - k.min(initial=0)) * width + s
+    weight = np.bincount(cell)
+    grid = np.flatnonzero(weight)
+    first = _dissect(grid // width, grid % width, weight[grid])
+    order = np.argsort(first[np.searchsorted(grid, cell)], kind="stable")
+    return even[np.append(order + 1, 0)]
 
 
 class _SectorMaps(NamedTuple):
@@ -273,19 +300,19 @@ def _sector_maps(space: Space) -> _SectorMaps:
     points that share it."""
     n = _excitations(space)
     d = n.size
-    v = np.arange(d * d)
-    i, j = v % d, v // d
-    even = np.flatnonzero((n[i] + n[j]) % 2 == 0)
+    # by vec index v = i + d j, as the rows j and columns i of a d×d grid
+    n_i, n_j = n[None, :], n[:, None]
+    i, j = np.arange(d)[None, :], np.arange(d)[:, None]
+    even = np.flatnonzero((n_i + n_j) % 2 == 0)
     # the atom is the outer factor, so its excited half is every index from
     # fock_cutoff on; a field space has none
     u = np.where(np.arange(d) < space.fock_cutoff, 1.0, -1.0)
-    sign = u[i] * u[j]
-    representative = (n[i] > n[j]) | ((n[i] == n[j]) & (i <= j))
+    sign = (u[None, :] * u[:, None]).ravel()
+    representative = ((n_i > n_j) | ((n_i == n_j) & (i <= j))).ravel()
     folded = _sector_order(n, even[representative[even]])
     fold_row = _places(folded, d * d)
-    partner = even[~representative[even]]
-    fold_col = fold_row.copy()
-    fold_col[partner] = fold_row[j[partner] + d * i[partner]]
+    # of v and t(v) one is the representative, the other -1 in fold_row
+    fold_col = np.maximum(fold_row, fold_row.reshape(d, d).T.ravel())
     return _read_only(_SectorMaps(u=u, sign=sign, even=even, folded=folded, fold_row=fold_row,
                                   fold_col=fold_col))
 
@@ -353,6 +380,200 @@ class _Fold(NamedTuple):
     solution_places: np.ndarray
 
 
+def _runs(left, right, rank: np.ndarray, end: np.ndarray):
+    """The entries of left ⊗ right in the rows of the representatives
+    other than rho_00, found without forming the product.
+
+    Entry (li, ri) lies in row i + d j, i = right.row[ri], j = left.row[li].
+    `rank` numbers the basis states by (N mod 2, N, -i) and `end` is, for
+    each state, the rank that follows the last state of its parity, so the
+    representatives of left row j are the right rows ranked from rank[j]
+    up to end[j], rho_00's row (i = j = 0) left out. Returns the right
+    entries in the order of their rows' ranks and, for each left entry,
+    where its run of them starts and how long it is.
+    """
+    row_rank = rank[right.row]
+    by_rank = np.argsort(row_rank, kind="stable")
+    ranks = row_rank[by_rank]
+    start = np.searchsorted(ranks, rank[left.row] + (left.row == 0))
+    return by_rank, start, np.searchsorted(ranks, end[left.row]) - start
+
+
+def _blocks(by_rank: np.ndarray, start: np.ndarray, length: np.ndarray, block: int):
+    """The entries (li, ri) of these runs, li ascending, in blocks of about
+    `block` entries that end with a left entry's run."""
+    stop = np.cumsum(length)
+    cuts = np.searchsorted(stop, np.arange(block, stop[-1] if stop.size else 0, block),
+                           side="right")
+    for a, b in zip([0, *cuts], [*cuts, length.size]):
+        li = np.repeat(np.arange(a, b), length[a:b])
+        if li.size:
+            # the k-th entry of a run is the (start + k)-th right entry
+            offset = start[a:b] - (np.cumsum(length[a:b]) - length[a:b])
+            yield li, by_rank[np.arange(li.size) + np.repeat(offset, length[a:b])]
+
+
+def _product_terms(left, right, li, ri, source, n_x: int, maps: _SectorMaps, parts: list,
+                   width: int):
+    """The terms of the entries (li, ri) of left ⊗ right whose x is
+    `source`, a term at (equation, unknown) keyed by
+    unknown << width | equation. `parts` holds (slots, part) of the first
+    and the second part that the fold keeps of each representative. Yields
+    (second, keys, coefficients, sources) for each part of the row and
+    each part of the column: their first terms, then their second
+    terms."""
+    d = maps.u.size
+    col = left.col[li] * d + right.col[ri]
+    rows = maps.fold_row[left.row[li] * d + right.row[ri]]
+    cols, representative = maps.fold_col[col], maps.fold_row[col] >= 0
+    q = left.data[li] * right.data[ri]
+    for row_slots, row_part in parts:
+        for col_slots, col_part in parts:
+            equation, unknown = row_slots[rows], col_slots[cols]
+            t = np.flatnonzero((equation >= 0) & (unknown >= 0))
+            if t.size < equation.size:
+                equation, unknown = equation[t], unknown[t]
+            else:
+                t = slice(None)
+            p, p_col, qt = row_part[rows[t]], col_part[cols[t]], q[t]
+            # w = z q, z = (-i)^p (i s)^p_col: q, or -i q where p != p_col,
+            # times s or -s where p_col = 1
+            g = np.where(p_col, np.where(p == representative[t], 1.0, -1.0), 1.0)
+            same = p == p_col
+            re = g * np.where(same, qt.real, qt.imag)
+            im = g * np.where(same, qt.imag, -qt.real)
+            key = unknown.astype(np.int64) << width
+            key |= equation
+            imag = (re == 0) & (im != 0)
+            yield False, key, np.where(imag, -im, re), source[t] + n_x * imag
+            both = np.flatnonzero((re != 0) & (im != 0))
+            yield True, key[both], -im[both], source[t][both] + n_x
+
+
+class _Terms:
+    """The terms of a fold in the order they are summed, each as
+    (key, coefficient, source), the key of a term at (equation, unknown)
+    being unknown << width | equation, `width` the bits of an equation's
+    number; room for `bound` of them is taken at once. Each key is kept
+    shifted by the bits of `bound`, with the term's number below it, so
+    that one in-place sort numbers the system's CSC pattern."""
+
+    def __init__(self, bound: int, size: int):
+        self.size, self.count = size, 0
+        self.width, self.bits = (size - 1).bit_length(), bound.bit_length()
+        if 2 * self.width + self.bits > 63:
+            raise SolverError(f"the folded system of {size} unknowns and up to {bound} terms "
+                              "is too large to number in 64 bits")
+        # the terms are found, and their keys read once sorted, a chunk at a time
+        self.chunk = max(bound // 16, 1024)
+        self.keys = np.empty(bound, dtype=np.int64)
+        self.coefficients = np.empty(bound)
+        self.sources = np.empty(bound, dtype=np.int32)
+
+    def add(self, keys, coefficients, sources):
+        places = slice(self.count, self.count + keys.size)
+        np.left_shift(keys, self.bits, out=self.keys[places])
+        self.keys[places] |= np.arange(places.start, places.stop)
+        self.coefficients[places], self.sources[places] = coefficients, sources
+        self.count = places.stop
+
+    def pattern(self):
+        """(indices, indptr, positions, coefficients, sources) of the terms
+        added: the CSC pattern of their places and each one's position in
+        it."""
+        keys, self.keys = self.keys, None
+        for array in (keys, self.coefficients, self.sources):
+            array.resize(self.count, refcheck=False)
+        keys.sort()
+        positions = np.empty(keys.size, dtype=np.int32)
+        count, previous = 0, -1
+        for begin in range(0, keys.size, self.chunk):
+            part = keys[begin:begin + self.chunk]
+            number = part & ((1 << self.bits) - 1)
+            part >>= self.bits
+            new = np.empty(part.size, dtype=bool)
+            new[0] = part[0] != previous
+            np.not_equal(part[1:], part[:-1], out=new[1:])
+            previous = part[-1]
+            positions[number] = np.cumsum(new, dtype=np.int32) + (count - 1)
+            # the distinct keys gather at the front, behind the ones read
+            distinct = part[new]
+            keys[count:count + distinct.size] = distinct
+            count += distinct.size
+        keys = keys[:count]
+        indices = np.bitwise_and(keys, (1 << self.width) - 1, out=np.empty(count, dtype=np.int32),
+                                 casting="unsafe")
+        indptr = np.searchsorted(keys, np.arange(self.size + 1) << self.width).astype(np.int32)
+        return indices, indptr, positions, self.coefficients, self.sources
+
+
+def _pure(matrix) -> bool:
+    """Whether every entry of matrix has a zero real or imaginary part."""
+    return not np.any((matrix.data.real != 0) & (matrix.data.imag != 0))
+
+
+def _slots(maps: _SectorMaps, phase: bool) -> np.ndarray:
+    """slots[p, q]: the place among the unknowns, and among the equations,
+    of part p of the q-th representative, -1 where it is left out. Both
+    parts are numbered together in the order of `folded`, but for a
+    diagonal entry's imaginary part and, with the phase symmetry, the
+    imaginary part where sigma = +1 and the real part where sigma = -1."""
+    d = maps.u.size
+    present = np.ones((maps.folded.size, 2), dtype=bool)
+    present[maps.folded % d == maps.folded // d, 1] = False
+    if phase:
+        present &= (maps.sign[maps.folded, None] > 0) == [True, False]
+    place = np.cumsum(present).reshape(present.shape) - 1
+    return np.ascontiguousarray(np.where(present, place, -1).T, dtype=np.int32)
+
+
+def _fold_terms(plan, used: tuple, maps: _SectorMaps, slots: np.ndarray) -> _Terms:
+    """The `_Terms` of the fold with these slots of a plan whose jumps of
+    nonzero weight are those marked in `used`, in the order `_fold` gives."""
+    space, d, size = plan.space, plan.space.dim, int(slots[0, -1]) + 1
+    # the first part kept of each representative and the second, if both
+    # are: one part each with the phase symmetry, the real one first
+    # without it
+    imaginary = slots[0] < 0
+    parts = [(np.where(imaginary, slots[1], slots[0]), imaginary),
+             (np.where(imaginary, -1, slots[1]), np.ones_like(imaginary))]
+    parts = [(kept, part) for kept, part in parts if np.any(kept >= 0)]
+    n = _excitations(space)
+    rank = np.empty(d, dtype=np.intp)
+    rank[np.lexsort((-np.arange(d), n, n % 2))] = np.arange(d)
+    end = np.where(n % 2 == 0, np.count_nonzero(n % 2 == 0), d)
+    n_k = plan.row.size
+    unit = sp.coo_matrix((np.ones(n_k, dtype=complex), (plan.row, plan.col)), shape=(d, d))
+    factors = _kron_factors(space, unit, [(1.0, A, B) for (A, B), is_used
+                                          in zip(plan.jumps, used) if is_used])
+    n_x = 2 * n_k + len(factors) - 1
+    runs = [_runs(left, right, rank, end) for left, right, _ in factors]
+    # a first term for each kept part of the row and of the column of an
+    # entry, a second one as well where a factor has an entry with two
+    # nonzero parts, and the trace row's
+    bound = d + sum(int(length.sum()) * len(parts) ** 2 * (1 if _pure(left) and _pure(right)
+                                                           else 2)
+                    for (left, right, _), (_, _, length) in zip(factors, runs))
+    terms = _Terms(bound, size)
+    for number, ((left, right, _), run) in enumerate(zip(factors, runs)):
+        seconds = []
+        for li, ri in _blocks(*run, terms.chunk):
+            source = (ri if number == 0 else n_k + li if number == 1
+                      else np.full(li.size, 2 * n_k + number - 2))
+            for second, *found in _product_terms(left, right, li, ri, source, n_x, maps, parts,
+                                                 terms.width):
+                if second:
+                    seconds.append(found)
+                else:
+                    terms.add(*found)
+        for found in seconds:
+            terms.add(*found)
+    # the trace row, sum_i Re rho_ii = 1, in rho_00's place
+    terms.add(slots[0, maps.fold_col[np.arange(d) * (d + 1)]].astype(np.int64) << terms.width
+              | size - 1, 1.0, n_x - 1)
+    return terms
+
+
 @functools.lru_cache(maxsize=4)
 def _fold(plan, used: tuple, phase: bool) -> _Fold:
     """The `_Fold` of a plan whose jumps of nonzero weight are those marked
@@ -366,67 +587,30 @@ def _fold(plan, used: tuple, phase: bool) -> _Fold:
     unknown part 0 of col's representative, and part p of i s c on unknown
     part 1. With K's values as 1 in the factors, c is their product q
     times x, K's value, conj(K)'s or the weight, and each such part is
-    Re z q x = Re(z q) Re x - Im(z q) Im x for a unit z: one term for each
-    nonzero part of z q, the real one where both are zero.
+    Re w x = Re w Re x - Im w Im x for w = z q and a unit z: a first term
+    for the nonzero part of w, the real one where both are zero, and a
+    second for the imaginary part where both are nonzero.
+
+    Only the entries in kept rows are formed (`_runs`), a block at a time
+    (`_blocks`, `_product_terms`). `np.bincount` sums the terms of one
+    place in their order, so they are taken in the order of the products'
+    entries: product by product, each product's first terms before its
+    second ones, in the order of its left factor's entries
+    (`_fold_terms`). Two entries of one left entry never share a place, so
+    the right entries of its run may come in any order.
     """
-    space, d = plan.space, plan.space.dim
-    maps = _sector_maps(space)
-    # slots[p, q]: the place among the unknowns, and among the equations, of
-    # part p of the q-th representative, -1 where it is left out. Both parts
-    # are numbered together in the order of `folded`, but for a diagonal
-    # entry's imaginary part and, with the phase symmetry, the imaginary
-    # part where sigma = +1 and the real part where sigma = -1
-    present = np.ones((maps.folded.size, 2), dtype=bool)
-    present[maps.folded % d == maps.folded // d, 1] = False
-    if phase:
-        present &= (maps.sign[maps.folded, None] > 0) == [True, False]
-    place = np.cumsum(present).reshape(present.shape) - 1
-    slots = np.ascontiguousarray(np.where(present, place, -1).T, dtype=np.int32)
-    last = maps.folded.size - 1
-    size = int(slots[0, last]) + 1
-    n_k = plan.row.size
-    unit = sp.coo_matrix((np.ones(n_k, dtype=complex), (plan.row, plan.col)), shape=(d, d))
-    factors = _kron_factors(space, unit, [(1.0, A, B) for (A, B), is_used
-                                          in zip(plan.jumps, used) if is_used])
-    n_x = 2 * n_k + len(factors) - 1
-    keys, coefficients, sources = [], [], []
-    for number, (left, right, _) in enumerate(factors):
-        fold_row = maps.fold_row[(left.row[:, None] * d + right.row).ravel()]
-        kept = np.flatnonzero((fold_row >= 0) & (fold_row < last))
-        li, ri = np.divmod(kept, right.row.size)
-        col = left.col[li] * d + right.col[ri]
-        equations, unknowns = (np.take(slots, places, axis=1)
-                               for places in (fold_row[kept], maps.fold_col[col]))
-        q = left.data[li] * right.data[ri]
-        source = (ri if number == 0 else n_k + li if number == 1
-                  else np.full(kept.size, 2 * n_k + number - 2))
-        s = np.where(maps.fold_row[col] >= 0, 1.0, -1.0)
-        # the unit z of each (p, p_col): part p of c (i s)^p_col is Re z c
-        for p, p_col, z in ((0, 0, 1.0), (1, 0, -1j), (0, 1, 1j * s), (1, 1, s)):
-            t = np.flatnonzero((equations[p] >= 0) & (unknowns[p_col] >= 0))
-            key = unknowns[p_col, t].astype(np.int64) * size + equations[p, t]
-            zq = q[t] * (z[t] if p_col else z)
-            imag = (zq.real == 0) & (zq.imag != 0)
-            both = np.flatnonzero((zq.real != 0) & (zq.imag != 0))
-            keys += [key, key[both]]
-            coefficients += [np.where(imag, -zq.imag, zq.real), -zq.imag[both]]
-            sources += [(source[t] + n_x * imag).astype(np.int32),
-                        (source[t][both] + n_x).astype(np.int32)]
-    # the trace row, sum_i Re rho_ii = 1, in rho_00's place
-    keys.append(slots[0, maps.fold_col[np.arange(d) * (d + 1)]].astype(np.int64) * size
-                + size - 1)
-    coefficients.append(np.ones(d))
-    sources.append(np.full(d, n_x - 1, dtype=np.int32))
-    keys, positions = np.unique(np.concatenate(keys), return_inverse=True)
-    indptr = np.searchsorted(keys, np.arange(size + 1) * size)
+    maps = _sector_maps(plan.space)
+    slots = _slots(maps, phase)
+    size = int(slots[0, -1]) + 1
+    indices, indptr, positions, coefficients, sources = _fold_terms(plan, used, maps,
+                                                                    slots).pattern()
     # rho_v = y_0 + i s y_1 of v's representative, s = -1 for a partner
     even = maps.even
     part, entry = np.nonzero(np.take(slots, maps.fold_col[even], axis=1) >= 0)
     partner = (part == 1) & (maps.fold_row[even[entry]] < 0)
     return _read_only(_Fold(
-        indices=(keys % size).astype(np.int32), indptr=indptr.astype(np.int32),
-        positions=positions.astype(np.int32), coefficients=np.concatenate(coefficients),
-        sources=np.concatenate(sources), rho_places=2 * even[entry] + part,
+        indices=indices, indptr=indptr, positions=positions, coefficients=coefficients,
+        sources=sources, rho_places=2 * even[entry] + part,
         solution_places=slots[part, maps.fold_col[even[entry]]] + size * partner))
 
 

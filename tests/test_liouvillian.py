@@ -358,7 +358,8 @@ def one_pass_assembly(params, x, c, n_th, m_corr):
     """The generator summed once from all its Kronecker products, as both
     frames were assembled before the plan: x is the field operator in H, c
     the cavity's jump operator into a bath with (N, M). The reference the
-    planned matrix must match to the bit."""
+    planned matrix must equal under ==: the same pattern and values, though
+    a zero real or imaginary part may differ in sign."""
     operators = liouvillian._jump_operators(c)
     weights = liouvillian._weights(params, n_th, m_corr)
     K = liouvillian._no_jump_part(liouvillian._hamiltonian(params, x), weights,
@@ -463,7 +464,9 @@ def product_spy(monkeypatch):
 
 
 def assert_identical(fast, reference):
-    """fast's matrix is the matrix reference, to the bit."""
+    """fast's matrix has reference's dtype and pattern and equal values
+    under ==; a zero real or imaginary part may differ in sign, so the
+    bytes of the values may not match."""
     fast = fast.matrix
     assert fast.dtype == reference.dtype
     for name in ("indptr", "indices", "data"):
@@ -473,7 +476,8 @@ def assert_identical(fast, reference):
 class TestPlannedGenerator:
     """Both frames' generators are put together from a plan, the lab
     frame's cached per (params, space): the same matrix as the one-pass
-    assembly, to the bit, and a matrix of its own on every call."""
+    assembly, equal under == (the sign of a zero part aside), and a matrix
+    of its own on every call."""
 
     @pytest.mark.parametrize("case", sorted(SECTOR_CASES))
     def test_sector_cases_match_one_pass(self, case, monkeypatch):

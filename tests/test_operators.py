@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -126,3 +127,15 @@ class TestBogoliubov:
         # cosh and sinh of these would fill b with NaN
         with pytest.raises(ValueError, match=f"finite and >= 0, got {r}"):
             bogoliubov_b(r, 10)
+
+    @pytest.mark.parametrize("cutoff", [2, 10])
+    def test_r_whose_b_overflows_rejected(self, cutoff):
+        # b's largest entry is cosh(r) sqrt(cutoff - 1); from r = 800 on
+        # cosh itself overflows, and b would be NaN where a has no entry
+        limit = math.acosh(sys.float_info.max / math.sqrt(cutoff - 1))
+        below = bogoliubov_b(limit - 0.01, cutoff).matrix
+        assert np.all(np.isfinite(below))
+        assert np.abs(below).max() > 1e307
+        for r in (limit + 0.01, 800.0):
+            with pytest.raises(ValueError, match=f"r must be at most {limit:.2f}"):
+                bogoliubov_b(r, cutoff)

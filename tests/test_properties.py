@@ -6,7 +6,8 @@ operator flips P = (-1)^(a†a + sigma_ee) and H conserves it, so rho -> P rho P
 commutes with L.
 
 The lab-frame generator, put together from its plan cached per model and
-space, must be the one-pass assembly's to the bit.
+space, must equal the one-pass assembly's under ==, the sign of a zero
+part aside.
 
 The steady state must be phase covariant: H, the atomic damping and the
 cavity loss commute with the rotation U = exp(i theta (a†a + sigma_ee) / 2),
@@ -50,7 +51,7 @@ from sqcavity import (
 )
 from conftest import excitation_numbers, parity_mismatch
 from test_liouvillian import assert_identical, assert_same_generator, one_pass
-from test_solvers import complex_block_state
+from test_solvers import assert_reference_system, complex_block_state
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -182,6 +183,9 @@ def test_phase_symmetric_generator_takes_the_real_fold(cutoff, atom_present, bog
     assert (D @ m @ D != m.conj()).nnz == 0
     S = sp.csr_matrix((sign, (np.arange(sign.size), transposed)), shape=m.shape)
     assert (S @ m @ S != m).nnz == 0
+    # the system formed from the rows the fold keeps, byte for byte the one
+    # formed from every product entry
+    assert_reference_system(L)
     # the real fold against the complex block of the same L; the symmetries
     # hold at any cutoff, so the truncation is not checked
     folded = steady_state(L, guard=1, epsilon=math.inf)

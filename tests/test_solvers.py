@@ -2,6 +2,8 @@ import dataclasses
 import json
 import math
 import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -468,6 +470,167 @@ def trace_broken(L):
     return planned(L.space, shifted, L.plan.jumps, L.weights)
 
 
+def reference_fold(plan, used, phase):
+    """The `_Fold` of a plan formed the plain way: every entry of every
+    Kronecker product is formed and placed, those outside the
+    representatives' rows other than rho_00's are dropped, and one
+    np.unique over the terms' keys numbers the pattern. The reference for
+    `solvers._fold`, which forms only the entries in kept rows; its
+    docstring states the terms."""
+    space, d = plan.space, plan.space.dim
+    maps = solvers._sector_maps(space)
+    present = np.ones((maps.folded.size, 2), dtype=bool)
+    present[maps.folded % d == maps.folded // d, 1] = False
+    if phase:
+        present &= (maps.sign[maps.folded, None] > 0) == [True, False]
+    place = np.cumsum(present).reshape(present.shape) - 1
+    slots = np.ascontiguousarray(np.where(present, place, -1).T, dtype=np.int32)
+    last = maps.folded.size - 1
+    size = int(slots[0, last]) + 1
+    n_k = plan.row.size
+    unit = sp.coo_matrix((np.ones(n_k, dtype=complex), (plan.row, plan.col)), shape=(d, d))
+    factors = liouvillian._kron_factors(space, unit, [(1.0, A, B) for (A, B), is_used
+                                                      in zip(plan.jumps, used) if is_used])
+    n_x = 2 * n_k + len(factors) - 1
+    keys, coefficients, sources = [], [], []
+    for number, (left, right, _) in enumerate(factors):
+        fold_row = maps.fold_row[(left.row[:, None] * d + right.row).ravel()]
+        kept = np.flatnonzero((fold_row >= 0) & (fold_row < last))
+        li, ri = np.divmod(kept, right.row.size)
+        col = left.col[li] * d + right.col[ri]
+        equations, unknowns = (np.take(slots, places, axis=1)
+                               for places in (fold_row[kept], maps.fold_col[col]))
+        q = left.data[li] * right.data[ri]
+        source = (ri if number == 0 else n_k + li if number == 1
+                  else np.full(kept.size, 2 * n_k + number - 2))
+        s = np.where(maps.fold_row[col] >= 0, 1.0, -1.0)
+        for p, p_col, z in ((0, 0, 1.0), (1, 0, -1j), (0, 1, 1j * s), (1, 1, s)):
+            t = np.flatnonzero((equations[p] >= 0) & (unknowns[p_col] >= 0))
+            key = unknowns[p_col, t].astype(np.int64) * size + equations[p, t]
+            zq = q[t] * (z[t] if p_col else z)
+            imag = (zq.real == 0) & (zq.imag != 0)
+            both = np.flatnonzero((zq.real != 0) & (zq.imag != 0))
+            keys += [key, key[both]]
+            coefficients += [np.where(imag, -zq.imag, zq.real), -zq.imag[both]]
+            sources += [(source[t] + n_x * imag).astype(np.int32),
+                        (source[t][both] + n_x).astype(np.int32)]
+    keys.append(slots[0, maps.fold_col[np.arange(d) * (d + 1)]].astype(np.int64) * size
+                + size - 1)
+    coefficients.append(np.ones(d))
+    sources.append(np.full(d, n_x - 1, dtype=np.int32))
+    keys, positions = np.unique(np.concatenate(keys), return_inverse=True)
+    indptr = np.searchsorted(keys, np.arange(size + 1) * size)
+    even = maps.even
+    part, entry = np.nonzero(np.take(slots, maps.fold_col[even], axis=1) >= 0)
+    partner = (part == 1) & (maps.fold_row[even[entry]] < 0)
+    return solvers._Fold(
+        indices=(keys % size).astype(np.int32), indptr=indptr.astype(np.int32),
+        positions=positions.astype(np.int32), coefficients=np.concatenate(coefficients),
+        sources=np.concatenate(sources), rho_places=2 * even[entry] + part,
+        solution_places=slots[part, maps.fold_col[even[entry]]] + size * partner)
+
+
+def assert_reference_system(L):
+    """`_block` forms L's system, byte for byte, and its unfolding maps as
+    `reference_fold` does."""
+    fold, system = solvers._block(L)
+    with mock.patch.object(solvers, "_fold", reference_fold):
+        reference, expected = solvers._block(L)
+    for name in ("data", "indices", "indptr"):
+        mine, theirs = getattr(system, name), getattr(expected, name)
+        assert mine.dtype == theirs.dtype
+        assert mine.tobytes() == theirs.tobytes()
+    for name in ("rho_places", "solution_places"):
+        assert np.array_equal(getattr(fold, name), getattr(reference, name))
+
+
+def unpaired_jumps(space, seed=1):
+    """A planned generator whose two jumps (A_j, B_j) are independent random
+    combinations of a, a† and a cubic term, at complex weights. It keeps
+    the parity sectors apart but does not map rho† to (L rho)†, so entries
+    of one product that share a place in the fold take different values,
+    and their terms have two nonzero parts: the order in which the fold
+    sums them shows in its system."""
+    rng = np.random.default_rng(seed)
+    a = sp.csr_matrix(embed_field(space, annihilation).matrix)
+    ad = a.conj().T.tocsr()
+    c, e = rng.normal(size=(2, 2, 3)) + 1j * rng.normal(size=(2, 2, 3))
+    jumps = [((x[0] * a + x[1] * ad + x[2] * (ad @ ad @ a)).tocsr(),
+              (y[0] * a + y[1] * ad + y[2] * (a @ a @ ad)).tocsr()) for x, y in zip(c, e)]
+    return planned(space, (ad @ a).astype(complex), jumps, (0.7 + 0.3j, 1.9 - 0.4j))
+
+
+class TestColdFold:
+    """The fold forms only the rows it keeps and numbers its pattern with
+    one in-place sort; its system must be the reference fold's, byte for
+    byte, whether it is formed cold or from the cache."""
+
+    @pytest.mark.parametrize("case", sorted({**SECTOR_CASES, **PHASE_BROKEN_CASES}))
+    def test_system_is_the_reference_folds(self, case):
+        assert_reference_system({**SECTOR_CASES, **PHASE_BROKEN_CASES}[case]())
+
+    @pytest.mark.parametrize("case", sorted(SECTOR_CASES))
+    def test_hermitian_system_is_the_reference_folds(self, case, monkeypatch):
+        # the phase-symmetric cases on the fold by Hermiticity alone
+        monkeypatch.setattr(solvers, "_plan_symmetries", lambda plan: (True, False))
+        assert_reference_system(SECTOR_CASES[case]())
+
+    @pytest.mark.parametrize("space", [SpaceDims(2), FieldSpace(2), SpaceDims(3)], ids=repr)
+    def test_smallest_spaces_take_the_reference_system(self, space):
+        assert_reference_system(build_liouvillian(ATOM, SqueezedBath(0.4), space))
+        assert_reference_system(build_liouvillian(ATOM, SqueezedBath(0.4, phi=0.5), space))
+
+    @pytest.mark.parametrize("space", [FieldSpace(30), SpaceDims(8)], ids=repr)
+    @pytest.mark.parametrize("one_entry_blocks", [False, True])
+    def test_unpaired_jumps_take_the_reference_system(self, space, one_entry_blocks,
+                                                      monkeypatch):
+        # blocks of one left entry each part the entries that share a place,
+        # so the second terms of a product must wait for all its first terms
+        if one_entry_blocks:
+            blocks = solvers._blocks
+            monkeypatch.setattr(solvers, "_blocks", lambda *run: blocks(*run[:3], 1))
+        assert_reference_system(unpaired_jumps(space))
+
+    def test_generator_without_entries_takes_the_trace_row_alone(self):
+        assert solvers._block(zero_generator(FieldSpace(3)))[0].positions.size == 3
+        assert_reference_system(zero_generator(FieldSpace(3)))
+
+    @pytest.mark.parametrize("phi", [0.0, 0.7])
+    def test_cold_and_warm_block_form_one_system(self, phi):
+        # two points of one plan share their fold: the second point's
+        # system from the cached fold is the one formed cold
+        first, second = (build_liouvillian(ATOM, SqueezedBath(r, phi=phi), SpaceDims(30))
+                         for r in (0.4, 0.9))
+        solvers._fold.cache_clear()
+        cold = solvers._block(second)[1]
+        solvers._fold.cache_clear()
+        solvers._block(first)
+        warm = solvers._block(second)[1]
+        assert solvers._fold.cache_info().hits == 1
+        for name in ("data", "indices", "indptr"):
+            assert getattr(warm, name).tobytes() == getattr(cold, name).tobytes()
+
+    def test_cold_fold_peak_stays_near_the_fold_it_keeps(self):
+        # a block of the products' entries at a time, and the pattern
+        # numbered in place: about 1.4 times the fold's bytes at cutoff
+        # 60, where forming every product entry took 3.6 times
+        L = build_liouvillian(ATOM, SqueezedBath(0.6), SpaceDims(60))
+        used = tuple(bool(w != 0) for w in L.weights)
+        solvers._sector_maps(L.space)
+        tracemalloc.start()
+        try:
+            fold = solvers._fold.__wrapped__(L.plan, used, True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * sum(array.nbytes for array in fold)
+
+    def test_too_many_terms_to_number_are_refused_before_allocating(self):
+        # 2 * 12 bits of places and 41 bits of term numbers exceed 63
+        with pytest.raises(SolverError, match="too large"):
+            solvers._Terms(2**40, 2**12)
+
+
 class TestPlanPath:
     """A generator from the builders is solved from its plan; each figure
     taken from the plan is checked against the same figure taken from L's
@@ -557,21 +720,41 @@ def folded_coordinates(space):
     return n, even, k, even[(k > 0) | ((k == 0) & (i <= j))]
 
 
+def bisect(k, s, idx):
+    """Split the unknowns idx of the (k, s) grid at the midpoint line of its
+    longer side into (lower half, upper half, separator line)."""
+    c = k[idx] if np.ptp(k[idx]) >= np.ptp(s[idx]) else s[idx]
+    mid = (c.min() + c.max()) // 2
+    return idx[c < mid], idx[c > mid], idx[c == mid]
+
+
+def recursive_dissection(k, s, idx, split=bisect):
+    """The nested-dissection order of the unknowns idx, one part at a time:
+    each half is numbered before the line that separates it from the
+    other, down to _ND_LEAF unknowns. The plain reference for
+    `_sector_order`, which splits all the parts of one level at once.
+    `split` bisects a part."""
+    if idx.size <= solvers._ND_LEAF:
+        return idx
+    low, high, separator = split(k, s, idx)
+    return np.concatenate([recursive_dissection(k, s, low, split),
+                           recursive_dissection(k, s, high, split), separator])
+
+
 def assert_separators_separate(k, s, row, col):
     """Dissect the unknowns 1.. of a grid block with couplings (row, col)
-    as _sector_order does, asserting that every split is proper and that
-    no coupling crosses a separator; returns the order, unknown 0 last."""
+    as `recursive_dissection` does, asserting that every split is proper
+    and that no coupling crosses a separator; returns the order, unknown 0
+    last."""
     splits = []
 
-    def dissect(idx):
-        if idx.size <= solvers._ND_LEAF:
-            return idx
-        low, high, separator = solvers._bisect(k, s, idx)
+    def proper_bisect(k, s, idx):
+        low, high, separator = bisect(k, s, idx)
         assert low.size and high.size and separator.size
         splits.append((low, high))
-        return np.concatenate([dissect(low), dissect(high), separator])
+        return low, high, separator
 
-    order = np.append(dissect(np.arange(1, k.size)), 0)
+    order = np.append(recursive_dissection(k, s, np.arange(1, k.size), proper_bisect), 0)
     assert len(splits) >= 3
     for low, high in splits:
         side = np.zeros(k.size, dtype=int)
@@ -623,17 +806,22 @@ class TestNestedDissectionOrder:
                                        SpaceDims(61), SpaceDims(150), SpaceDims(240)],
                              ids=repr)
     def test_every_split_is_proper_at_the_production_leaf(self, space):
-        _, even, k, s = grid_coordinates(space)
+        n, even, k, s = grid_coordinates(space)
 
-        def dissect(idx):
-            if idx.size <= solvers._ND_LEAF:
-                return
-            low, high, separator = solvers._bisect(k, s, idx)
+        def proper_bisect(k, s, idx):
+            low, high, separator = bisect(k, s, idx)
             assert low.size and high.size and separator.size
-            dissect(low)
-            dissect(high)
+            return low, high, separator
 
-        dissect(np.arange(1, even.size))
+        order = recursive_dissection(k, s, np.arange(1, even.size), proper_bisect)
+        # the solver splits all the parts of one level at once, and the
+        # unknowns of one grid point together, into the same order
+        assert np.array_equal(even[np.append(order, 0)], solvers._sector_order(n, even))
+        folded = folded_coordinates(space)[3]
+        n_i, n_j = n[folded % space.dim], n[folded // space.dim]
+        order = recursive_dissection((n_i - n_j) // 2, (n_i + n_j) // 2,
+                                     np.arange(1, folded.size))
+        assert np.array_equal(folded[np.append(order, 0)], solvers._sector_order(n, folded))
 
     def test_cached_order_is_read_only_and_reused(self):
         space = SpaceDims(30)
