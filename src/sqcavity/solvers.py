@@ -267,31 +267,25 @@ def _sector_order(n: np.ndarray, even: np.ndarray) -> np.ndarray:
 
 
 class _SectorMaps(NamedTuple):
-    """Index maps of the equal-parity sector of one space and of its fold
-    by Hermiticity, by vec index v = i + d j; read-only.
+    """The equal-parity sector of one space and its fold by Hermiticity,
+    by vec index v = i + d j; read-only.
 
-    `u` is u_i = (-1)^(sigma_ee of basis state i) and `sign`
-    sigma(v) = u_i u_j; `even` lists the sector in vec order; `folded`
-    lists the representative of each pair {v, t(v)} of the sector,
-    t(v) = j + d i (N_i > N_j, or N_i = N_j and i <= j: the k >= 0 half of
-    the grid), in the order they are factorized; `fold_row` is the place in
-    `folded` of a representative (-1 for any other v) and `fold_col` that
-    of v's representative, v or t(v) (-1 outside the sector).
+    `u` is u_i = (-1)^(sigma_ee of basis state i), so sigma(v) = u_i u_j;
+    `rank` numbers the basis states by (N mod 2, N, -i) and `end` is, for
+    each state, the rank that follows the last state of its parity. The
+    sector is every v whose N_i and N_j share their parity, and of each
+    pair {v, t(v)} in it, t(v) = j + d i, the representative is the one
+    with rank[i] >= rank[j] (N_i > N_j, or N_i = N_j and i <= j: the
+    k >= 0 half of the grid). `folded` lists the representatives in the
+    order they are factorized, and `place` gives, for each v, the place in
+    `folded` of its representative, v or t(v) (-1 outside the sector).
     """
 
     u: np.ndarray
-    sign: np.ndarray
-    even: np.ndarray
+    rank: np.ndarray
+    end: np.ndarray
     folded: np.ndarray
-    fold_row: np.ndarray
-    fold_col: np.ndarray
-
-
-def _places(indices: np.ndarray, size: int) -> np.ndarray:
-    """The place of each of `size` vec indices in `indices`, -1 if absent."""
-    place = np.full(size, -1)
-    place[indices] = np.arange(indices.size)
-    return place
+    place: np.ndarray
 
 
 @functools.lru_cache(maxsize=4)
@@ -300,21 +294,20 @@ def _sector_maps(space: Space) -> _SectorMaps:
     points that share it."""
     n = _excitations(space)
     d = n.size
+    rank = np.empty(d, dtype=np.intp)
+    rank[np.lexsort((-np.arange(d), n, n % 2))] = np.arange(d)
+    end = np.where(n % 2 == 0, np.count_nonzero(n % 2 == 0), d)
     # by vec index v = i + d j, as the rows j and columns i of a d×d grid
-    n_i, n_j = n[None, :], n[:, None]
-    i, j = np.arange(d)[None, :], np.arange(d)[:, None]
-    even = np.flatnonzero((n_i + n_j) % 2 == 0)
+    even = np.flatnonzero((n[None, :] + n[:, None]) % 2 == 0)
+    folded = _sector_order(n, even[rank[even % d] >= rank[even // d]])
+    place = np.full(d * d, -1, dtype=np.int32)
+    place[folded] = np.arange(folded.size)
+    # of v and t(v) one is the representative, whose place both take
+    place = np.maximum(place, place.reshape(d, d).T.ravel())
     # the atom is the outer factor, so its excited half is every index from
     # fock_cutoff on; a field space has none
     u = np.where(np.arange(d) < space.fock_cutoff, 1.0, -1.0)
-    sign = (u[None, :] * u[:, None]).ravel()
-    representative = ((n_i > n_j) | ((n_i == n_j) & (i <= j))).ravel()
-    folded = _sector_order(n, even[representative[even]])
-    fold_row = _places(folded, d * d)
-    # of v and t(v) one is the representative, the other -1 in fold_row
-    fold_col = np.maximum(fold_row, fold_row.reshape(d, d).T.ravel())
-    return _read_only(_SectorMaps(u=u, sign=sign, even=even, folded=folded, fold_row=fold_row,
-                                  fold_col=fold_col))
+    return _read_only(_SectorMaps(u=u, rank=rank, end=end, folded=folded, place=place))
 
 
 _COUPLED = ("generator couples the two excitation-parity sectors (a coherent drive or a "
@@ -359,44 +352,41 @@ def _plan_symmetries(plan) -> tuple[bool, bool]:
 
 
 class _Fold(NamedTuple):
-    """The real system of a planned generator folded by Hermiticity, for
-    one set of jumps of nonzero weight, with or without the phase symmetry;
-    read-only.
+    """The real system of a planned generator folded by Hermiticity, with
+    or without the phase symmetry; read-only.
 
-    (indices, indptr) is the system's CSC pattern, the trace row last. Its
-    entries are sums of terms: term t adds `coefficients[t]` times the
-    `sources[t]`-th of (Re x, Im x) at `positions[t]`, x being K's values,
-    conj(K)'s values, the nonzero weights and 1 (the trace row's). The
-    solution y unfolds into the real view of vec(rho): its places
-    `rho_places` take the entries `solution_places` of (y, -y).
+    (indices, indptr) is the system's CSC pattern, the trace row last, and
+    `terms` the linear map from (Re x, Im x) to its values, x being K's
+    values, conj(K)'s values, every jump's weight and 1 (the trace row's):
+    each term is one entry, at (its place in the pattern, its part of x),
+    holding its coefficient, and the terms of one place are stored in the
+    order they are summed. The solution y unfolds into the real view of
+    vec(rho): its places `rho_places` take the entries `solution_places`
+    of (y, -y).
     """
 
     indices: np.ndarray
     indptr: np.ndarray
-    positions: np.ndarray
-    coefficients: np.ndarray
-    sources: np.ndarray
+    terms: sp.coo_array
     rho_places: np.ndarray
     solution_places: np.ndarray
 
 
-def _runs(left, right, rank: np.ndarray, end: np.ndarray):
+def _runs(left, right, maps: _SectorMaps):
     """The entries of left ⊗ right in the rows of the representatives
     other than rho_00, found without forming the product.
 
-    Entry (li, ri) lies in row i + d j, i = right.row[ri], j = left.row[li].
-    `rank` numbers the basis states by (N mod 2, N, -i) and `end` is, for
-    each state, the rank that follows the last state of its parity, so the
-    representatives of left row j are the right rows ranked from rank[j]
-    up to end[j], rho_00's row (i = j = 0) left out. Returns the right
-    entries in the order of their rows' ranks and, for each left entry,
-    where its run of them starts and how long it is.
+    Entry (li, ri) lies in row i + d j, i = right.row[ri], j = left.row[li],
+    so the representatives of left row j are the right rows ranked from
+    rank[j] up to end[j], rho_00's row (i = j = 0) left out. Returns the
+    right entries in the order of their rows' ranks and, for each left
+    entry, where its run of them starts and how long it is.
     """
-    row_rank = rank[right.row]
+    row_rank = maps.rank[right.row]
     by_rank = np.argsort(row_rank, kind="stable")
     ranks = row_rank[by_rank]
-    start = np.searchsorted(ranks, rank[left.row] + (left.row == 0))
-    return by_rank, start, np.searchsorted(ranks, end[left.row]) - start
+    start = np.searchsorted(ranks, maps.rank[left.row] + (left.row == 0))
+    return by_rank, start, np.searchsorted(ranks, maps.end[left.row]) - start
 
 
 def _blocks(by_rank: np.ndarray, start: np.ndarray, length: np.ndarray, block: int):
@@ -423,9 +413,10 @@ def _product_terms(left, right, li, ri, source, n_x: int, maps: _SectorMaps, par
     each part of the column: their first terms, then their second
     terms."""
     d = maps.u.size
-    col = left.col[li] * d + right.col[ri]
-    rows = maps.fold_row[left.row[li] * d + right.row[ri]]
-    cols, representative = maps.fold_col[col], maps.fold_row[col] >= 0
+    # every row here is a representative's
+    rows = maps.place[left.row[li] * d + right.row[ri]]
+    cols = maps.place[left.col[li] * d + right.col[ri]]
+    representative = maps.rank[right.col[ri]] >= maps.rank[left.col[li]]
     q = left.data[li] * right.data[ri]
     for row_slots, row_part in parts:
         for col_slots, col_part in parts:
@@ -477,10 +468,10 @@ class _Terms:
         self.coefficients[places], self.sources[places] = coefficients, sources
         self.count = places.stop
 
-    def pattern(self):
-        """(indices, indptr, positions, coefficients, sources) of the terms
-        added: the CSC pattern of their places and each one's position in
-        it."""
+    def pattern(self, columns: int):
+        """(indices, indptr, terms) of the terms added, whose (Re x, Im x)
+        has `columns` entries: the CSC pattern of their places and the
+        `_Fold.terms` that maps (Re x, Im x) to the values."""
         keys, self.keys = self.keys, None
         for array in (keys, self.coefficients, self.sources):
             array.resize(self.count, refcheck=False)
@@ -504,7 +495,8 @@ class _Terms:
         indices = np.bitwise_and(keys, (1 << self.width) - 1, out=np.empty(count, dtype=np.int32),
                                  casting="unsafe")
         indptr = np.searchsorted(keys, np.arange(self.size + 1) << self.width).astype(np.int32)
-        return indices, indptr, positions, self.coefficients, self.sources
+        return indices, indptr, sp.coo_array((self.coefficients, (positions, self.sources)),
+                                             shape=(count, columns))
 
 
 def _pure(matrix) -> bool:
@@ -518,18 +510,19 @@ def _slots(maps: _SectorMaps, phase: bool) -> np.ndarray:
     parts are numbered together in the order of `folded`, but for a
     diagonal entry's imaginary part and, with the phase symmetry, the
     imaginary part where sigma = +1 and the real part where sigma = -1."""
-    d = maps.u.size
+    i, j = maps.folded % maps.u.size, maps.folded // maps.u.size
     present = np.ones((maps.folded.size, 2), dtype=bool)
-    present[maps.folded % d == maps.folded // d, 1] = False
+    present[i == j, 1] = False
     if phase:
-        present &= (maps.sign[maps.folded, None] > 0) == [True, False]
+        present &= (maps.u[i] == maps.u[j])[:, None] == [True, False]
     place = np.cumsum(present).reshape(present.shape) - 1
     return np.ascontiguousarray(np.where(present, place, -1).T, dtype=np.int32)
 
 
-def _fold_terms(plan, used: tuple, maps: _SectorMaps, slots: np.ndarray) -> _Terms:
-    """The `_Terms` of the fold with these slots of a plan whose jumps of
-    nonzero weight are those marked in `used`, in the order `_fold` gives."""
+def _fold_terms(plan, maps: _SectorMaps, slots: np.ndarray):
+    """(indices, indptr, terms) of the fold with these slots of a plan,
+    every jump's terms included, in the order `_fold` gives
+    (`_Terms.pattern`)."""
     space, d, size = plan.space, plan.space.dim, int(slots[0, -1]) + 1
     # the first part kept of each representative and the second, if both
     # are: one part each with the phase symmetry, the real one first
@@ -538,16 +531,11 @@ def _fold_terms(plan, used: tuple, maps: _SectorMaps, slots: np.ndarray) -> _Ter
     parts = [(np.where(imaginary, slots[1], slots[0]), imaginary),
              (np.where(imaginary, -1, slots[1]), np.ones_like(imaginary))]
     parts = [(kept, part) for kept, part in parts if np.any(kept >= 0)]
-    n = _excitations(space)
-    rank = np.empty(d, dtype=np.intp)
-    rank[np.lexsort((-np.arange(d), n, n % 2))] = np.arange(d)
-    end = np.where(n % 2 == 0, np.count_nonzero(n % 2 == 0), d)
     n_k = plan.row.size
     unit = sp.coo_matrix((np.ones(n_k, dtype=complex), (plan.row, plan.col)), shape=(d, d))
-    factors = _kron_factors(space, unit, [(1.0, A, B) for (A, B), is_used
-                                          in zip(plan.jumps, used) if is_used])
+    factors = _kron_factors(space, unit, [(1.0, A, B) for A, B in plan.jumps])
     n_x = 2 * n_k + len(factors) - 1
-    runs = [_runs(left, right, rank, end) for left, right, _ in factors]
+    runs = [_runs(left, right, maps) for left, right, _ in factors]
     # a first term for each kept part of the row and of the column of an
     # entry, a second one as well where a factor has an entry with two
     # nonzero parts, and the trace row's
@@ -569,15 +557,17 @@ def _fold_terms(plan, used: tuple, maps: _SectorMaps, slots: np.ndarray) -> _Ter
         for found in seconds:
             terms.add(*found)
     # the trace row, sum_i Re rho_ii = 1, in rho_00's place
-    terms.add(slots[0, maps.fold_col[np.arange(d) * (d + 1)]].astype(np.int64) << terms.width
+    terms.add(slots[0, maps.place[np.arange(d) * (d + 1)]].astype(np.int64) << terms.width
               | size - 1, 1.0, n_x - 1)
-    return terms
+    return terms.pattern(2 * n_x)
 
 
 @functools.lru_cache(maxsize=4)
-def _fold(plan, used: tuple, phase: bool) -> _Fold:
-    """The `_Fold` of a plan whose jumps of nonzero weight are those marked
-    in `used`, with the phase symmetry's parts left out if `phase`.
+def _fold(plan, phase: bool) -> _Fold:
+    """The `_Fold` of a plan, with the phase symmetry's parts left out if
+    `phase`. Every jump is folded, whatever its weight at a point: a zero
+    weight is a value of x, so each model, r = 0 and gamma = 0 included,
+    has one fold per phase symmetry.
 
     The unknowns are y = (Re, Im) of each representative, so
     rho_col = y_0 + i s y_1 with s = 1 for a representative and -1 for its
@@ -592,45 +582,43 @@ def _fold(plan, used: tuple, phase: bool) -> _Fold:
     second for the imaginary part where both are nonzero.
 
     Only the entries in kept rows are formed (`_runs`), a block at a time
-    (`_blocks`, `_product_terms`). `np.bincount` sums the terms of one
-    place in their order, so they are taken in the order of the products'
-    entries: product by product, each product's first terms before its
-    second ones, in the order of its left factor's entries
+    (`_blocks`, `_product_terms`). The mat-vec of `terms` sums the terms of
+    one place in their stored order, so they are stored in the order of
+    the products' entries: product by product, each product's first terms
+    before its second ones, in the order of its left factor's entries
     (`_fold_terms`). Two entries of one left entry never share a place, so
     the right entries of its run may come in any order.
     """
-    maps = _sector_maps(plan.space)
+    maps, d = _sector_maps(plan.space), plan.space.dim
     slots = _slots(maps, phase)
     size = int(slots[0, -1]) + 1
-    indices, indptr, positions, coefficients, sources = _fold_terms(plan, used, maps,
-                                                                    slots).pattern()
+    indices, indptr, terms = _fold_terms(plan, maps, slots)
     # rho_v = y_0 + i s y_1 of v's representative, s = -1 for a partner
-    even = maps.even
-    part, entry = np.nonzero(np.take(slots, maps.fold_col[even], axis=1) >= 0)
-    partner = (part == 1) & (maps.fold_row[even[entry]] < 0)
-    return _read_only(_Fold(
-        indices=indices, indptr=indptr, positions=positions, coefficients=coefficients,
-        sources=sources, rho_places=2 * even[entry] + part,
-        solution_places=slots[part, maps.fold_col[even[entry]]] + size * partner))
+    even = np.flatnonzero(maps.place >= 0)
+    part, entry = np.nonzero(np.take(slots, maps.place[even], axis=1) >= 0)
+    v = even[entry]
+    partner = (part == 1) & (maps.rank[v % d] < maps.rank[v // d])
+    fold = _Fold(indices=indices, indptr=indptr, terms=terms, rho_places=2 * v + part,
+                 solution_places=slots[part, maps.place[v]] + size * partner)
+    _read_only((indices, indptr, terms.data, *terms.coords, *fold[3:]))
+    return fold
 
 
 def _block(L: Superoperator) -> tuple[_Fold, sp.csc_matrix]:
     """The fold of L and its real system, formed from L's plan, K and
-    weights; the phase symmetry's parts are left out when the plan has it
-    and the weights are real. SolverError when the plan couples the parity
-    sectors."""
+    weights: the system's values are the product of the fold's terms with
+    (Re x, Im x), x = (K, conj(K), every weight, 1). The phase symmetry's
+    parts are left out when the plan has it and the weights are real.
+    SolverError when the plan couples the parity sectors."""
     plan, k, weights = L.plan, L.k, L.weights
     parity, phase = _plan_symmetries(plan)
     if not parity:
         raise SolverError(_COUPLED)
-    fold = _fold(plan, tuple(bool(w != 0) for w in weights),
-                 phase and all(np.imag(w) == 0 for w in weights))
-    x = np.concatenate([k, k.conj(), [w for w in weights if w != 0], [1.0]])
-    values = fold.coefficients * np.take(np.concatenate([x.real, x.imag]), fold.sources)
+    fold = _fold(plan, phase and all(np.imag(w) == 0 for w in weights))
+    x = np.concatenate([k, k.conj(), weights, [1.0]])
     size = fold.indptr.size - 1
-    return fold, sp.csc_matrix(
-        (np.bincount(fold.positions, values, minlength=fold.indices.size),
-         fold.indices.copy(), fold.indptr.copy()), shape=(size, size))
+    return fold, sp.csc_matrix((fold.terms @ np.concatenate([x.real, x.imag]),
+                                fold.indices.copy(), fold.indptr.copy()), shape=(size, size))
 
 
 def spsolve(system: sp.csc_matrix, rhs: np.ndarray) -> tuple[np.ndarray, int]:

@@ -207,12 +207,16 @@ def load_config(path) -> SweepConfig:
 
 
 def _worker_count(n_points: int) -> int:
+    """SIM_THREADS, 1 if unset, capped at the number of points; ConfigError
+    unless it is an integer of at least 1."""
     raw = os.environ.get("SIM_THREADS", "1")
     try:
         workers = int(raw)
+        if workers < 1:
+            raise ValueError
     except ValueError:
-        raise ConfigError(f"SIM_THREADS must be an integer, got {raw!r}") from None
-    return max(1, min(workers, n_points))
+        raise ConfigError(f"SIM_THREADS must be an integer >= 1, got {raw!r}") from None
+    return min(workers, n_points)
 
 
 def _map_points(config: SweepConfig, fn):

@@ -406,6 +406,27 @@ class TestSectorSolve:
         assert residual <= RESIDUAL_TOL
 
 
+def fold_maps(space):
+    """(sign, even, fold_row, fold_col) of space's fold by vec index
+    v = i + d j, derived from the excitation numbers N and the atom states
+    of the basis, with the order of `_sector_maps(space).folded`:
+    sigma(v) = u_i u_j, the sector `even` where N_i and N_j share their
+    parity, the place in `folded` of each representative (N_i > N_j, or
+    N_i = N_j and i <= j; -1 for any other v) and that of v's
+    representative, v or t(v) = j + d i (-1 outside the sector)."""
+    d, n, folded = space.dim, excitation_numbers(space), solvers._sector_maps(space).folded
+    i, j = np.arange(d * d) % d, np.arange(d * d) // d
+    # the atom is the outer factor: its excited half is every index from
+    # fock_cutoff on, and a field space has none
+    sign = np.where((i < space.fock_cutoff) == (j < space.fock_cutoff), 1.0, -1.0)
+    even = np.flatnonzero((n[i] - n[j]) % 2 == 0)
+    representative = (n[i] > n[j]) | ((n[i] == n[j]) & (i <= j))
+    assert np.array_equal(np.sort(folded), even[representative[even]])
+    fold_row = np.full(d * d, -1)
+    fold_row[folded] = np.arange(folded.size)
+    return sign, even, fold_row, np.maximum(fold_row, fold_row[j + d * i])
+
+
 def matrix_scan_fold(L):
     """The real folded system of a phase-symmetric L formed from L's
     matrix, as before the plan did it, or None when L's entries lack the
@@ -415,20 +436,21 @@ def matrix_scan_fold(L):
     (fold_row[a], fold_col[b]) as Re L_ab, or sigma(b) Im L_ab, times 1
     for a representative b and sigma(b) for a partner; the trace row takes
     rho_00's place."""
-    maps, matrix, d = solvers._sector_maps(L.space), L.matrix, L.dim
+    matrix, d = L.matrix, L.dim
+    sign, even, fold_row, fold_col = fold_maps(L.space)
     counts = np.diff(matrix.indptr)
-    col_sign = maps.sign[matrix.indices]
-    same = np.repeat(maps.sign, counts) == col_sign
+    col_sign = sign[matrix.indices]
+    same = np.repeat(sign, counts) == col_sign
     if np.any(np.where(same, matrix.data.imag, matrix.data.real)):
         return None
-    partner_sign = np.where(maps.fold_row[matrix.indices] >= 0, 1.0, col_sign)
+    partner_sign = np.where(fold_row[matrix.indices] >= 0, 1.0, col_sign)
     values = np.where(same, matrix.data.real, col_sign * matrix.data.imag) * partner_sign
-    m = maps.folded.size
-    row, col = np.repeat(maps.fold_row, counts), maps.fold_col[matrix.indices]
+    m = np.count_nonzero(fold_row >= 0)
+    row, col = np.repeat(fold_row, counts), fold_col[matrix.indices]
     keep = (row >= 0) & (row < m - 1)
     return sp.csc_matrix((np.concatenate([values[keep], np.ones(d)]),
                           (np.concatenate([row[keep], np.full(d, m - 1)]),
-                           np.concatenate([col[keep], maps.fold_col[:: d + 1]]))),
+                           np.concatenate([col[keep], fold_col[:: d + 1]]))),
                          shape=(m, m))
 
 
@@ -441,17 +463,18 @@ def matrix_scan_hermitian_fold(L):
     row other than rho_00's goes, as part p of L_ab, to equation part p of
     a on y_0, and as part p of i s L_ab on y_1; the trace row takes
     rho_00's place."""
-    maps, matrix, d = solvers._sector_maps(L.space), L.matrix.tocoo(), L.dim
-    reps = maps.folded
+    matrix, d = L.matrix.tocoo(), L.dim
+    _, _, fold_row, fold_col = fold_maps(L.space)
+    reps = solvers._sector_maps(L.space).folded
     parts = np.ones((reps.size, 2), dtype=bool)
     parts[reps % d == reps // d, 1] = False
     place = np.where(parts, np.cumsum(parts).reshape(parts.shape) - 1, -1)
     size = parts.sum()
-    a, b = maps.fold_row[matrix.row], maps.fold_col[matrix.col]
+    a, b = fold_row[matrix.row], fold_col[matrix.col]
     keep = (a >= 0) & (a < reps.size - 1)
     a, b, c = a[keep], b[keep], matrix.data[keep]
-    s = np.where(maps.fold_row[matrix.col[keep]] >= 0, 1.0, -1.0)
-    rows, cols, values = [np.full(d, size - 1)], [place[maps.fold_col[:: d + 1], 0]], [np.ones(d)]
+    s = np.where(fold_row[matrix.col[keep]] >= 0, 1.0, -1.0)
+    rows, cols, values = [np.full(d, size - 1)], [place[fold_col[:: d + 1], 0]], [np.ones(d)]
     for p in (0, 1):
         for p_col, unit in ((0, 1.0), (1, 1j * s)):
             kept = (place[a, p] >= 0) & (place[b, p_col] >= 0)
@@ -471,21 +494,23 @@ def trace_broken(L):
 
 
 def reference_fold(plan, used, phase):
-    """The `_Fold` of a plan formed the plain way: every entry of every
-    Kronecker product is formed and placed, those outside the
-    representatives' rows other than rho_00's are dropped, and one
-    np.unique over the terms' keys numbers the pattern. The reference for
-    `solvers._fold`, which forms only the entries in kept rows; its
-    docstring states the terms."""
+    """The `_Fold` of a plan's jumps marked in `used` formed the plain way:
+    every entry of every Kronecker product is formed and placed, those
+    outside the representatives' rows other than rho_00's are dropped, and
+    one np.unique over the terms' keys numbers the pattern; its x holds
+    the weights of the used jumps alone. The reference for
+    `solvers._fold`, which forms only the entries in kept rows of every
+    jump; its docstring states the terms."""
     space, d = plan.space, plan.space.dim
-    maps = solvers._sector_maps(space)
-    present = np.ones((maps.folded.size, 2), dtype=bool)
-    present[maps.folded % d == maps.folded // d, 1] = False
+    folded = solvers._sector_maps(space).folded
+    sign, even, fold_row, fold_col = fold_maps(space)
+    present = np.ones((folded.size, 2), dtype=bool)
+    present[folded % d == folded // d, 1] = False
     if phase:
-        present &= (maps.sign[maps.folded, None] > 0) == [True, False]
+        present &= (sign[folded, None] > 0) == [True, False]
     place = np.cumsum(present).reshape(present.shape) - 1
     slots = np.ascontiguousarray(np.where(present, place, -1).T, dtype=np.int32)
-    last = maps.folded.size - 1
+    last = folded.size - 1
     size = int(slots[0, last]) + 1
     n_k = plan.row.size
     unit = sp.coo_matrix((np.ones(n_k, dtype=complex), (plan.row, plan.col)), shape=(d, d))
@@ -494,16 +519,16 @@ def reference_fold(plan, used, phase):
     n_x = 2 * n_k + len(factors) - 1
     keys, coefficients, sources = [], [], []
     for number, (left, right, _) in enumerate(factors):
-        fold_row = maps.fold_row[(left.row[:, None] * d + right.row).ravel()]
-        kept = np.flatnonzero((fold_row >= 0) & (fold_row < last))
+        rows = fold_row[(left.row[:, None] * d + right.row).ravel()]
+        kept = np.flatnonzero((rows >= 0) & (rows < last))
         li, ri = np.divmod(kept, right.row.size)
         col = left.col[li] * d + right.col[ri]
         equations, unknowns = (np.take(slots, places, axis=1)
-                               for places in (fold_row[kept], maps.fold_col[col]))
+                               for places in (rows[kept], fold_col[col]))
         q = left.data[li] * right.data[ri]
         source = (ri if number == 0 else n_k + li if number == 1
                   else np.full(kept.size, 2 * n_k + number - 2))
-        s = np.where(maps.fold_row[col] >= 0, 1.0, -1.0)
+        s = np.where(fold_row[col] >= 0, 1.0, -1.0)
         for p, p_col, z in ((0, 0, 1.0), (1, 0, -1j), (0, 1, 1j * s), (1, 1, s)):
             t = np.flatnonzero((equations[p] >= 0) & (unknowns[p_col] >= 0))
             key = unknowns[p_col, t].astype(np.int64) * size + equations[p, t]
@@ -514,27 +539,34 @@ def reference_fold(plan, used, phase):
             coefficients += [np.where(imag, -zq.imag, zq.real), -zq.imag[both]]
             sources += [(source[t] + n_x * imag).astype(np.int32),
                         (source[t][both] + n_x).astype(np.int32)]
-    keys.append(slots[0, maps.fold_col[np.arange(d) * (d + 1)]].astype(np.int64) * size
+    keys.append(slots[0, fold_col[np.arange(d) * (d + 1)]].astype(np.int64) * size
                 + size - 1)
     coefficients.append(np.ones(d))
     sources.append(np.full(d, n_x - 1, dtype=np.int32))
     keys, positions = np.unique(np.concatenate(keys), return_inverse=True)
     indptr = np.searchsorted(keys, np.arange(size + 1) * size)
-    even = maps.even
-    part, entry = np.nonzero(np.take(slots, maps.fold_col[even], axis=1) >= 0)
-    partner = (part == 1) & (maps.fold_row[even[entry]] < 0)
+    part, entry = np.nonzero(np.take(slots, fold_col[even], axis=1) >= 0)
+    partner = (part == 1) & (fold_row[even[entry]] < 0)
+    terms = sp.coo_array((np.concatenate(coefficients),
+                          (positions.astype(np.int32), np.concatenate(sources))),
+                         shape=(keys.size, 2 * n_x))
     return solvers._Fold(
-        indices=(keys % size).astype(np.int32), indptr=indptr.astype(np.int32),
-        positions=positions.astype(np.int32), coefficients=np.concatenate(coefficients),
-        sources=np.concatenate(sources), rho_places=2 * even[entry] + part,
-        solution_places=slots[part, maps.fold_col[even[entry]]] + size * partner)
+        indices=(keys % size).astype(np.int32), indptr=indptr.astype(np.int32), terms=terms,
+        rho_places=2 * even[entry] + part,
+        solution_places=slots[part, fold_col[even[entry]]] + size * partner)
+
+
+def every_jump_reference_fold(plan, phase):
+    """`reference_fold` of every jump of the plan, as `solvers._fold` is
+    called."""
+    return reference_fold(plan, (True,) * len(plan.jumps), phase)
 
 
 def assert_reference_system(L):
     """`_block` forms L's system, byte for byte, and its unfolding maps as
-    `reference_fold` does."""
+    `reference_fold` of every jump does."""
     fold, system = solvers._block(L)
-    with mock.patch.object(solvers, "_fold", reference_fold):
+    with mock.patch.object(solvers, "_fold", every_jump_reference_fold):
         reference, expected = solvers._block(L)
     for name in ("data", "indices", "indptr"):
         mine, theirs = getattr(system, name), getattr(expected, name)
@@ -558,6 +590,12 @@ def unpaired_jumps(space, seed=1):
     jumps = [((x[0] * a + x[1] * ad + x[2] * (ad @ ad @ a)).tocsr(),
               (y[0] * a + y[1] * ad + y[2] * (a @ a @ ad)).tocsr()) for x, y in zip(c, e)]
     return planned(space, (ad @ a).astype(complex), jumps, (0.7 + 0.3j, 1.9 - 0.4j))
+
+
+def fold_arrays(fold):
+    """The arrays a `_Fold` keeps."""
+    return (fold.indices, fold.indptr, fold.terms.data, *fold.terms.coords, fold.rho_places,
+            fold.solution_places)
 
 
 class TestColdFold:
@@ -592,7 +630,7 @@ class TestColdFold:
         assert_reference_system(unpaired_jumps(space))
 
     def test_generator_without_entries_takes_the_trace_row_alone(self):
-        assert solvers._block(zero_generator(FieldSpace(3)))[0].positions.size == 3
+        assert solvers._block(zero_generator(FieldSpace(3)))[0].terms.nnz == 3
         assert_reference_system(zero_generator(FieldSpace(3)))
 
     @pytest.mark.parametrize("phi", [0.0, 0.7])
@@ -615,20 +653,106 @@ class TestColdFold:
         # numbered in place: about 1.4 times the fold's bytes at cutoff
         # 60, where forming every product entry took 3.6 times
         L = build_liouvillian(ATOM, SqueezedBath(0.6), SpaceDims(60))
-        used = tuple(bool(w != 0) for w in L.weights)
         solvers._sector_maps(L.space)
         tracemalloc.start()
         try:
-            fold = solvers._fold.__wrapped__(L.plan, used, True)
+            fold = solvers._fold.__wrapped__(L.plan, True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * sum(array.nbytes for array in fold)
+        assert peak <= 1.5 * sum(array.nbytes for array in fold_arrays(fold))
 
     def test_too_many_terms_to_number_are_refused_before_allocating(self):
         # 2 * 12 bits of places and 41 bits of term numbers exceed 63
         with pytest.raises(SolverError, match="too large"):
             solvers._Terms(2**40, 2**12)
+
+
+def zero_weight_reference_system(L):
+    """The system of L's jumps of nonzero weight alone, its values summed
+    from `reference_fold`'s terms one by one, and that fold."""
+    used = tuple(bool(w != 0) for w in L.weights)
+    phase = solvers._plan_symmetries(L.plan)[1] and all(np.imag(w) == 0 for w in L.weights)
+    fold = reference_fold(L.plan, used, phase)
+    x = np.concatenate([L.k, L.k.conj(), [w for w, u in zip(L.weights, used) if u], [1.0]])
+    terms, x = fold.terms, np.concatenate([x.real, x.imag])
+    values = np.bincount(terms.row, terms.data * x[terms.col], minlength=fold.indices.size)
+    size = fold.indptr.size - 1
+    return fold, sp.csc_matrix((values, fold.indices, fold.indptr), shape=(size, size))
+
+
+def csc_keys(system):
+    """col * n + row of each stored entry of an n×n CSC matrix."""
+    n = system.shape[0]
+    return np.repeat(np.arange(n, dtype=np.int64), np.diff(system.indptr)) * n + system.indices
+
+
+ZERO_WEIGHT_CASES = {
+    "atom_r0": lambda: build_liouvillian(ATOM, SqueezedBath(0.0), SpaceDims(24)),
+    "atom_phi_r0": lambda: build_liouvillian(ATOM, SqueezedBath(0.0, phi=0.7), SpaceDims(24)),
+    "atom_gamma0": lambda: build_liouvillian(SystemParams(g0=15.0), SqueezedBath(0.5),
+                                             SpaceDims(24)),
+    "detuned_r0": lambda: build_liouvillian(SystemParams(delta_A=0.5, g0=15.0, gamma=1.0),
+                                            SqueezedBath(0.0), SpaceDims(24)),
+    "empty_r0": lambda: empty_cavity_liouvillian(0.0, 40),
+}
+
+
+class TestOneFoldPerModel:
+    """A fold depends on its plan and phase symmetry alone: a jump of zero
+    weight is folded too, its weight a value of the point, and each
+    point's values are one sparse product of the fold's terms."""
+
+    def test_unsqueezed_and_squeezed_points_share_one_fold(self):
+        solvers._fold.cache_clear()
+        for r in (0.0, 0.4):
+            solvers._block(build_liouvillian(ATOM, SqueezedBath(r), SpaceDims(30)))
+        assert solvers._fold.cache_info().misses == 1
+
+    @pytest.mark.parametrize("case", sorted(ZERO_WEIGHT_CASES))
+    def test_zero_weight_system_is_that_of_the_nonzero_jumps_and_zeros(self, case):
+        # every entry of the fold of the jumps of nonzero weight, bit for
+        # bit, and the entries only the others reach hold zeros
+        L = ZERO_WEIGHT_CASES[case]()
+        assert not all(L.weights)
+        reference, expected = zero_weight_reference_system(L)
+        fold, system = solvers._block(L)
+        assert system.shape == expected.shape
+        keys, expected_keys = csc_keys(system), csc_keys(expected)
+        place = np.searchsorted(keys, expected_keys)
+        assert np.array_equal(keys[place], expected_keys)
+        assert system.data[place].tobytes() == expected.data.tobytes()
+        assert system.nnz > expected.nnz
+        assert np.all(np.delete(system.data, place) == 0)
+        for name in ("rho_places", "solution_places"):
+            assert np.array_equal(getattr(fold, name), getattr(reference, name))
+
+    def test_warm_block_peak_is_the_system_it_returns(self):
+        # one product of the terms with the point's x: no temporary as
+        # long as the terms
+        L = build_liouvillian(ATOM, SqueezedBath(0.6), SpaceDims(60))
+        solvers._block(L)
+        tracemalloc.start()
+        try:
+            system = solvers._block(L)[1]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * sum(getattr(system, name).nbytes
+                                 for name in ("data", "indices", "indptr"))
+
+    def test_cached_fold_is_read_only(self):
+        fold = solvers._block(SECTOR_CASES["phase"]())[0]
+        assert isinstance(fold.terms, sp.coo_array)
+        for array in (fold.terms.data, fold.terms.row, fold.terms.col, *fold_arrays(fold)):
+            with pytest.raises(ValueError):
+                array[0] = array[1]
+
+    @pytest.mark.parametrize("space", [SpaceDims(20), FieldSpace(20), SpaceDims(3)], ids=repr)
+    def test_sector_maps_keep_one_map_over_liouville_space(self, space):
+        maps = solvers._sector_maps(space)
+        assert [name for name, array in zip(maps._fields, maps)
+                if array.size == space.dim**2] == ["place"]
 
 
 class TestPlanPath:
@@ -792,8 +916,9 @@ class TestNestedDissectionOrder:
         L = SECTOR_CASES[case]()
         n, even, k, reps = folded_coordinates(L.space)
         maps = solvers._sector_maps(L.space)
+        _, _, fold_row, fold_col = fold_maps(L.space)
         coo = L.matrix.tocoo()
-        row, col = maps.fold_row[coo.row], maps.fold_col[coo.col]
+        row, col = fold_row[coo.row], fold_col[coo.col]
         in_vec_order = np.searchsorted(reps, maps.folded)  # place in folded -> in reps
         kept = row >= 0
         rep = np.isin(even, reps)
@@ -827,7 +952,7 @@ class TestNestedDissectionOrder:
         space = SpaceDims(30)
         maps = solvers._sector_maps(space)
         n, even, _, folded = folded_coordinates(space)
-        assert np.array_equal(maps.even, even)
+        assert np.array_equal(np.flatnonzero(maps.place >= 0), even)
         assert np.array_equal(maps.folded, solvers._sector_order(n, folded))
         assert solvers._sector_maps(SpaceDims(30)) is maps
         for array in maps:
@@ -838,7 +963,7 @@ class TestNestedDissectionOrder:
         for space in (FieldSpace(20), SpaceDims(20), FieldSpace(20)):
             n, even, _, folded = folded_coordinates(space)
             maps = solvers._sector_maps(space)
-            assert np.array_equal(maps.even, even)
+            assert np.array_equal(np.flatnonzero(maps.place >= 0), even)
             assert np.array_equal(maps.folded, solvers._sector_order(n, folded))
 
     @pytest.mark.parametrize("case", ["atom", "atom_odd_cutoff", "empty_odd_cutoff"])
@@ -851,13 +976,19 @@ class TestNestedDissectionOrder:
         assert maps.folded[-1] == 0
         i, j = even % d, even // d
         transposed = j + d * i
-        # each pair {v, t(v)} has one representative, which both map to
-        assert np.array_equal(maps.fold_col[even], maps.fold_col[transposed])
-        assert np.array_equal(maps.folded[maps.fold_col[even]],
-                              np.where(maps.fold_row[even] >= 0, even, transposed))
+        representative = np.isin(even, folded)
+        # each pair {v, t(v)} has one representative, which both map to,
+        # and whose ket is ranked no lower than its bra
+        assert np.array_equal(maps.place[even], maps.place[transposed])
+        assert np.array_equal(maps.folded[maps.place[even]],
+                              np.where(representative, even, transposed))
+        assert np.array_equal(maps.rank[i] >= maps.rank[j], representative)
         atom_i, atom_j = i >= space.fock_cutoff, j >= space.fock_cutoff
-        assert np.array_equal(maps.sign[even], np.where(atom_i == atom_j, 1.0, -1.0))
-        assert np.all(maps.fold_col[np.setdiff1d(np.arange(d * d), even)] == -1)
+        assert np.array_equal(maps.u[i] * maps.u[j], np.where(atom_i == atom_j, 1.0, -1.0))
+        assert np.all(maps.place[np.setdiff1d(np.arange(d * d), even)] == -1)
+        # states ranked by (N mod 2, N, -i), each parity's end the rank after its last
+        assert np.array_equal(np.argsort(maps.rank), np.lexsort((-np.arange(d), n, n % 2)))
+        assert np.array_equal(maps.end, [maps.rank[n % 2 == p].max() + 1 for p in n % 2])
 
     def test_cold_and_warm_cache_give_identical_states(self):
         # with the phase symmetry and without it: one fold each

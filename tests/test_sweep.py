@@ -461,6 +461,19 @@ class TestCli:
         assert capsys.readouterr().err.startswith("config error: SIM_THREADS must be an integer")
         assert not out.exists()
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_worker_count_below_one_is_a_config_error(self, workers, tmp_path, monkeypatch,
+                                                      capsys):
+        # refused before any point is solved, naming the variable and its value
+        monkeypatch.setenv("SIM_THREADS", workers)
+        monkeypatch.setattr(sweep_module, "steady_state",
+                            lambda *args, **kwargs: pytest.fail("solved a point"))
+        out = tmp_path / "m.csv"
+        assert main(["--no-atom", "--r", "0.1", "--cutoff", "20", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: SIM_THREADS must be an integer >= 1, got {workers!r}")
+        assert not out.exists()
+
 
 # each CLI flag with a value, and the SweepConfig field it must land in
 CLI_FLAGS = [
