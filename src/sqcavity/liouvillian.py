@@ -46,11 +46,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.sparse as sp
 
+from ._cache import shared_cache
 from .errors import UnsupportedFrameError
 from .operators import (
     Operator,
@@ -220,7 +221,7 @@ def _make_plan(space: Space, h, operators) -> _Plan:
     return plan
 
 
-@lru_cache(maxsize=2)
+@shared_cache(maxsize=2)
 def _plan(params: SystemParams, space: Space) -> _Plan:
     """The lab-frame generator's plan; the two most recent are kept."""
     a = embed_field(space, annihilation)

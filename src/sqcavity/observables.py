@@ -8,6 +8,7 @@ each quadrature. Squeezing then reads directly as variances e^{±2r}/2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,15 +111,26 @@ def purity(rho: DensityMatrix) -> float:
 
 
 def _laguerre_series(coeffs: np.ndarray, k: int, x: np.ndarray) -> np.ndarray:
-    """sum_m coeffs[m] l_m(x) by Clenshaw's backward recurrence, where
-    l_m = (-1)^m sqrt(k! m! / (m+k)!) L_m^(k)(x) are the normalized
+    """sum_m coeffs[m] l_m(x), real coeffs, by Clenshaw's backward recurrence,
+    where l_m = (-1)^m sqrt(k! m! / (m+k)!) L_m^(k)(x) are the normalized
     generalized Laguerre terms: l_0 = 1 and, with s_m = sqrt((m+1)(m+k+1)),
-    s_m l_{m+1} = (x - 2m - 1 - k) l_m - s_{m-1} l_{m-1}."""
-    b1 = b2 = 0.0
+    s_m l_{m+1} = (x - 2m - 1 - k) l_m - s_{m-1} l_{m-1}.
+
+    Each step divides by s_m as a product with 1 / s_m, which is how numpy
+    divides a complex array by a real: the sums of a complex series' real
+    and imaginary parts are then the parts of its complex recurrence, equal
+    to the bit up to the sign of an exact zero."""
+    b1, b2, step = np.zeros_like(x), np.zeros_like(x), np.empty_like(x)
     s_next = 1.0
     for m in range(coeffs.size - 1, -1, -1):
-        s = np.sqrt((m + 1.0) * (m + k + 1.0))
-        b1, b2 = coeffs[m] + (x - (2 * m + 1 + k)) * (b1 / s) - (s / s_next) * b2, b1
+        s = math.sqrt((m + 1.0) * (m + k + 1.0))
+        # coeffs[m] + (x - 2m - 1 - k) b1 / s - (s / s_next) b2, in place
+        np.multiply(b1, 1.0 / s, out=step)
+        step *= x - (2 * m + 1 + k)
+        step += coeffs[m]
+        b2 *= s / s_next
+        step -= b2
+        b1, b2, step = step, b1, b2
         s_next = s
     return b1
 
@@ -146,8 +158,11 @@ def wigner(rho_field: DensityMatrix, q_axis, p_axis, guard: int | None = None,
     the iterative method of QuTiP's `wigner` (Johansson, Nation & Nori,
     Comput. Phys. Commun. 184, 1234 (2013)). The Laguerre sums depend on
     the grid only through x, so each runs once per distinct x and is
-    scattered back; a diagonal that is exactly zero adds nothing and is not
-    summed. Both leave every value as the full-grid sum gives it. The state
+    scattered back. Each diagonal is summed in real arithmetic, once for
+    its real part and once for its imaginary part, each added to the same
+    part of the Horner sum; a part that is exactly zero adds nothing and is
+    not summed. All this leaves every value as the complex full-grid sum
+    gives it, to the bit. The state
     must pass the truncation check over `guard` levels first: the Wigner
     function at large |alpha| is meaningless once population has leaked
     into the guard band. ValueError for an axis that is not a
@@ -168,10 +183,13 @@ def wigner(rho_field: DensityMatrix, q_axis, p_axis, guard: int | None = None,
     at = at.reshape(x.shape)
     series = np.zeros_like(two_alpha)
     for k in range(rho_field.fock_cutoff - 1, -1, -1):
+        # not in place: numpy may round an in-place complex product
+        # differently (seen on a one-point grid)
         series = series * (two_alpha / np.sqrt(k + 1.0))
         diagonal = np.diagonal(rho, k) * (2.0 if k else 1.0)
-        if diagonal.any():
-            series = series + _laguerre_series(diagonal, k, radii)[at]
+        for part, coeffs in ((series.real, diagonal.real), (series.imag, diagonal.imag)):
+            if coeffs.any():
+                part += _laguerre_series(coeffs, k, radii)[at]
     values = np.exp(-x / 2) * series.real / np.pi
     return WignerGrid(q_axis=q_axis, p_axis=p_axis, values=values)
 

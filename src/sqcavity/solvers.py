@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 import time
@@ -14,6 +13,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from ._blas import thread_budget
+from ._cache import shared_cache
 from .errors import (
     CorruptedStateError,
     CutoffTooSmallError,
@@ -288,7 +288,7 @@ class _SectorMaps(NamedTuple):
     place: np.ndarray
 
 
-@functools.lru_cache(maxsize=4)
+@shared_cache(maxsize=4)
 def _sector_maps(space: Space) -> _SectorMaps:
     """The `_SectorMaps` of space, computed once per space for the sweep
     points that share it."""
@@ -315,7 +315,7 @@ _COUPLED = ("generator couples the two excitation-parity sectors (a coherent dri
             "with rho -> P rho P, P = (-1)^(a†a + sigma_ee)")
 
 
-@functools.lru_cache(maxsize=4)
+@shared_cache(maxsize=4)
 def _plan_symmetries(plan) -> tuple[bool, bool]:
     """Whether a plan's generator keeps the two parity sectors apart, and
     whether it commutes with rho -> U rho* U†, U = (-1)^sigma_ee, at real
@@ -562,7 +562,7 @@ def _fold_terms(plan, maps: _SectorMaps, slots: np.ndarray):
     return terms.pattern(2 * n_x)
 
 
-@functools.lru_cache(maxsize=4)
+@shared_cache(maxsize=4)
 def _fold(plan, phase: bool) -> _Fold:
     """The `_Fold` of a plan, with the phase symmetry's parts left out if
     `phase`. Every jump is folded, whatever its weight at a point: a zero
@@ -607,9 +607,11 @@ def _fold(plan, phase: bool) -> _Fold:
 def _block(L: Superoperator) -> tuple[_Fold, sp.csc_matrix]:
     """The fold of L and its real system, formed from L's plan, K and
     weights: the system's values are the product of the fold's terms with
-    (Re x, Im x), x = (K, conj(K), every weight, 1). The phase symmetry's
-    parts are left out when the plan has it and the weights are real.
-    SolverError when the plan couples the parity sectors."""
+    (Re x, Im x), x = (K, conj(K), every weight, 1), and its pattern is the
+    fold's read-only `indices` and `indptr` themselves, not copied. The
+    phase symmetry's parts are left out when the plan has it and the
+    weights are real. SolverError when the plan couples the parity
+    sectors."""
     plan, k, weights = L.plan, L.k, L.weights
     parity, phase = _plan_symmetries(plan)
     if not parity:
@@ -618,7 +620,7 @@ def _block(L: Superoperator) -> tuple[_Fold, sp.csc_matrix]:
     x = np.concatenate([k, k.conj(), weights, [1.0]])
     size = fold.indptr.size - 1
     return fold, sp.csc_matrix((fold.terms @ np.concatenate([x.real, x.imag]),
-                                fold.indices.copy(), fold.indptr.copy()), shape=(size, size))
+                                fold.indices, fold.indptr), shape=(size, size))
 
 
 def spsolve(system: sp.csc_matrix, rhs: np.ndarray) -> tuple[np.ndarray, int]:

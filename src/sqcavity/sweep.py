@@ -347,7 +347,7 @@ def run_wigner(config: SweepConfig) -> dict[float, WignerGrid]:
         extra = [f"# r = {r!r}",
                  "# first row: p axis; first column: q axis; values[i,j] = W(q_i, p_j)"]
         p_row = ["0.0"] + [FLOAT_FMT % p for p in grid.p_axis]
-        rows = [[q, *values] for q, values in zip(grid.q_axis, grid.values)]
+        rows = np.column_stack((grid.q_axis, grid.values))
         _write_csv(config.effective_output_path() / _wigner_file(config, r), config, p_row,
                    rows, extra)
     return data
@@ -410,11 +410,19 @@ def _format_cell(value) -> str:
     return FLOAT_FMT % value
 
 
+def _format_row(row) -> str:
+    """The cells of a row as `_format_cell` writes them; a row of a float
+    array, which holds no ints or bools, in one format call."""
+    if isinstance(row, np.ndarray) and row.dtype.kind == "f":
+        return ",".join([FLOAT_FMT] * row.size) % tuple(row.tolist())
+    return ",".join(map(_format_cell, row))
+
+
 def _write_csv(path: Path, config: SweepConfig, columns, rows, extra_header=()):
     lines = ["# sqcavity sweep output",
              *(f"# {key} = {value}" for key, value in config.resolved().items()),
              *extra_header, ",".join(columns)]
-    lines += (",".join(map(_format_cell, row)) for row in rows)
+    lines += map(_format_row, rows)
     _atomic_write(Path(path), "\n".join(lines) + "\n")
 
 

@@ -291,9 +291,23 @@ class TestWigner:
             wigner(rho, [0.0], [bad, 1.0])
 
 
+def complex_laguerre_series(coeffs, k, x):
+    """sum_m coeffs[m] l_m^(k)(x) for complex coeffs by Clenshaw's
+    recurrence in complex arithmetic, dividing by s_m: the kernel as it was
+    before the real and imaginary parts were summed apart."""
+    b1 = b2 = 0.0
+    s_next = 1.0
+    for m in range(coeffs.size - 1, -1, -1):
+        s = np.sqrt((m + 1.0) * (m + k + 1.0))
+        b1, b2 = coeffs[m] + (x - (2 * m + 1 + k)) * (b1 / s) - (s / s_next) * b2, b1
+        s_next = s
+    return b1
+
+
 def reference_wigner(rho_field, q_axis, p_axis):
-    """The plain full-grid sum: every diagonal's Laguerre series is summed
-    over every grid point, zero diagonals included."""
+    """The plain full-grid sum in complex arithmetic: every diagonal's
+    Laguerre series is summed over every grid point, zero diagonals
+    included."""
     rho = rho_field.matrix
     q_axis = np.asarray(q_axis, dtype=float)
     p_axis = np.asarray(p_axis, dtype=float)
@@ -303,19 +317,37 @@ def reference_wigner(rho_field, q_axis, p_axis):
     for k in range(rho_field.fock_cutoff - 1, -1, -1):
         diagonal = np.diagonal(rho, k) * (2.0 if k else 1.0)
         series = (series * (two_alpha / np.sqrt(k + 1.0))
-                  + observables._laguerre_series(diagonal, k, x))
+                  + complex_laguerre_series(diagonal, k, x))
     return np.exp(-x / 2) * series.real / np.pi
+
+
+def imaginary_state(cutoff):
+    """sqrt(p) (1 + i e B) sqrt(p) for populations p and a real
+    antisymmetric B with |e B| < 1: a state whose every diagonal but the
+    main one is purely imaginary."""
+    p = np.exp(-np.arange(cutoff) / 1.5)
+    p /= p.sum()
+    b = np.sign(np.subtract.outer(np.arange(cutoff), np.arange(cutoff)))
+    h = np.sqrt(p)
+    return make_density_matrix(FieldSpace(cutoff), np.diag(p) + 1j * (
+        0.9 * np.outer(h, h) * b / np.linalg.norm(b, 2)))
 
 
 @cache
 def wigner_state(name):
     if name == "coherent":  # every diagonal nonzero
         return coherent_state(1.2 + 0.7j, 60)
+    if name == "coherent_imaginary":  # real even diagonals, imaginary odd ones
+        return coherent_state(0.9j, 40)
     if name == "fock40":
         return fock_state(FieldSpace(60), 40)
     if name == "empty":
         return empty_steady(0.7, 90)
-    L = build_liouvillian(SystemParams(g0=15.0, gamma=1.0), SqueezedBath(0.8), SpaceDims(60))
+    if name == "imaginary":
+        return imaginary_state(40)
+    phi = 0.7 if name == "atom_phase" else 0.0
+    L = build_liouvillian(SystemParams(g0=15.0, gamma=1.0), SqueezedBath(0.8, phi=phi),
+                          SpaceDims(60))
     return partial_trace_atom(steady_state(L))
 
 
@@ -329,11 +361,14 @@ AXES = {
 
 
 class TestWignerDistinctRadii:
-    """The grid from distinct radii, zero diagonals skipped, against the
-    plain full-grid sum it replaces: equal bits, signs of zeros included."""
+    """The grid from distinct radii, each diagonal's real and imaginary
+    parts summed apart in real arithmetic and zero parts skipped, against
+    the plain full-grid sum in complex arithmetic it replaces: equal bits,
+    signs of zeros included."""
 
     @pytest.mark.parametrize("axes", AXES)
-    @pytest.mark.parametrize("state", ["coherent", "fock40", "empty", "atom"])
+    @pytest.mark.parametrize("state", ["coherent", "coherent_imaginary", "fock40", "empty",
+                                       "atom", "atom_phase", "imaginary"])
     def test_matches_full_grid_sum(self, state, axes):
         rho = wigner_state(state)
         q_axis, p_axis = AXES[axes]
@@ -347,7 +382,7 @@ class TestWignerDistinctRadii:
         laguerre_series = observables._laguerre_series
 
         def recorded(coeffs, k, x):
-            calls.append((k, x.size))
+            calls.append((k, x.size, coeffs.copy()))
             return laguerre_series(coeffs, k, x)
 
         monkeypatch.setattr(observables, "_laguerre_series", recorded)
@@ -358,19 +393,44 @@ class TestWignerDistinctRadii:
         two_alpha = np.sqrt(2.0) * (np.asarray(q_axis)[:, None] + 1j * np.asarray(p_axis)[None, :])
         return np.unique(np.abs(two_alpha) ** 2).size
 
+    @staticmethod
+    def parts(rho, k):
+        """The real and imaginary parts of diagonal k as the sum takes them."""
+        diagonal = np.diagonal(rho.matrix, k) * (2.0 if k else 1.0)
+        return diagonal.real, diagonal.imag
+
     @pytest.mark.parametrize("axes", AXES)
     def test_sums_once_per_distinct_radius(self, monkeypatch, axes):
+        # the coherent state's main diagonal is real, every other one has
+        # two nonzero parts: one sum per part, the real one first
+        rho = wigner_state("coherent")
         q_axis, p_axis = AXES[axes]
         calls = self.spy(monkeypatch)
-        wigner(wigner_state("coherent"), q_axis, p_axis)
-        assert [k for k, _ in calls] == list(range(59, -1, -1))
-        assert {size for _, size in calls} == {self.distinct_radii(q_axis, p_axis)}
+        wigner(rho, q_axis, p_axis)
+        assert [k for k, _, _ in calls] == [*np.repeat(range(59, 0, -1), 2), 0]
+        expected = [part for k in range(59, 0, -1) for part in self.parts(rho, k)]
+        for (_, _, coeffs), part in zip(calls, [*expected, self.parts(rho, 0)[0]]):
+            assert np.array_equal(coeffs, part)
+        assert {size for _, size, _ in calls} == {self.distinct_radii(q_axis, p_axis)}
 
     @pytest.mark.parametrize("state", ["empty", "atom"])
     def test_steady_state_sums_only_even_diagonals(self, monkeypatch, state):
+        # at phi = 0 the steady state is real: one sum per even diagonal
         rho = wigner_state(state)
         calls = self.spy(monkeypatch)
         wigner(rho, GRID, GRID)
-        assert [k for k, _ in calls] == list(range(rho.fock_cutoff - 2, -1, -2))
-        assert {size for _, size in calls} == {self.distinct_radii(GRID, GRID)}
+        assert [k for k, _, _ in calls] == list(range(rho.fock_cutoff - 2, -1, -2))
+        for k, _, coeffs in calls:
+            assert np.array_equal(coeffs, self.parts(rho, k)[0])
+        assert {size for _, size, _ in calls} == {self.distinct_radii(GRID, GRID)}
         assert self.distinct_radii(GRID, GRID) < GRID.size ** 2
+
+    def test_imaginary_diagonals_sum_their_imaginary_parts_alone(self, monkeypatch):
+        rho = wigner_state("imaginary")
+        calls = self.spy(monkeypatch)
+        wigner(rho, GRID, GRID)
+        assert [k for k, _, _ in calls] == list(range(39, -1, -1))
+        for k, _, coeffs in calls:
+            real, imaginary = self.parts(rho, k)
+            assert not (imaginary if k == 0 else real).any()
+            assert np.array_equal(coeffs, real if k == 0 else imaginary)

@@ -2,7 +2,11 @@ import dataclasses
 import json
 import math
 import re
+import sys
+import threading
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -37,6 +41,7 @@ from sqcavity import (
     vec,
 )
 from sqcavity import liouvillian
+from sqcavity._cache import shared_cache
 from sqcavity.operators import embed_field
 from sqcavity.solvers import MIN_EIG_TOL, RESIDUAL_TOL
 from conftest import excitation_numbers, parity_mismatch, squeezed_photon_numbers
@@ -748,11 +753,108 @@ class TestOneFoldPerModel:
             with pytest.raises(ValueError):
                 array[0] = array[1]
 
+    @pytest.mark.parametrize("case", ["atom", "phase"])
+    def test_system_shares_the_folds_read_only_pattern(self, case):
+        L = SECTOR_CASES[case]()
+        fold, system = solvers._block(L)
+        for name in ("indices", "indptr"):
+            array = getattr(system, name)
+            assert np.shares_memory(array, getattr(fold, name))
+            assert not array.flags.writeable
+        # the LU takes the shared pattern as it is
+        steady_state(L, epsilon=math.inf)
+        assert not (fold.indices.flags.writeable or fold.indptr.flags.writeable)
+
+    def test_two_threads_asking_at_once_get_one_fold(self, monkeypatch):
+        # both threads ask before the fold is cached, and forming it takes
+        # long enough that they overlap: the second waits for the first's
+        L = SECTOR_CASES["atom"]()
+        solvers._block(L)
+        solvers._fold.cache_clear()
+        formed, fold_terms = [], solvers._fold_terms
+
+        def slow_fold_terms(*args):
+            formed.append(1)
+            time.sleep(0.2)
+            return fold_terms(*args)
+
+        monkeypatch.setattr(solvers, "_fold_terms", slow_fold_terms)
+        barrier = threading.Barrier(2)
+
+        def fold(_):
+            barrier.wait()
+            return solvers._block(L)[0]
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            first, second = pool.map(fold, range(2))
+        assert first is second
+        assert len(formed) == 1
+        assert solvers._fold.cache_info().misses == 1
+        assert solvers._fold.cache_info().hits == 1
+
     @pytest.mark.parametrize("space", [SpaceDims(20), FieldSpace(20), SpaceDims(3)], ids=repr)
     def test_sector_maps_keep_one_map_over_liouville_space(self, space):
         maps = solvers._sector_maps(space)
         assert [name for name, array in zip(maps._fields, maps)
                 if array.size == space.dim**2] == ["place"]
+
+
+class TestSharedCache:
+    def test_keeps_the_most_recent_keys_as_lru_cache_does(self):
+        calls = []
+
+        @shared_cache(maxsize=2)
+        def square(x):
+            calls.append(x)
+            return x * x
+
+        assert [square(x) for x in (1, 2, 1, 3, 1, 2)] == [1, 4, 1, 9, 1, 4]
+        # 3 evicts 2, the least recently used, and 2 evicts 3
+        assert calls == [1, 2, 3, 2]
+        assert square.cache_info() == (2, 4, 2, 2)
+        assert square.__wrapped__(5) == 25
+        square.cache_clear()
+        assert square.cache_info() == (0, 0, 2, 0)
+
+    def test_many_threads_compute_each_key_once(self):
+        # more threads than cores, switching often, on few keys: every key
+        # is computed by one caller, and every call is counted once
+        calls = []
+
+        @shared_cache(maxsize=4)
+        def slow_square(x):
+            calls.append(x)
+            time.sleep(0.01)
+            return x * x
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(slow_square, n % 3) for n in range(64)]
+                results = [future.result(timeout=30) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [(n % 3) ** 2 for n in range(64)]
+        assert sorted(calls) == [0, 1, 2]
+        info = slow_square.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (61, 3, 3)
+
+    def test_an_error_is_not_kept(self):
+        calls = []
+
+        @shared_cache(maxsize=2)
+        def fails_once(x):
+            calls.append(x)
+            if len(calls) == 1:
+                raise ValueError("first call")
+            return x
+
+        with pytest.raises(ValueError, match="first call"):
+            fails_once(7)
+        assert fails_once(7) == 7
+        assert calls == [7, 7]
+        assert fails_once.cache_info().currsize == 1
 
 
 class TestPlanPath:
