@@ -293,8 +293,9 @@ class TestWigner:
 
 def complex_laguerre_series(coeffs, k, x):
     """sum_m coeffs[m] l_m^(k)(x) for complex coeffs by Clenshaw's
-    recurrence in complex arithmetic, dividing by s_m: the kernel as it was
-    before the real and imaginary parts were summed apart."""
+    recurrence in complex arithmetic, dividing by s_m: the plain kernel
+    whose real and imaginary parts the library's real sums must give bit
+    for bit."""
     b1 = b2 = 0.0
     s_next = 1.0
     for m in range(coeffs.size - 1, -1, -1):
