@@ -782,11 +782,11 @@ class TestOneFoldPerModel:
         barrier = threading.Barrier(2)
 
         def fold(_):
-            barrier.wait()
+            barrier.wait(timeout=30)
             return solvers._block(L)[0]
 
         with ThreadPoolExecutor(max_workers=2) as pool:
-            first, second = pool.map(fold, range(2))
+            first, second = pool.map(fold, range(2), timeout=60)
         assert first is second
         assert len(formed) == 1
         assert solvers._fold.cache_info().misses == 1
