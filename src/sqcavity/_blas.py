@@ -1,14 +1,17 @@
-"""OpenBLAS threads of the solving threads, set through ctypes.
+"""OpenBLAS threads of the solving threads, set through ctypes, and the
+threads each solving thread may give its LU.
 
 numpy and scipy wheels each bundle an OpenBLAS of their own: numpy's runs
-the dense d×d kernels (eigvalsh, products), scipy's is the one SuperLU
-calls. Each starts with one thread per core, so the two pools, a sweep's
-worker threads and any other process on the machine oversubscribe the
-cores, and an idle pool spins on a core another thread needs; a second
-BLAS thread does not speed up the nested-dissection LU. `thread_budget`
-runs both pools on one thread for the span of a sweep, or of one
-`steady_state` call outside a sweep, so the parallelism of a sweep is its
-SIM_THREADS workers alone.
+the dense kernels (the multifrontal LU's fronts, eigvalsh, products),
+scipy's is the one SuperLU calls. Each starts with one thread per core, so
+the two pools, the solving threads and any other process on the machine
+oversubscribe the cores, and an idle pool spins on a core another thread
+needs. `thread_budget` runs both pools on one thread for the span of a
+sweep, or of one `steady_state` call outside a sweep. The cores are shared
+out by Python threads instead: a sweep's SIM_THREADS workers, and within
+each point the multifrontal LU's two halves when the sweep leaves the
+point two cores (`cores // workers`), each calling OpenBLAS on its own
+thread.
 """
 
 from __future__ import annotations
@@ -60,6 +63,18 @@ def _loaded_pool(package) -> _Pool:
     raise LookupError(f"no loaded OpenBLAS with thread control under {libs}")
 
 
+def _cores() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - no affinity outside Linux
+        return os.cpu_count() or 1
+
+
+# the LU threads of the budget a thread entered first, while it holds it
+_share = threading.local()
+
+
 class _Budget:
     """numpy's and scipy's pools; concurrent sweeps share one saved state,
     restored when the last of them ends."""
@@ -81,25 +96,34 @@ def _budget() -> _Budget | None:
 
 
 @contextmanager
-def thread_budget():
+def thread_budget(workers: int = 1):
     """Run the block with numpy's and scipy's OpenBLAS on 1 thread each and
-    yield True; yield False, changing nothing, where the libraries are not
-    found. The counts at entry are restored on the way out, on error too."""
+    yield the threads each of its `workers` solving threads may give one
+    LU: cores // workers, at least 1, or 1 where the libraries are not
+    found, which are then left alone. In a block nested in another on the
+    same thread, the outer block's count holds. The pools' counts at entry
+    are restored on the way out, on error too."""
+    outer = getattr(_share, "threads", None)
     budget = _budget()
-    if budget is None:
-        yield False
-        return
-    with budget.lock:
-        if budget.active == 0:
-            budget.saved = tuple(pool.get() for pool in budget.pools)
-        budget.active += 1
-        for pool in budget.pools:
-            pool.set(1)
+    threads = outer or (max(1, _cores() // workers) if budget else 1)
+    _share.threads = threads
     try:
-        yield True
-    finally:
+        if budget is None:
+            yield threads
+            return
         with budget.lock:
-            budget.active -= 1
             if budget.active == 0:
-                for pool, threads in zip(budget.pools, budget.saved):
-                    pool.set(threads)
+                budget.saved = tuple(pool.get() for pool in budget.pools)
+            budget.active += 1
+            for pool in budget.pools:
+                pool.set(1)
+        try:
+            yield threads
+        finally:
+            with budget.lock:
+                budget.active -= 1
+                if budget.active == 0:
+                    for pool, count in zip(budget.pools, budget.saved):
+                        pool.set(count)
+    finally:
+        _share.threads = outer

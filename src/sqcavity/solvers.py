@@ -5,7 +5,9 @@ from __future__ import annotations
 import math
 import operator
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -67,9 +69,12 @@ class StateDiagnostics:
     against the full generator, is the figure of the solve's quality,
     `tail_mass` the value `check_truncation` measured on the solution over
     the top `guard` Fock levels, `lu_unknowns` the number of real unknowns
-    of the folded system, `lu_fill` the number of entries SuperLU stores
-    for its L and U factors, and `seconds` the seconds of each stage, in
-    order: "block" forming the system from the generator's plan, "LU" in
+    of the folded system, `lu_fill` the number of entries the LU that ran
+    stored (`spsolve`): SuperLU's nnz(L + U), or the fronts' X, Σ p (q + 1),
+    `lu_path` that LU, "multifrontal", "SuperLU" or "SuperLU after ..."
+    naming why the multifrontal LU was given up, `lu_threads` the threads
+    it ran on, and `seconds` the seconds of each stage, in order: "block"
+    forming the system and the fronts from the generator's plan, "LU" in
     `spsolve`, "unfold" scattering the solution into rho, "tail" in
     `check_truncation`, "validate" in `make_density_matrix` and
     "residual" taking the residual.
@@ -83,6 +88,8 @@ class StateDiagnostics:
     guard: int | None = None
     lu_unknowns: int | None = None
     lu_fill: int | None = None
+    lu_path: str | None = None
+    lu_threads: int | None = None
     seconds: dict[str, float] = field(default_factory=dict)
 
 
@@ -204,7 +211,7 @@ def _excitations(space: Space) -> np.ndarray:
 _ND_LEAF = 16
 
 
-def _dissect(k: np.ndarray, s: np.ndarray, weight: np.ndarray) -> np.ndarray:
+def _dissect(k: np.ndarray, s: np.ndarray, weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nested dissection of the points (k, s) of a grid where every
     coupling moves at most 1 in k and 1 in s, point q standing for
     weight[q] > 0 unknowns (George, SIAM J. Numer. Anal. 10, 345 (1973)).
@@ -213,16 +220,24 @@ def _dissect(k: np.ndarray, s: np.ndarray, weight: np.ndarray) -> np.ndarray:
     its longer side, k on a tie: the points below it are numbered first,
     then those above it, then the line itself; a smaller part is a leaf.
     All the parts of one level are split at once. Returns, for each point,
-    the number of the first unknown of its leaf or line.
+    the number of the first unknown of its leaf or line, and the tree of
+    the leaves and lines, one row each in the order of their unknowns
+    (children before parents), with the columns of `_TREE`: the first
+    unknown of its part, its own first unknown and the one after its last,
+    its parent's row (-1 for the root) and the box of its part, the part a
+    line splits or the leaf itself.
     """
     first = np.empty(k.size, dtype=np.intp)
     # the points of the parts of a level, part by part, where each part
-    # begins among them, and the number of each part's first unknown
+    # begins among them, the number of each part's first unknown and the
+    # node each part's leaf or line hangs from
     points, begin, base = np.arange(k.size), np.zeros(1, np.intp), np.zeros(1, np.intp)
+    parent, nodes = np.full(1, -1), []
     while points.size:
         part = np.repeat(np.arange(begin.size), np.diff(begin, append=points.size))
         w, kk, ss = weight[points], k[points], s[points]
-        leaf = (np.add.reduceat(w, begin) <= _ND_LEAF)[part]
+        size = np.add.reduceat(w, begin)
+        leaf = (size <= _ND_LEAF)[part]
         first[points[leaf]] = base[part[leaf]]
         k_min, k_max = np.minimum.reduceat(kk, begin), np.maximum.reduceat(kk, begin)
         s_min, s_max = np.minimum.reduceat(ss, begin), np.maximum.reduceat(ss, begin)
@@ -234,19 +249,37 @@ def _dissect(k: np.ndarray, s: np.ndarray, weight: np.ndarray) -> np.ndarray:
         n_low, n_high = np.add.reduceat(w * low, begin), np.add.reduceat(w * high, begin)
         line = (side == 0) & ~leaf
         first[points[line]] = (base + n_low + n_high)[part[line]]
+        ids = sum(level.shape[1] for level in nodes) + np.arange(begin.size)
+        nodes.append(np.stack([base, base + n_low + n_high, base + size, parent,
+                               k_min, k_max, s_min, s_max, np.full(begin.size, -len(nodes))]))
         # the halves, the lower one first, are the parts of the next level
         half = (2 * part + high)[low | high]
         by_half = np.argsort(half, kind="stable")
         points, half = points[low | high][by_half], half[by_half]
         begin = np.flatnonzero(np.diff(half, prepend=-1))
         base = np.stack([base, base + n_low], axis=1).ravel()[half[begin]]
-    return first
+        parent = ids[half[begin] // 2]
+    # children end no later than their parent, and one of an empty line
+    # as late: in order of end, deeper levels first
+    tree = np.concatenate(nodes, axis=1) if nodes else np.empty((9, 0), dtype=np.intp)
+    order = np.lexsort((tree[-1], tree[_TREE.index("end")]))
+    tree = tree[:-1, order].T.copy()
+    renumber = np.empty(order.size + 1, dtype=np.intp)
+    renumber[order], renumber[-1] = np.arange(order.size), -1
+    tree[:, _TREE.index("parent")] = renumber[tree[:, _TREE.index("parent")]]
+    return first, tree
 
 
-def _sector_order(n: np.ndarray, even: np.ndarray) -> np.ndarray:
+# the columns of a nested-dissection tree (`_dissect`)
+_TREE = ("base", "first", "end", "parent", "k_lo", "k_hi", "s_lo", "s_hi")
+
+
+def _sector_order(n: np.ndarray, even: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The vec indices `even` of the equal-parity sector, for excitation
     numbers n of the basis states, in the order they are factorized:
-    nested dissection, with rho_00 (even[0]) last.
+    nested dissection, with rho_00 (even[0]) last; and the dissection's
+    tree (`_dissect`), its unknowns numbered in that order and its boxes in
+    (k, s).
 
     Every term of the generator moves an entry rho_(N_i, N_j) by at most 2
     in N_i and in N_j, keeping their parity, so on this sector
@@ -255,15 +288,21 @@ def _sector_order(n: np.ndarray, even: np.ndarray) -> np.ndarray:
     line, so the points are dissected (`_dissect`) and each leaf and line
     keeps its unknowns in vec order.
     """
-    n_i, n_j = n[even[1:] % n.size], n[even[1:] // n.size]
-    k, s = (n_i - n_j) // 2, (n_i + n_j) // 2
-    width = s.max(initial=0) + 1
-    cell = (k - k.min(initial=0)) * width + s
+    k, s = _grid(n, even[1:])
+    width, k_min = s.max(initial=0) + 1, k.min(initial=0)
+    cell = (k - k_min) * width + s
     weight = np.bincount(cell)
     grid = np.flatnonzero(weight)
-    first = _dissect(grid // width, grid % width, weight[grid])
+    first, tree = _dissect(grid // width + k_min, grid % width, weight[grid])
     order = np.argsort(first[np.searchsorted(grid, cell)], kind="stable")
-    return even[np.append(order + 1, 0)]
+    return even[np.append(order + 1, 0)], tree
+
+
+def _grid(n: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(k, s) = ((N_i - N_j)/2, (N_i + N_j)/2) of the vec indices v of the
+    equal-parity sector, n being the excitation numbers."""
+    n_i, n_j = n[v % n.size], n[v // n.size]
+    return (n_i - n_j) // 2, (n_i + n_j) // 2
 
 
 class _SectorMaps(NamedTuple):
@@ -279,6 +318,7 @@ class _SectorMaps(NamedTuple):
     k >= 0 half of the grid). `folded` lists the representatives in the
     order they are factorized, and `place` gives, for each v, the place in
     `folded` of its representative, v or t(v) (-1 outside the sector).
+    `tree` is the nested-dissection tree of `folded` (`_sector_order`).
     """
 
     u: np.ndarray
@@ -286,6 +326,7 @@ class _SectorMaps(NamedTuple):
     end: np.ndarray
     folded: np.ndarray
     place: np.ndarray
+    tree: np.ndarray
 
 
 @shared_cache(maxsize=4)
@@ -299,7 +340,7 @@ def _sector_maps(space: Space) -> _SectorMaps:
     end = np.where(n % 2 == 0, np.count_nonzero(n % 2 == 0), d)
     # by vec index v = i + d j, as the rows j and columns i of a d×d grid
     even = np.flatnonzero((n[None, :] + n[:, None]) % 2 == 0)
-    folded = _sector_order(n, even[rank[even % d] >= rank[even // d]])
+    folded, tree = _sector_order(n, even[rank[even % d] >= rank[even // d]])
     place = np.full(d * d, -1, dtype=np.int32)
     place[folded] = np.arange(folded.size)
     # of v and t(v) one is the representative, whose place both take
@@ -307,7 +348,8 @@ def _sector_maps(space: Space) -> _SectorMaps:
     # the atom is the outer factor, so its excited half is every index from
     # fock_cutoff on; a field space has none
     u = np.where(np.arange(d) < space.fock_cutoff, 1.0, -1.0)
-    return _read_only(_SectorMaps(u=u, rank=rank, end=end, folded=folded, place=place))
+    return _read_only(_SectorMaps(u=u, rank=rank, end=end, folded=folded, place=place,
+                                  tree=tree))
 
 
 _COUPLED = ("generator couples the two excitation-parity sectors (a coherent drive or a "
@@ -604,31 +646,322 @@ def _fold(plan, phase: bool) -> _Fold:
     return fold
 
 
-def _block(L: Superoperator) -> tuple[_Fold, sp.csc_matrix]:
-    """The fold of L and its real system, formed from L's plan, K and
-    weights: the system's values are the product of the fold's terms with
-    (Re x, Im x), x = (K, conj(K), every weight, 1), and its pattern is the
-    fold's read-only `indices` and `indptr` themselves, not copied. The
-    phase symmetry's parts are left out when the plan has it and the
-    weights are real. SolverError when the plan couples the parity
-    sectors."""
-    plan, k, weights = L.plan, L.k, L.weights
-    parity, phase = _plan_symmetries(plan)
+def _fold_phase(L: Superoperator) -> bool:
+    """Whether L's fold leaves out the phase symmetry's parts: when its
+    plan has the symmetry and its weights are real. SolverError when the
+    plan couples the parity sectors."""
+    parity, phase = _plan_symmetries(L.plan)
     if not parity:
         raise SolverError(_COUPLED)
-    fold = _fold(plan, phase and all(np.imag(w) == 0 for w in weights))
-    x = np.concatenate([k, k.conj(), weights, [1.0]])
+    return phase and all(np.imag(w) == 0 for w in L.weights)
+
+
+def _block(L: Superoperator) -> tuple[_Fold, sp.csc_matrix]:
+    """The fold of L (`_fold_phase`) and its real system, formed from L's
+    plan, K and weights: the system's values are the product of the fold's
+    terms with (Re x, Im x), x = (K, conj(K), every weight, 1), and its
+    pattern is the fold's read-only `indices` and `indptr` themselves, not
+    copied."""
+    k = L.k
+    fold = _fold(L.plan, _fold_phase(L))
+    x = np.concatenate([k, k.conj(), L.weights, [1.0]])
     size = fold.indptr.size - 1
     return fold, sp.csc_matrix((fold.terms @ np.concatenate([x.real, x.imag]),
                                 fold.indices, fold.indptr), shape=(size, size))
 
 
-def spsolve(system: sp.csc_matrix, rhs: np.ndarray) -> tuple[np.ndarray, int]:
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The integers of the ranges [starts, starts + lengths), one after
+    another."""
+    offsets = np.cumsum(lengths) - lengths
+    return np.arange(int(lengths.sum())) + np.repeat(starts - offsets, lengths)
+
+
+class _Fronts(NamedTuple):
+    """The fronts of the multifrontal LU of one fold (`_fronts`), in the
+    order they are factorized, children before parents; read-only.
+
+    Front f eliminates its pivots, the unknowns [first[f], end[f]); its
+    other rows and columns, the unknowns of later fronts that eliminating
+    them couples, are rows[row_ptr[f]:row_ptr[f + 1]], ascending. Its
+    dense n × (n + 1) array, n = p + q, holds the pivots first, then those
+    rows, and the right-hand side in its last column, in Fortran order.
+    The system's values entries[entry_ptr[f]:entry_ptr[f + 1]] go to the
+    flat places `places` of front f. Front f's update, its rows and columns
+    after the pivots, goes to its parent: the rows and columns to the
+    parent's `into` (aligned with `rows`), the right-hand side to the
+    parent's last column. children[child_ptr[g]:child_ptr[g + 1]] are the
+    fronts whose updates g takes, in the order they are added, and
+    `halves`, when the last front has two children or more, splits the
+    fronts before it into its first child's subtree and the others', which
+    can be factorized apart.
+    """
+
+    first: np.ndarray
+    end: np.ndarray
+    rows: np.ndarray
+    row_ptr: np.ndarray
+    entries: np.ndarray
+    places: np.ndarray
+    entry_ptr: np.ndarray
+    into: np.ndarray
+    children: np.ndarray
+    child_ptr: np.ndarray
+    halves: tuple | None
+
+
+# a subtree of the dissection of at most this many unknowns is one front
+_FRONT_LEAF = 128
+# SuperLU is as fast or faster on folds of fewer unknowns than this, and
+# on folds whose fronts average fewer flops than _FRONT_FLOPS (the empty
+# cavity's at phi = 0, at every cutoff up to 300), where each front's
+# fixed cost outweighs its dense arithmetic
+_MULTIFRONTAL_MIN = 5000
+_FRONT_FLOPS = 1e6
+# a multifrontal solution whose backward error exceeds this is solved
+# again by SuperLU; both read 1e-21 to 2e-18 on the folds measured
+_BACKWARD_ERROR = 1e-14
+
+
+def _rings(box: np.ndarray, cell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The grid points of the one-point ring around each box (k_lo, k_hi,
+    s_lo, s_hi) that exist: (box, point) pairs, `cell` numbering the points
+    of a grid of one more row and column on every side, -1 where none is."""
+    k_lo, k_hi, s_lo, s_hi = box.T + [[-1], [1], [-1], [1]]
+    width = cell.shape[1]
+    # the rows k_lo and k_hi from s_lo to s_hi, the columns s_lo and s_hi
+    # between them
+    along_s, along_k = s_hi - s_lo + 1, k_hi - k_lo - 1
+    lengths = np.stack([along_s, along_s, along_k, along_k], axis=1).ravel()
+    starts = np.stack([k_lo * width + s_lo, k_hi * width + s_lo,
+                       (k_lo + 1) * width + s_lo, (k_lo + 1) * width + s_hi], axis=1).ravel()
+    steps = np.tile([1, 1, width, width], box.shape[0])
+    offsets = np.cumsum(lengths) - lengths
+    within = np.arange(int(lengths.sum())) - np.repeat(offsets, lengths)
+    points = cell.ravel()[np.repeat(starts, lengths) + np.repeat(steps, lengths) * within]
+    owner = np.repeat(np.arange(box.shape[0]), lengths.reshape(-1, 4).sum(axis=1))
+    kept = points >= 0
+    return owner[kept], points[kept]
+
+
+@shared_cache(maxsize=4)
+def _fronts(plan, phase: bool) -> _Fronts | None:
+    """The `_Fronts` of the fold `_fold(plan, phase)`, from the geometry of
+    its nested-dissection tree; None where the fold's pattern does not fit
+    them.
+
+    A subtree of the dissection of at most _FRONT_LEAF unknowns is one
+    front, and every node of a larger subtree is a front of its own;
+    rho_00 joins the last front. A front's subtree covers the grid points
+    of its part, a box (`_dissect`), and every coupling moves at most one
+    point in k and in s, so the rows that eliminating it couples are the
+    unknowns of the grid points in the one-point ring around the box, all
+    of later fronts, and rho_00, where the trace row or rho_00's column
+    reaches the subtree. An entry of the system goes to the front of its
+    row or its column, whichever comes first.
+    """
+    maps, fold = _sector_maps(plan.space), _fold(plan, phase)
+    m, tree = fold.indptr.size - 1, maps.tree
+    if m < _MULTIFRONTAL_MIN or not tree.size:
+        return None
+    # the first unknown of each representative
+    count = np.count_nonzero(_slots(maps, phase) >= 0, axis=0)
+    start = np.concatenate([[0], np.cumsum(count)])
+    base, first, end = (start[tree[:, _TREE.index(c)]] for c in ("base", "first", "end"))
+    parent = tree[:, _TREE.index("parent")]
+    small = end - base <= _FRONT_LEAF
+    keep = np.flatnonzero(~small | (parent < 0) | ~small[parent])
+    number = np.full(tree.shape[0] + 1, -1)
+    number[keep] = np.arange(keep.size)
+    first, end, base = np.where(small, base, first)[keep], end[keep], base[keep]
+    parent, box = number[parent[keep]], tree[keep, _TREE.index("k_lo"):]
+    end[-1] = m
+    n_fronts = keep.size
+    if np.any(end <= first):  # an empty line
+        return None
+    front_of = np.repeat(np.arange(n_fronts), end - first)
+    # the grid point of each unknown but rho_00's, on a grid with room for
+    # the rings
+    k, s = _grid(_excitations(plan.space), maps.folded[:-1])
+    k_min, s_min = k.min() - 1, s.min() - 1
+    shape = (int(k.max() - k_min) + 2, int(s.max() - s_min) + 2)
+    point = np.repeat((k - k_min) * shape[1] + (s - s_min), count[:-1])
+    by_point = np.argsort(point)
+    point_ptr = np.searchsorted(point[by_point], np.arange(shape[0] * shape[1] + 1))
+    cell = np.where(np.diff(point_ptr) > 0, np.arange(shape[0] * shape[1]), -1).reshape(shape)
+    owner, points = _rings(box - [k_min, k_min, s_min, s_min], cell)
+    lengths = point_ptr[points + 1] - point_ptr[points]
+    front = np.repeat(owner, lengths)
+    rows = by_point[_ranges(point_ptr[points], lengths)]
+    # rho_00 joins every front whose subtree holds an unknown that the
+    # trace row, or rho_00's column, couples
+    column = np.repeat(np.arange(m), np.diff(fold.indptr))
+    coupled = np.concatenate([fold.indices[column == m - 1], column[fold.indices == m - 1]])
+    marked = np.zeros(n_fronts + 1, dtype=np.intp)
+    marked[1:][front_of[coupled]] = 1
+    marked = np.cumsum(marked)
+    reached = marked[1:] > marked[front_of[base]]
+    reached[-1] = False
+    front = np.concatenate([front, np.flatnonzero(reached)])
+    # every ring point is one front's, once, so the keys are distinct
+    key = np.sort(front.astype(np.int64) * m
+                  + np.concatenate([rows, np.full(np.count_nonzero(reached), m - 1)]))
+    row_ptr = np.searchsorted(key, np.arange(n_fronts + 1, dtype=np.int64) * m)
+    rows = (key % m).astype(np.intp)
+    p, q = end - first, np.diff(row_ptr)
+    if np.sum(p * (2 / 3 * p * p + 2 * q * (p + q))) < _FRONT_FLOPS * n_fronts:
+        return None
+
+    def locate(f: np.ndarray, x: np.ndarray):
+        """The place of each unknown x among the rows of front f, no
+        earlier than f's pivots, and whether every x is one of them."""
+        place = x - first[f]
+        other = np.flatnonzero(x >= end[f])
+        wanted = f[other].astype(np.int64) * m + x[other]
+        at = np.searchsorted(key, wanted)
+        place[other] = p[f[other]] + at - row_ptr[f[other]]
+        return place, bool(np.all(place >= 0)
+                           and np.array_equal(key[np.minimum(at, key.size - 1)], wanted))
+
+    # each entry goes to the front of its row or its column, whichever
+    # comes first, where that one is a pivot
+    low = np.minimum(fold.indices, column)
+    entry_front = front_of[low]
+    high, found = locate(entry_front, np.maximum(fold.indices, column))
+    upper = fold.indices == low
+    row, col = np.where(upper, low - first[entry_front], high), np.where(upper, high, low - first[entry_front])
+    # each front's rows go to its parent
+    below = np.repeat(parent, q)
+    into, found_into = locate(below, rows)
+    if not (found and found_into):
+        return None
+    # a stable sort of 16-bit keys is a radix sort
+    entries = np.argsort(entry_front.astype(np.uint16) if n_fronts <= 1 << 16 else entry_front,
+                         kind="stable")
+    entry_ptr = np.searchsorted(entry_front[entries], np.arange(n_fronts + 1))
+    children = np.argsort(parent[:-1], kind="stable")
+    child_ptr = np.searchsorted(parent[:-1][children], np.arange(n_fronts + 1))
+    top = children[child_ptr[-2]:]
+    places = (row + col * (p + q)[entry_front])[entries]
+    fronts = _Fronts(first=first, end=end, rows=rows, row_ptr=row_ptr, entries=entries,
+                     places=places, entry_ptr=entry_ptr, into=into, children=children,
+                     child_ptr=child_ptr,
+                     halves=(range(top[0] + 1), range(top[0] + 1, n_fronts - 1))
+                     if top.size >= 2 else None)
+    _read_only(fronts[:-1])
+    return fronts
+
+
+class _SingularFront(Exception):
+    """A front's pivot block is singular."""
+
+
+def _factor_fronts(fronts: _Fronts, values: np.ndarray, rhs: np.ndarray, solved: list,
+                   updates: list, span: range):
+    """Eliminate the fronts of `span`, in order, carrying the right-hand
+    side: each front's array is assembled from the system's values, the
+    right-hand side's pivot rows and its children's updates;
+    X = F11^-1 [F12 | b], by an LU with partial pivoting among the pivot
+    rows, goes to `solved`, and the update [F22 | b] - F21 X to
+    `updates`. The updates are added through flat indices, which numpy
+    adds without holding the interpreter lock, unlike its 2-D fancy and
+    small slice adds."""
+    for f in span:
+        first, end = int(fronts.first[f]), int(fronts.end[f])
+        p = end - first
+        n = p + int(fronts.row_ptr[f + 1] - fronts.row_ptr[f])
+        front = np.zeros((n, n + 1), order="F")
+        flat = front.ravel(order="F")
+        a, b = fronts.entry_ptr[f], fronts.entry_ptr[f + 1]
+        flat[fronts.places[a:b]] = values[a:b]
+        front[:p, n] = rhs[first:end]
+        for child in fronts.children[fronts.child_ptr[f]:fronts.child_ptr[f + 1]].tolist():
+            update, updates[child] = updates[child], None
+            into = fronts.into[fronts.row_ptr[child]:fronts.row_ptr[child + 1]]
+            flat[np.add.outer(np.append(into, n) * n, into)] += update.T
+        try:
+            x = np.linalg.solve(front[:p, :p], front[:p, p:])
+        except np.linalg.LinAlgError:
+            raise _SingularFront(f) from None
+        if n > p:
+            update = front[p:, p:]
+            update -= front[p:, :p] @ x
+            updates[f] = update
+        solved[f] = x
+
+
+def _multifrontal(system: sp.csc_matrix, rhs: np.ndarray, fronts: _Fronts,
+                  threads: int) -> tuple[np.ndarray, list]:
+    """Solve system @ x = rhs by the multifrontal LU of `fronts` (Duff &
+    Reid, ACM TOMS 9, 302 (1983); Liu, SIAM Rev. 34, 82 (1992)) with the
+    right-hand side carried along, the two halves of the tree on two
+    threads if `threads` > 1; return x and each front's X (p × (q + 1),
+    `_factor_fronts`). Each front's update is added to its parent in the
+    fixed order of `children`, so nothing depends on the threads.
+    _SingularFront where a pivot block is singular."""
+    n_fronts = fronts.first.size
+    solved, updates = [None] * n_fronts, [None] * n_fronts
+    factor = partial(_factor_fronts, fronts, system.data[fronts.entries], rhs, solved, updates)
+    if threads > 1 and fronts.halves:
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            other = pool.submit(factor, fronts.halves[1])
+            factor(fronts.halves[0])
+            other.result()
+        factor(range(n_fronts - 1, n_fronts))
+    else:
+        factor(range(n_fronts))
+    x = np.empty(rhs.size)
+    for f in reversed(range(n_fronts)):
+        eliminated = solved[f]
+        q = eliminated.shape[1] - 1
+        x[fronts.first[f]:fronts.end[f]] = eliminated[:, q] - eliminated[:, :q] @ x[
+            fronts.rows[fronts.row_ptr[f]:fronts.row_ptr[f + 1]]]
+    return x, solved
+
+
+class LUSolve(NamedTuple):
+    """One solve of `spsolve`: the solution, the number of entries stored
+    for it, the path that ran and the threads it ran on."""
+
+    x: np.ndarray
+    fill: int
+    path: str
+    threads: int
+
+
+def _backward_error(system: sp.csc_matrix, x: np.ndarray, rhs: np.ndarray) -> float:
+    """max|rhs - system x| / (||system||_inf max|x| + max|rhs|)."""
+    norm = np.bincount(system.indices, np.abs(system.data), minlength=x.size).max(initial=0.0)
+    residual = np.abs(system @ x - rhs).max(initial=0.0)
+    return float(residual / (norm * np.abs(x).max(initial=0.0) + np.abs(rhs).max(initial=0.0)))
+
+
+def spsolve(system: sp.csc_matrix, rhs: np.ndarray, fronts: _Fronts | None = None,
+            threads: int = 1) -> LUSolve:
     """Solve system @ x = rhs by a sparse LU in the given order of the
-    unknowns; return x and the number of entries stored for L and U."""
+    unknowns.
+
+    With `fronts` the multifrontal LU runs (`_multifrontal`), on `threads`
+    threads, at most 2; it stores each front's X, Σ p (q + 1) entries. It
+    falls back to SuperLU where a pivot block is singular or the solution's
+    backward error exceeds _BACKWARD_ERROR, and the path says why. Without
+    fronts SuperLU runs, on one thread, and stores nnz(L + U) entries.
+    """
+    path = "SuperLU"
+    if fronts is not None:
+        threads = min(threads, 2) if fronts.halves else 1
+        try:
+            x, solved = _multifrontal(system, rhs, fronts, threads)
+        except _SingularFront as exc:
+            path = f"SuperLU after a singular pivot block in front {exc.args[0]}"
+        else:
+            error = _backward_error(system, x, rhs)
+            if error <= _BACKWARD_ERROR:
+                return LUSolve(x, sum(block.size for block in solved), "multifrontal", threads)
+            path = f"SuperLU after a multifrontal backward error of {error:.1e}"
     lu = splu(system, permc_spec="NATURAL", diag_pivot_thresh=0.1,
               options=dict(SymmetricMode=True))
-    return lu.solve(rhs), int(lu.nnz)
+    return LUSolve(lu.solve(rhs), int(lu.nnz), path, 1)
 
 
 def steady_state(L: Superoperator, guard: int | None = None,
@@ -683,18 +1016,21 @@ def steady_state(L: Superoperator, guard: int | None = None,
             seconds[stage] = clock[-1] - clock[-2]
 
     fold, system = _block(L)
+    fronts = _fronts(L.plan, _fold_phase(L))
     lap("block")
     m = system.shape[0]
     rhs = np.zeros(m)
     rhs[-1] = 1.0
-    # numpy's and scipy's OpenBLAS pools on one thread each: a second thread
-    # does not speed up this LU, and idle pool threads spin on the cores
-    # that other solving threads and processes need. Inside a sweep, which
-    # holds the budget already, this changes nothing.
-    with thread_budget():
+    # numpy's and scipy's OpenBLAS pools on one thread each, so that idle
+    # pool threads do not spin on the cores other solving threads need;
+    # the multifrontal LU gets the threads that the sweep leaves each
+    # point, its two halves on two Python threads whose LAPACK calls run
+    # without the interpreter lock. Inside a sweep, which holds the budget
+    # already, the sweep's share holds.
+    with thread_budget() as threads:
         lap()
         try:
-            sol, fill = spsolve(system, rhs)
+            sol, fill, path, threads = spsolve(system, rhs, fronts, threads)
         except Exception as exc:  # pragma: no cover - solver backend failure
             raise NonUniqueSteadyStateError(f"sparse LU solve failed: {exc}") from exc
         lap("LU")
@@ -720,7 +1056,7 @@ def steady_state(L: Superoperator, guard: int | None = None,
             "degenerate; the fold assumes that L maps rho† to (L rho)†")
     return replace(rho, diagnostics=replace(
         rho.diagnostics, tail_mass=tail, residual=residual, guard=guard, lu_unknowns=m,
-        lu_fill=fill, seconds=seconds))
+        lu_fill=fill, lu_path=path, lu_threads=threads, seconds=seconds))
 
 
 def evolve(L: Superoperator, rho0: DensityMatrix, t_end: float, dt: float,

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._blas import thread_budget
+from ._blas import _budget, thread_budget
 from .errors import (
     ConfigError,
     CutoffTooSmallError,
@@ -226,14 +226,17 @@ def _map_points(config: SweepConfig, fn):
     failure aborts the whole sweep before anything is written; its message
     names the failing r, and a truncation error suggests the cutoff
     `suggest_fock_cutoff` gives for the largest r, which covers the sweep.
-    The points run inside `thread_budget`, so each worker runs its BLAS
-    calls on its own thread."""
+    The points run inside `thread_budget(workers)`, so each worker runs its
+    BLAS calls on its own thread and gives each point's LU cores // workers
+    threads."""
     points = list(config.r_values)
     covering_cutoff = suggest_fock_cutoff(max(points), config.epsilon)
 
     def at_point(r):
         try:
-            return fn(r)
+            # a pool thread takes the sweep's share of the cores too
+            with thread_budget(workers):
+                return fn(r)
         except SimulationError as exc:
             if isinstance(exc, CutoffTooSmallError) and covering_cutoff > config.fock_cutoff:
                 exc.suggested_cutoff = covering_cutoff
@@ -243,9 +246,10 @@ def _map_points(config: SweepConfig, fn):
 
     order = sorted(range(len(points)), key=points.__getitem__, reverse=True)
     workers = _worker_count(len(points))
-    with thread_budget() as pinned:
-        log.debug("sweep of %d points, %d worker threads; %s", len(points), workers,
-                  "BLAS threads: numpy 1, scipy 1" if pinned
+    with thread_budget(workers) as threads:
+        log.debug("sweep of %d points, %d worker threads, up to %d LU threads each; %s",
+                  len(points), workers, threads,
+                  "BLAS threads: numpy 1, scipy 1" if _budget()
                   else "BLAS thread control unavailable")
         if workers == 1:
             results = [at_point(points[k]) for k in order]
@@ -267,9 +271,11 @@ def solve_point(config: SweepConfig, r: float, build=None):
     rho = steady_state(L, guard=config.guard, epsilon=config.epsilon)
     diag = rho.diagnostics
     log.debug("solved r = %r: cutoff %d, guard %d, %d LU unknowns, residual %.3e, "
-              "min eigenvalue %.3e, tail mass %.3e, LU fill %d, build %.3f s, %s of %.3f s",
+              "min eigenvalue %.3e, tail mass %.3e, LU fill %d (%s, %d threads), build %.3f s, "
+              "%s of %.3f s",
               r, config.fock_cutoff, diag.guard, diag.lu_unknowns, diag.residual,
-              diag.min_eigenvalue, diag.tail_mass, diag.lu_fill, build_seconds,
+              diag.min_eigenvalue, diag.tail_mass, diag.lu_fill, diag.lu_path, diag.lu_threads,
+              build_seconds,
               ", ".join(f"{stage} {seconds:.3f} s" for stage, seconds in diag.seconds.items()),
               time.perf_counter() - start)
     return rho

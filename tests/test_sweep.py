@@ -569,7 +569,8 @@ def test_sweep_logs_one_record_per_sweep_and_per_point(tmp_path, caplog):
         run_moments_sweep(cfg)
     records = [r.getMessage() for r in caplog.records if r.name == "sqcavity.sweep"]
     assert len(records) == 3
-    assert records[0].startswith("sweep of 2 points, 1 worker threads; BLAS ")
+    assert re.match(r"sweep of 2 points, 1 worker threads, up to \d+ LU threads each; BLAS ",
+                    records[0])
     # largest r first; the 313 (25² / 2, rounded up) parity-sector unknowns
     # folded onto the 169 with N_i > N_j, or N_i = N_j and i <= j
     for message, r in zip(records[1:], (0.3, 0.1)):
@@ -577,7 +578,9 @@ def test_sweep_logs_one_record_per_sweep_and_per_point(tmp_path, caplog):
                                   "residual ")
         for field in ("min eigenvalue ", "tail mass ", "LU fill "):
             assert field in message
-        assert re.search(r", LU fill \d+, build \d+\.\d{3} s, block \d+\.\d{3} s, "
+        # 169 unknowns are below the multifrontal LU's crossover
+        assert re.search(r", LU fill \d+ \(SuperLU, 1 threads\), build \d+\.\d{3} s, "
+                         r"block \d+\.\d{3} s, "
                          r"LU \d+\.\d{3} s, unfold \d+\.\d{3} s, tail \d+\.\d{3} s, "
                          r"validate \d+\.\d{3} s, residual \d+\.\d{3} s of \d+\.\d{3} s$",
                          message)
