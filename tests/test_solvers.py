@@ -1114,6 +1114,162 @@ class TestNestedDissectionOrder:
         assert rho.diagnostics.lu_fill < colamd_fill
 
 
+@pytest.fixture
+def every_fold_multifrontal(monkeypatch):
+    """Let `_fronts` take folds of any size and front flops, below the
+    multifrontal LU's crossover too."""
+    monkeypatch.setattr(solvers, "_MULTIFRONTAL_MIN", 0)
+    monkeypatch.setattr(solvers, "_FRONT_FLOPS", 0.0)
+
+
+def system_and_fronts(L):
+    """L's folded system, its trace right-hand side and its fronts, the
+    fronts computed afresh."""
+    system = solvers._block(L)[1]
+    rhs = np.zeros(system.shape[0])
+    rhs[-1] = 1.0
+    return system, rhs, solvers._fronts.__wrapped__(L.plan, solvers._fold_phase(L))
+
+
+def front_parents(fronts):
+    """The front each front's update goes to, -1 for the last."""
+    parent = np.full(fronts.first.size, -1)
+    for g in range(fronts.first.size):
+        parent[fronts.children[fronts.child_ptr[g]:fronts.child_ptr[g + 1]]] = g
+    return parent
+
+
+def naive_front_rows(system, fronts):
+    """The rows of each front found by eliminating its pivots from the
+    graph of system + system^T, with the rows of the fronts eliminated
+    before it that go to it (those whose first row is its pivot): the
+    plain symbolic pass the geometric one must cover."""
+    pattern = (abs(system) + abs(system).T).tocsr()
+    front_of = np.repeat(np.arange(fronts.first.size), fronts.end - fronts.first)
+    passed = [set() for _ in range(fronts.first.size)]
+    rows = []
+    for f, (first, end) in enumerate(zip(fronts.first.tolist(), fronts.end.tolist())):
+        found = set(pattern.indices[pattern.indptr[first]:pattern.indptr[end]].tolist())
+        found = {x for x in found | passed[f] if x >= end}
+        assert all(x >= first for x in passed[f])
+        rows.append(found)
+        if found:
+            passed[front_of[min(found)]] |= found
+    return rows
+
+
+MULTIFRONTAL_CASES = {
+    "atom_r0": lambda: build_liouvillian(ATOM, SqueezedBath(0.0), SpaceDims(30)),
+    "atom_r0.02": lambda: build_liouvillian(ATOM, SqueezedBath(0.02), SpaceDims(30)),
+    "atom_r0.1_c12": lambda: build_liouvillian(ATOM, SqueezedBath(0.1), SpaceDims(12)),
+    "atom_r0.1_c60": lambda: build_liouvillian(ATOM, SqueezedBath(0.1), SpaceDims(60)),
+    "atom_r1.2": lambda: build_liouvillian(ATOM, SqueezedBath(1.2), SpaceDims(60)),
+    "empty": lambda: empty_cavity_liouvillian(0.8, 40),
+    "empty_r0.02": lambda: empty_cavity_liouvillian(0.02, 31),
+    "phase": lambda: build_liouvillian(ATOM, SqueezedBath(0.5, phi=0.7), SpaceDims(30)),
+    "detuned": lambda: build_liouvillian(
+        SystemParams(delta_A=1.5, delta_C=-0.7, g0=15.0, gamma=1.0), SqueezedBath(0.4),
+        SpaceDims(30)),
+    "bogoliubov_atom": lambda: build_bogoliubov_liouvillian(ATOM, SqueezedBath(0.5), SpaceDims(24)),
+}
+
+
+class TestMultifrontal:
+    """The multifrontal LU on the nested-dissection tree: the same solution
+    as SuperLU, fronts that hold every row their elimination couples, no
+    dependence on the threads, and SuperLU where a front fails."""
+
+    @pytest.mark.parametrize("case", sorted(MULTIFRONTAL_CASES))
+    def test_agrees_with_superlu(self, case, every_fold_multifrontal):
+        # at r <= 0.1 SuperLU swaps rows inside the first leaf; the fronts
+        # pivot inside each front
+        system, rhs, fronts = system_and_fronts(MULTIFRONTAL_CASES[case]())
+        assert fronts is not None
+        reference = solvers.spsolve(system, rhs)
+        for threads in (1, 2):
+            solve = solvers.spsolve(system, rhs, fronts, threads)
+            assert solve.path == "multifrontal"
+            assert np.abs(solve.x - reference.x).max() <= 1e-13 * np.abs(reference.x).max()
+
+    @pytest.mark.parametrize("r", [0.02, 1.2])
+    def test_agrees_with_superlu_at_cutoff_150(self, r):
+        L = build_liouvillian(ATOM, SqueezedBath(r), SpaceDims(150))
+        system, rhs, fronts = system_and_fronts(L)
+        reference, solve = solvers.spsolve(system, rhs), solvers.spsolve(system, rhs, fronts, 2)
+        assert (solve.path, solve.threads) == ("multifrontal", 2)
+        assert np.abs(solve.x - reference.x).max() <= 1e-13 * np.abs(reference.x).max()
+        # each front keeps X = F11^-1 [F12 | b] alone
+        p, q = fronts.end - fronts.first, np.diff(fronts.row_ptr)
+        assert solve.fill == int(np.sum(p * (q + 1))) < reference.fill
+
+    @pytest.mark.parametrize("case", sorted(MULTIFRONTAL_CASES))
+    def test_front_rows_cover_the_elimination_and_lie_in_ancestors(self, case,
+                                                                  every_fold_multifrontal):
+        system, _, fronts = system_and_fronts(MULTIFRONTAL_CASES[case]())
+        parent = front_parents(fronts)
+        assert np.array_equal(fronts.first[1:], fronts.end[:-1])
+        assert fronts.end[-1] == system.shape[0] and fronts.first[0] == 0
+        for f, naive in enumerate(naive_front_rows(system, fronts)):
+            rows = fronts.rows[fronts.row_ptr[f]:fronts.row_ptr[f + 1]]
+            assert naive <= set(rows.tolist())
+            ancestors, g = [], parent[f]
+            while g >= 0:
+                ancestors.append(np.arange(fronts.first[g], fronts.end[g]))
+                g = parent[g]
+            assert np.isin(rows, np.concatenate([[], *ancestors])).all()
+
+    def test_one_and_two_threads_give_identical_factors(self, every_fold_multifrontal):
+        system, rhs, fronts = system_and_fronts(MULTIFRONTAL_CASES["atom_r1.2"]())
+        assert fronts.halves is not None
+        one, factors_one = solvers._multifrontal(system, rhs, fronts, 1)
+        two, factors_two = solvers._multifrontal(system, rhs, fronts, 2)
+        assert one.tobytes() == two.tobytes()
+        assert len(factors_one) == len(factors_two) == fronts.first.size
+        for a, b in zip(factors_one, factors_two):
+            assert a.tobytes() == b.tobytes()
+
+    def test_singular_front_takes_superlu(self, every_fold_multifrontal):
+        # the first pivot row of the first front keeps its entries in that
+        # front's other rows alone: the pivot block is singular, the system
+        # is not
+        system, rhs, fronts = system_and_fronts(MULTIFRONTAL_CASES["atom_r1.2"]())
+        system = system.copy()
+        column = np.repeat(np.arange(system.shape[0]), np.diff(system.indptr))
+        pivot, other = (column < fronts.end[0]), np.isin(column, fronts.rows[:fronts.row_ptr[1]])
+        row = np.intersect1d(system.indices[pivot], system.indices[other])
+        row = row[row < fronts.end[0]][0]
+        system.data[(system.indices == row) & pivot] = 0.0
+        solve = solvers.spsolve(system, rhs, fronts, 2)
+        assert solve.path == "SuperLU after a singular pivot block in front 0"
+        assert solve.threads == 1
+        assert solve.x.tobytes() == solvers.spsolve(system, rhs).x.tobytes()
+
+    def test_steady_state_records_the_fallback(self, every_fold_multifrontal, monkeypatch):
+        L = MULTIFRONTAL_CASES["atom_r1.2"]()
+        solvers._fronts.cache_clear()
+        multifrontal = steady_state(L, epsilon=math.inf)
+        assert multifrontal.diagnostics.lu_path == "multifrontal"
+        monkeypatch.setattr(solvers, "_BACKWARD_ERROR", 0.0)
+        fallback = steady_state(L, epsilon=math.inf)
+        assert fallback.diagnostics.lu_path.startswith(
+            "SuperLU after a multifrontal backward error of ")
+        assert fallback.diagnostics.lu_threads == 1
+        assert np.abs(fallback.matrix - multifrontal.matrix).max() <= 1e-13
+        solvers._fronts.cache_clear()
+
+    def test_small_folds_take_superlu(self):
+        # below _MULTIFRONTAL_MIN unknowns, and the empty cavity's fold at
+        # phi = 0, whose fronts average too few flops
+        solvers._fronts.cache_clear()
+        for L in (build_liouvillian(ATOM, SqueezedBath(0.6), SpaceDims(60)),
+                  empty_cavity_liouvillian(0.8, 160)):
+            rho = steady_state(L, epsilon=math.inf)
+            assert (rho.diagnostics.lu_path, rho.diagnostics.lu_threads) == ("SuperLU", 1)
+        L = build_liouvillian(ATOM, SqueezedBath(0.6), SpaceDims(80))
+        assert steady_state(L, epsilon=math.inf).diagnostics.lu_path == "multifrontal"
+        solvers._fronts.cache_clear()
+
+
 class TestTruncationCheck:
     def test_vacuum_tail_is_zero(self):
         rho = fock_state(FieldSpace(12), 0)

@@ -692,6 +692,43 @@ def test_each_worker_runs_blas_on_one_thread(tmp_path, monkeypatch, blas_spy, wo
 
 
 @needs_blas
+def test_each_point_gets_its_share_of_the_cores_for_the_lu(tmp_path, monkeypatch):
+    # cutoff 80 takes the multifrontal LU; one worker leaves each point's LU
+    # cores // 1 threads (two at most, one per half of the tree), two
+    # workers cores // 2; the files are the same bytes either way (the
+    # header echoes output_path, so each run writes m.csv in its own
+    # directory)
+    solves, real = [], solvers.spsolve
+    monkeypatch.setattr(solvers, "spsolve",
+                        lambda *args: solves.append(real(*args)) or solves[-1])
+    written = []
+    for workers in (1, 2):
+        monkeypatch.setenv("SIM_THREADS", str(workers))
+        (tmp_path / str(workers)).mkdir()
+        monkeypatch.chdir(tmp_path / str(workers))
+        main(["--r", "0.3,0.5", "--cutoff", "80", "--guard", "8", "--out", "m.csv"])
+        expected = min(2, max(1, _blas._cores() // workers))
+        assert [(s.path, s.threads) for s in solves] == [("multifrontal", expected)] * 2
+        solves.clear()
+        written.append((tmp_path / str(workers) / "m.csv").read_bytes())
+    assert written[0] == written[1]
+
+
+def test_nested_budgets_keep_the_outer_share():
+    def alone(workers):
+        with _blas.thread_budget(workers) as threads:
+            return threads
+
+    with _blas.thread_budget(2) as outer:
+        assert outer == (max(1, _blas._cores() // 2) if BLAS else 1)
+        assert alone(1) == outer
+        # another thread starts from a budget of its own
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            assert pool.submit(alone, 1).result(timeout=60) == (_blas._cores() if BLAS else 1)
+    assert alone(1) == (_blas._cores() if BLAS else 1)
+
+
+@needs_blas
 def test_blas_threads_restored_after_a_failing_sweep(tmp_path, monkeypatch, blas_spy):
     monkeypatch.setenv("SIM_THREADS", "2")
     before = blas_threads()
