@@ -736,8 +736,7 @@ def _rings(box: np.ndarray, cell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     starts = np.stack([k_lo * width + s_lo, k_hi * width + s_lo,
                        (k_lo + 1) * width + s_lo, (k_lo + 1) * width + s_hi], axis=1).ravel()
     steps = np.tile([1, 1, width, width], box.shape[0])
-    offsets = np.cumsum(lengths) - lengths
-    within = np.arange(int(lengths.sum())) - np.repeat(offsets, lengths)
+    within = _ranges(np.zeros_like(lengths), lengths)
     points = cell.ravel()[np.repeat(starts, lengths) + np.repeat(steps, lengths) * within]
     owner = np.repeat(np.arange(box.shape[0]), lengths.reshape(-1, 4).sum(axis=1))
     kept = points >= 0
@@ -812,37 +811,42 @@ def _fronts(plan, phase: bool) -> _Fronts | None:
     if np.sum(p * (2 / 3 * p * p + 2 * q * (p + q))) < _FRONT_FLOPS * n_fronts:
         return None
 
-    def locate(f: np.ndarray, x: np.ndarray):
-        """The place of each unknown x among the rows of front f, no
-        earlier than f's pivots, and whether every x is one of them."""
-        place = x - first[f]
-        other = np.flatnonzero(x >= end[f])
-        wanted = f[other].astype(np.int64) * m + x[other]
-        at = np.searchsorted(key, wanted)
-        place[other] = p[f[other]] + at - row_ptr[f[other]]
-        return place, bool(np.all(place >= 0)
-                           and np.array_equal(key[np.minimum(at, key.size - 1)], wanted))
-
     # each entry goes to the front of its row or its column, whichever
-    # comes first, where that one is a pivot
-    low = np.minimum(fold.indices, column)
-    entry_front = front_of[low]
-    high, found = locate(entry_front, np.maximum(fold.indices, column))
-    upper = fold.indices == low
-    row, col = np.where(upper, low - first[entry_front], high), np.where(upper, high, low - first[entry_front])
-    # each front's rows go to its parent
-    below = np.repeat(parent, q)
-    into, found_into = locate(below, rows)
-    if not (found and found_into):
-        return None
-    # a stable sort of 16-bit keys is a radix sort
+    # comes first; a stable sort of 16-bit keys is a radix sort
+    entry_front = front_of[np.minimum(fold.indices, column)]
     entries = np.argsort(entry_front.astype(np.uint16) if n_fronts <= 1 << 16 else entry_front,
                          kind="stable")
     entry_ptr = np.searchsorted(entry_front[entries], np.arange(n_fronts + 1))
     children = np.argsort(parent[:-1], kind="stable")
     child_ptr = np.searchsorted(parent[:-1][children], np.arange(n_fronts + 1))
+    # the rows and columns of the entries, and the rows of each front's
+    # children, front by front
+    entry_rows, entry_cols = fold.indices[entries], column[entries]
+    child_rows = _ranges(row_ptr[children], q[children])
+    child_row_ptr = np.concatenate([[0], np.cumsum(q[children])])[child_ptr]
+    # the place of each unknown among the rows of one front at a time, and
+    # that front; an unknown that is none of its rows keeps another's
+    place, owner = np.empty(m, dtype=np.intp), np.empty(m, dtype=np.intp)
+    local = np.arange(int((p + q).max()))
+    places, placed = np.empty(entries.size, dtype=np.intp), np.empty(child_rows.size, np.intp)
+    owners = np.empty((3, max(entries.size, child_rows.size)), dtype=np.intp)
+    for f, (a, b, c, d, e0, e1, k0, k1) in enumerate(zip(*(
+            bound.tolist() for bound in (first, end, row_ptr[:-1], row_ptr[1:], entry_ptr[:-1],
+                                         entry_ptr[1:], child_row_ptr[:-1], child_row_ptr[1:])))):
+        place[a:b], place[rows[c:d]] = local[:b - a], local[b - a:b - a + d - c]
+        owner[a:b], owner[rows[c:d]] = f, f
+        row, col, below = entry_rows[e0:e1], entry_cols[e0:e1], rows[child_rows[k0:k1]]
+        places[e0:e1] = place[row] + place[col] * (b - a + d - c)
+        placed[k0:k1] = place[below]
+        owners[0, e0:e1], owners[1, e0:e1], owners[2, k0:k1] = owner[row], owner[col], owner[below]
+    if not (np.array_equal(owners[0, :entries.size], entry_front[entries])
+            and np.array_equal(owners[1, :entries.size], entry_front[entries])
+            and np.array_equal(owners[2, :child_rows.size],
+                               np.repeat(np.arange(n_fronts), np.diff(child_row_ptr)))):
+        return None
+    into = np.empty(rows.size, dtype=np.intp)
+    into[child_rows] = placed
     top = children[child_ptr[-2]:]
-    places = (row + col * (p + q)[entry_front])[entries]
     fronts = _Fronts(first=first, end=end, rows=rows, row_ptr=row_ptr, entries=entries,
                      places=places, entry_ptr=entry_ptr, into=into, children=children,
                      child_ptr=child_ptr,
@@ -905,8 +909,10 @@ def _multifrontal(system: sp.csc_matrix, rhs: np.ndarray, fronts: _Fronts,
     if threads > 1 and fronts.halves:
         with ThreadPoolExecutor(max_workers=1) as pool:
             other = pool.submit(factor, fronts.halves[1])
-            factor(fronts.halves[0])
-            other.result()
+            try:
+                factor(fronts.halves[0])
+            finally:
+                other.result()
         factor(range(n_fronts - 1, n_fronts))
     else:
         factor(range(n_fronts))
@@ -979,7 +985,9 @@ def steady_state(L: Superoperator, guard: int | None = None,
     part only, are the unknowns of one real system of about d²/2 unknowns,
     in nested-dissection order with rho_00 last. Its rho_00 row is replaced
     by the trace row and the right-hand side by the last unit vector,
-    keeping the system square.
+    keeping the system square. It is solved by the multifrontal LU on the
+    dissection's tree (`_fronts`, `spsolve`), or by SuperLU on small folds
+    and where a front fails.
 
     At phi = 0 and zero detunings the model has one more symmetry: L
     commutes with rho -> U rho* U†, U = (-1)^sigma_ee, so every rho_ij is
