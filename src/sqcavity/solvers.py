@@ -761,7 +761,7 @@ def _fronts(plan, phase: bool) -> _Fronts | None:
     """
     maps, fold = _sector_maps(plan.space), _fold(plan, phase)
     m, tree = fold.indptr.size - 1, maps.tree
-    if m < _MULTIFRONTAL_MIN or not tree.size:
+    if m < _MULTIFRONTAL_MIN:
         return None
     # the first unknown of each representative
     count = np.count_nonzero(_slots(maps, phase) >= 0, axis=0)
