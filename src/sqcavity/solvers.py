@@ -259,8 +259,8 @@ def _dissect(k: np.ndarray, s: np.ndarray, weight: np.ndarray) -> tuple[np.ndarr
         begin = np.flatnonzero(np.diff(half, prepend=-1))
         base = np.stack([base, base + n_low], axis=1).ravel()[half[begin]]
         parent = ids[half[begin] // 2]
-    # children end no later than their parent, and one of an empty line
-    # as late: in order of end, deeper levels first
+    # a child ends before its parent, or with it where the parent is an
+    # empty line: in order of end, deeper levels first
     tree = np.concatenate(nodes, axis=1) if nodes else np.empty((9, 0), dtype=np.intp)
     order = np.lexsort((tree[-1], tree[_TREE.index("end")]))
     tree = tree[:-1, order].T.copy()
