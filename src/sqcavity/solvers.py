@@ -223,9 +223,9 @@ def _dissect(k: np.ndarray, s: np.ndarray, weight: np.ndarray) -> tuple[np.ndarr
     the number of the first unknown of its leaf or line, and the tree of
     the leaves and lines, one row each in the order of their unknowns
     (children before parents), with the columns of `_TREE`: the first
-    unknown of its part, its own first unknown and the one after its last,
-    its parent's row (-1 for the root) and the box of its part, the part a
-    line splits or the leaf itself.
+    unknown of its part, the part a line splits or the leaf itself, its
+    own first unknown and the one after its last, and its parent's row
+    (-1 for the root).
     """
     first = np.empty(k.size, dtype=np.intp)
     # the points of the parts of a level, part by part, where each part
@@ -251,7 +251,7 @@ def _dissect(k: np.ndarray, s: np.ndarray, weight: np.ndarray) -> tuple[np.ndarr
         first[points[line]] = (base + n_low + n_high)[part[line]]
         ids = sum(level.shape[1] for level in nodes) + np.arange(begin.size)
         nodes.append(np.stack([base, base + n_low + n_high, base + size, parent,
-                               k_min, k_max, s_min, s_max, np.full(begin.size, -len(nodes))]))
+                               np.full(begin.size, -len(nodes))]))
         # the halves, the lower one first, are the parts of the next level
         half = (2 * part + high)[low | high]
         by_half = np.argsort(half, kind="stable")
@@ -261,7 +261,7 @@ def _dissect(k: np.ndarray, s: np.ndarray, weight: np.ndarray) -> tuple[np.ndarr
         parent = ids[half[begin] // 2]
     # a child ends before its parent, or with it where the parent is an
     # empty line: in order of end, deeper levels first
-    tree = np.concatenate(nodes, axis=1) if nodes else np.empty((9, 0), dtype=np.intp)
+    tree = np.concatenate(nodes, axis=1) if nodes else np.empty((5, 0), dtype=np.intp)
     order = np.lexsort((tree[-1], tree[_TREE.index("end")]))
     tree = tree[:-1, order].T.copy()
     renumber = np.empty(order.size + 1, dtype=np.intp)
@@ -271,15 +271,14 @@ def _dissect(k: np.ndarray, s: np.ndarray, weight: np.ndarray) -> tuple[np.ndarr
 
 
 # the columns of a nested-dissection tree (`_dissect`)
-_TREE = ("base", "first", "end", "parent", "k_lo", "k_hi", "s_lo", "s_hi")
+_TREE = ("base", "first", "end", "parent")
 
 
 def _sector_order(n: np.ndarray, even: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The vec indices `even` of the equal-parity sector, for excitation
     numbers n of the basis states, in the order they are factorized:
     nested dissection, with rho_00 (even[0]) last; and the dissection's
-    tree (`_dissect`), its unknowns numbered in that order and its boxes in
-    (k, s).
+    tree (`_dissect`), its unknowns numbered in that order.
 
     Every term of the generator moves an entry rho_(N_i, N_j) by at most 2
     in N_i and in N_j, keeping their parity, so on this sector
@@ -288,7 +287,8 @@ def _sector_order(n: np.ndarray, even: np.ndarray) -> tuple[np.ndarray, np.ndarr
     line, so the points are dissected (`_dissect`) and each leaf and line
     keeps its unknowns in vec order.
     """
-    k, s = _grid(n, even[1:])
+    n_i, n_j = n[even[1:] % n.size], n[even[1:] // n.size]
+    k, s = (n_i - n_j) // 2, (n_i + n_j) // 2
     width, k_min = s.max(initial=0) + 1, k.min(initial=0)
     cell = (k - k_min) * width + s
     weight = np.bincount(cell)
@@ -296,13 +296,6 @@ def _sector_order(n: np.ndarray, even: np.ndarray) -> tuple[np.ndarray, np.ndarr
     first, tree = _dissect(grid // width + k_min, grid % width, weight[grid])
     order = np.argsort(first[np.searchsorted(grid, cell)], kind="stable")
     return even[np.append(order + 1, 0)], tree
-
-
-def _grid(n: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(k, s) = ((N_i - N_j)/2, (N_i + N_j)/2) of the vec indices v of the
-    equal-parity sector, n being the excitation numbers."""
-    n_i, n_j = n[v % n.size], n[v // n.size]
-    return (n_i - n_j) // 2, (n_i + n_j) // 2
 
 
 class _SectorMaps(NamedTuple):
@@ -318,7 +311,8 @@ class _SectorMaps(NamedTuple):
     k >= 0 half of the grid). `folded` lists the representatives in the
     order they are factorized, and `place` gives, for each v, the place in
     `folded` of its representative, v or t(v) (-1 outside the sector).
-    `tree` is the nested-dissection tree of `folded` (`_sector_order`).
+    `tree` is the nested-dissection tree of `folded` (`_sector_order`),
+    from which `_fronts` groups the unknowns into fronts.
     """
 
     u: np.ndarray
@@ -670,13 +664,6 @@ def _block(L: Superoperator) -> tuple[_Fold, sp.csc_matrix]:
                                 fold.indices, fold.indptr), shape=(size, size))
 
 
-def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The integers of the ranges [starts, starts + lengths), one after
-    another."""
-    offsets = np.cumsum(lengths) - lengths
-    return np.arange(int(lengths.sum())) + np.repeat(starts - offsets, lengths)
-
-
 class _Fronts(NamedTuple):
     """The fronts of the multifrontal LU of one fold (`_fronts`), in the
     order they are factorized, children before parents; read-only.
@@ -723,41 +710,21 @@ _FRONT_FLOPS = 1e6
 _BACKWARD_ERROR = 1e-14
 
 
-def _rings(box: np.ndarray, cell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The grid points of the one-point ring around each box (k_lo, k_hi,
-    s_lo, s_hi) that exist: (box, point) pairs, `cell` numbering the points
-    of a grid of one more row and column on every side, -1 where none is."""
-    k_lo, k_hi, s_lo, s_hi = box.T + [[-1], [1], [-1], [1]]
-    width = cell.shape[1]
-    # the rows k_lo and k_hi from s_lo to s_hi, the columns s_lo and s_hi
-    # between them
-    along_s, along_k = s_hi - s_lo + 1, k_hi - k_lo - 1
-    lengths = np.stack([along_s, along_s, along_k, along_k], axis=1).ravel()
-    starts = np.stack([k_lo * width + s_lo, k_hi * width + s_lo,
-                       (k_lo + 1) * width + s_lo, (k_lo + 1) * width + s_hi], axis=1).ravel()
-    steps = np.tile([1, 1, width, width], box.shape[0])
-    within = _ranges(np.zeros_like(lengths), lengths)
-    points = cell.ravel()[np.repeat(starts, lengths) + np.repeat(steps, lengths) * within]
-    owner = np.repeat(np.arange(box.shape[0]), lengths.reshape(-1, 4).sum(axis=1))
-    kept = points >= 0
-    return owner[kept], points[kept]
-
-
 @shared_cache(maxsize=4)
 def _fronts(plan, phase: bool) -> _Fronts | None:
-    """The `_Fronts` of the fold `_fold(plan, phase)`, from the geometry of
-    its nested-dissection tree; None where the fold's pattern does not fit
-    them.
+    """The `_Fronts` of the fold `_fold(plan, phase)` on its
+    nested-dissection tree; None where the tree does not fit the fold's
+    pattern or SuperLU is the faster LU.
 
     A subtree of the dissection of at most _FRONT_LEAF unknowns is one
     front, and every node of a larger subtree is a front of its own;
-    rho_00 joins the last front. A front's subtree covers the grid points
-    of its part, a box (`_dissect`), and every coupling moves at most one
-    point in k and in s, so the rows that eliminating it couples are the
-    unknowns of the grid points in the one-point ring around the box, all
-    of later fronts, and rho_00, where the trace row or rho_00's column
-    reaches the subtree. An entry of the system goes to the front of its
-    row or its column, whichever comes first.
+    rho_00 joins the last front. An entry of the system goes to the front
+    of its row or its column, whichever comes first. A front's rows are
+    the far ends of its own entries and its children's rows, those beyond
+    its pivots: the symbolic pass of the multifrontal LU along the tree
+    (Liu, SIAM Rev. 34, 82 (1992)). Each child's rows must then lie among
+    its parent's pivots and rows, that is, none before the parent's first
+    pivot; a tree where one does not is refused.
     """
     maps, fold = _sector_maps(plan.space), _fold(plan, phase)
     m, tree = fold.indptr.size - 1, maps.tree
@@ -772,84 +739,53 @@ def _fronts(plan, phase: bool) -> _Fronts | None:
     keep = np.flatnonzero(~small | (parent < 0) | ~small[parent])
     number = np.full(tree.shape[0] + 1, -1)
     number[keep] = np.arange(keep.size)
-    first, end, base = np.where(small, base, first)[keep], end[keep], base[keep]
-    parent, box = number[parent[keep]], tree[keep, _TREE.index("k_lo"):]
+    first, end, parent = np.where(small, base, first)[keep], end[keep], number[parent[keep]]
     end[-1] = m
     n_fronts = keep.size
     if np.any(end <= first):  # an empty line
         return None
-    front_of = np.repeat(np.arange(n_fronts), end - first)
-    # the grid point of each unknown but rho_00's, on a grid with room for
-    # the rings
-    k, s = _grid(_excitations(plan.space), maps.folded[:-1])
-    k_min, s_min = k.min() - 1, s.min() - 1
-    shape = (int(k.max() - k_min) + 2, int(s.max() - s_min) + 2)
-    point = np.repeat((k - k_min) * shape[1] + (s - s_min), count[:-1])
-    by_point = np.argsort(point)
-    point_ptr = np.searchsorted(point[by_point], np.arange(shape[0] * shape[1] + 1))
-    cell = np.where(np.diff(point_ptr) > 0, np.arange(shape[0] * shape[1]), -1).reshape(shape)
-    owner, points = _rings(box - [k_min, k_min, s_min, s_min], cell)
-    lengths = point_ptr[points + 1] - point_ptr[points]
-    front = np.repeat(owner, lengths)
-    rows = by_point[_ranges(point_ptr[points], lengths)]
-    # rho_00 joins every front whose subtree holds an unknown that the
-    # trace row, or rho_00's column, couples
-    column = np.repeat(np.arange(m), np.diff(fold.indptr))
-    coupled = np.concatenate([fold.indices[column == m - 1], column[fold.indices == m - 1]])
-    marked = np.zeros(n_fronts + 1, dtype=np.intp)
-    marked[1:][front_of[coupled]] = 1
-    marked = np.cumsum(marked)
-    reached = marked[1:] > marked[front_of[base]]
-    reached[-1] = False
-    front = np.concatenate([front, np.flatnonzero(reached)])
-    # every ring point is one front's, once, so the keys are distinct
-    key = np.sort(front.astype(np.int64) * m
-                  + np.concatenate([rows, np.full(np.count_nonzero(reached), m - 1)]))
-    row_ptr = np.searchsorted(key, np.arange(n_fronts + 1, dtype=np.int64) * m)
-    rows = (key % m).astype(np.intp)
-    p, q = end - first, np.diff(row_ptr)
-    if np.sum(p * (2 / 3 * p * p + 2 * q * (p + q))) < _FRONT_FLOPS * n_fronts:
-        return None
-
     # each entry goes to the front of its row or its column, whichever
     # comes first; a stable sort of 16-bit keys is a radix sort
-    entry_front = front_of[np.minimum(fold.indices, column)]
+    column = np.repeat(np.arange(m), np.diff(fold.indptr))
+    entry_front = np.repeat(np.arange(n_fronts), end - first)[np.minimum(fold.indices, column)]
     entries = np.argsort(entry_front.astype(np.uint16) if n_fronts <= 1 << 16 else entry_front,
                          kind="stable")
     entry_ptr = np.searchsorted(entry_front[entries], np.arange(n_fronts + 1))
     children = np.argsort(parent[:-1], kind="stable")
     child_ptr = np.searchsorted(parent[:-1][children], np.arange(n_fronts + 1))
-    # the rows and columns of the entries, and the rows of each front's
-    # children, front by front
     entry_rows, entry_cols = fold.indices[entries], column[entries]
-    child_rows = _ranges(row_ptr[children], q[children])
-    child_row_ptr = np.concatenate([[0], np.cumsum(q[children])])[child_ptr]
+    far = np.maximum(entry_rows, entry_cols)
     # the place of each unknown among the rows of one front at a time, and
-    # that front; an unknown that is none of its rows keeps another's
-    place, owner = np.empty(m, dtype=np.intp), np.empty(m, dtype=np.intp)
-    local = np.arange(int((p + q).max()))
-    places, placed = np.empty(entries.size, dtype=np.intp), np.empty(child_rows.size, np.intp)
-    owners = np.empty((3, max(entries.size, child_rows.size)), dtype=np.intp)
-    for f, (a, b, c, d, e0, e1, k0, k1) in enumerate(zip(*(
-            bound.tolist() for bound in (first, end, row_ptr[:-1], row_ptr[1:], entry_ptr[:-1],
-                                         entry_ptr[1:], child_row_ptr[:-1], child_row_ptr[1:])))):
-        place[a:b], place[rows[c:d]] = local[:b - a], local[b - a:b - a + d - c]
-        owner[a:b], owner[rows[c:d]] = f, f
-        row, col, below = entry_rows[e0:e1], entry_cols[e0:e1], rows[child_rows[k0:k1]]
-        places[e0:e1] = place[row] + place[col] * (b - a + d - c)
-        placed[k0:k1] = place[below]
-        owners[0, e0:e1], owners[1, e0:e1], owners[2, k0:k1] = owner[row], owner[col], owner[below]
-    if not (np.array_equal(owners[0, :entries.size], entry_front[entries])
-            and np.array_equal(owners[1, :entries.size], entry_front[entries])
-            and np.array_equal(owners[2, :child_rows.size],
-                               np.repeat(np.arange(n_fronts), np.diff(child_row_ptr)))):
+    # the rows of that front, marked while they are gathered
+    place, local, seen = np.empty(m, dtype=np.intp), np.arange(m), np.zeros(m, dtype=bool)
+    places, rows, into = np.empty(entries.size, dtype=np.intp), [], [local[:0]] * n_fronts
+    for f, (a, b, e0, e1, c0, c1) in enumerate(zip(*(
+            bound.tolist() for bound in (first, end, entry_ptr[:-1], entry_ptr[1:],
+                                         child_ptr[:-1], child_ptr[1:])))):
+        below = children[c0:c1].tolist()
+        coupled = np.concatenate([far[e0:e1], *(rows[child] for child in below)])
+        seen[coupled[coupled >= b]] = True
+        rows.append(np.flatnonzero(seen[b:]) + b)
+        seen[rows[f]] = False
+        n = b - a + rows[f].size
+        place[a:b], place[rows[f]] = local[:b - a], local[b - a:n]
+        places[e0:e1] = place[entry_rows[e0:e1]] + place[entry_cols[e0:e1]] * n
+        for child in below:
+            into[child] = place[rows[child]]
+    p, q = end - first, np.array([front_rows.size for front_rows in rows])
+    row_ptr = np.concatenate([[0], np.cumsum(q)])
+    rows = np.concatenate(rows)
+    # a child's first row before its parent's first pivot is a row that
+    # the parent does not hold
+    handing = np.flatnonzero(q)
+    if np.any(rows[row_ptr[handing]] < first[parent[handing]]):
         return None
-    into = np.empty(rows.size, dtype=np.intp)
-    into[child_rows] = placed
+    if np.sum(p * (2 / 3 * p * p + 2 * q * (p + q))) < _FRONT_FLOPS * n_fronts:
+        return None
     top = children[child_ptr[-2]:]
     fronts = _Fronts(first=first, end=end, rows=rows, row_ptr=row_ptr, entries=entries,
-                     places=places, entry_ptr=entry_ptr, into=into, children=children,
-                     child_ptr=child_ptr,
+                     places=places, entry_ptr=entry_ptr, into=np.concatenate(into),
+                     children=children, child_ptr=child_ptr,
                      halves=(range(top[0] + 1), range(top[0] + 1, n_fronts - 1))
                      if top.size >= 2 else None)
     _read_only(fronts[:-1])
@@ -866,16 +802,23 @@ def _factor_fronts(fronts: _Fronts, values: np.ndarray, rhs: np.ndarray, solved:
     side: each front's array is assembled from the system's values, the
     right-hand side's pivot rows and its children's updates;
     X = F11^-1 [F12 | b], by an LU with partial pivoting among the pivot
-    rows, goes to `solved`, and the update [F22 | b] - F21 X to
-    `updates`. The updates are added through flat indices, which numpy
-    adds without holding the interpreter lock, unlike its 2-D fancy and
-    small slice adds."""
+    rows, goes to `solved`, and the update [F22 | b] - F21 X, copied out,
+    to `updates`. The fronts are assembled one after another in one
+    workspace, the size of the largest, like the frontal stack of
+    multifrontal codes, so that its pages are faulted in once per call,
+    not once per front.
+    The updates are added through flat indices, which numpy adds without
+    holding the interpreter lock, unlike its 2-D fancy and small slice
+    adds."""
+    sizes = (fronts.end - fronts.first + np.diff(fronts.row_ptr))[span.start:span.stop]
+    workspace = np.empty(int(np.max(sizes * (sizes + 1), initial=0)))
     for f in span:
         first, end = int(fronts.first[f]), int(fronts.end[f])
         p = end - first
         n = p + int(fronts.row_ptr[f + 1] - fronts.row_ptr[f])
-        front = np.zeros((n, n + 1), order="F")
-        flat = front.ravel(order="F")
+        flat = workspace[:n * (n + 1)]
+        flat.fill(0.0)
+        front = flat.reshape((n, n + 1), order="F")
         a, b = fronts.entry_ptr[f], fronts.entry_ptr[f + 1]
         flat[fronts.places[a:b]] = values[a:b]
         front[:p, n] = rhs[first:end]
@@ -888,9 +831,7 @@ def _factor_fronts(fronts: _Fronts, values: np.ndarray, rhs: np.ndarray, solved:
         except np.linalg.LinAlgError:
             raise _SingularFront(f) from None
         if n > p:
-            update = front[p:, p:]
-            update -= front[p:, :p] @ x
-            updates[f] = update
+            updates[f] = front[p:, p:] - front[p:, :p] @ x
         solved[f] = x
 
 

@@ -1143,7 +1143,8 @@ def naive_front_rows(system, fronts):
     """The rows of each front found by eliminating its pivots from the
     graph of system + system^T, with the rows of the fronts eliminated
     before it that go to it (those whose first row is its pivot): the
-    plain symbolic pass the geometric one must cover."""
+    plain symbolic pass on the elimination tree, which the fronts' rows
+    must cover."""
     pattern = (abs(system) + abs(system).T).tocsr()
     front_of = np.repeat(np.arange(fronts.first.size), fronts.end - fronts.first)
     passed = [set() for _ in range(fronts.first.size)]
@@ -1155,6 +1156,24 @@ def naive_front_rows(system, fronts):
         rows.append(found)
         if found:
             passed[front_of[min(found)]] |= found
+    return rows
+
+
+def tree_front_rows(system, fronts):
+    """The rows of each front found from the pattern of system + system^T,
+    stored zeros included: the unknowns beyond its pivots that its pivots
+    couple, and those its children in the fronts' tree hand it."""
+    ones = sp.csc_matrix((np.ones(system.nnz), system.indices, system.indptr),
+                         shape=system.shape)
+    pattern = (ones + ones.T).tocsc()
+    parent = front_parents(fronts)
+    passed = [set() for _ in range(fronts.first.size)]
+    rows = []
+    for f, (first, end) in enumerate(zip(fronts.first.tolist(), fronts.end.tolist())):
+        found = set(pattern.indices[pattern.indptr[first]:pattern.indptr[end]].tolist())
+        rows.append({x for x in found | passed[f] if x >= end})
+        if parent[f] >= 0:
+            passed[parent[f]] |= rows[f]
     return rows
 
 
@@ -1209,14 +1228,36 @@ class TestMultifrontal:
         parent = front_parents(fronts)
         assert np.array_equal(fronts.first[1:], fronts.end[:-1])
         assert fronts.end[-1] == system.shape[0] and fronts.first[0] == 0
+        exact = tree_front_rows(system, fronts)
         for f, naive in enumerate(naive_front_rows(system, fronts)):
             rows = fronts.rows[fronts.row_ptr[f]:fronts.row_ptr[f + 1]]
+            assert np.all(np.diff(rows) > 0)
+            assert set(rows.tolist()) == exact[f]
             assert naive <= set(rows.tolist())
             ancestors, g = [], parent[f]
             while g >= 0:
                 ancestors.append(np.arange(fronts.first[g], fronts.end[g]))
                 g = parent[g]
             assert np.isin(rows, np.concatenate([[], *ancestors])).all()
+
+    def test_tree_that_misses_a_childs_rows_takes_superlu(self, every_fold_multifrontal,
+                                                          monkeypatch):
+        # a node re-hung from the root, past its old parent, whose pivots
+        # its first row lies in
+        L = MULTIFRONTAL_CASES["atom_r1.2"]()
+        maps, phase = solvers._sector_maps(L.space), solvers._fold_phase(L)
+        assert solvers._fronts.__wrapped__(L.plan, phase) is not None
+        tree, column = maps.tree.copy(), solvers._TREE.index("parent")
+        parent, root = tree[:, column], tree.shape[0] - 1
+        node = np.flatnonzero((parent >= 0) & (parent[parent] == root))[0]
+        tree[node, column] = root
+        monkeypatch.setattr(solvers, "_sector_maps", lambda space: maps._replace(tree=tree))
+        assert solvers._fronts.__wrapped__(L.plan, phase) is None
+        solvers._fronts.cache_clear()
+        try:
+            assert steady_state(L, epsilon=math.inf).diagnostics.lu_path == "SuperLU"
+        finally:
+            solvers._fronts.cache_clear()
 
     def test_one_and_two_threads_give_identical_factors(self, every_fold_multifrontal):
         system, rhs, fronts = system_and_fronts(MULTIFRONTAL_CASES["atom_r1.2"]())
