@@ -54,14 +54,12 @@ import scipy.sparse as sp
 from ._cache import shared_cache
 from .errors import UnsupportedFrameError
 from .operators import (
-    Operator,
     Space,
     SpaceDims,
     annihilation,
     atom_sigma,
     bogoliubov_b,
     embed_field,
-    lift,
 )
 
 
@@ -138,27 +136,33 @@ def _kron_factors(space: Space, K, jumps) -> list:
         (sp.coo_matrix(B).T, sp.coo_matrix(A), w) for w, A, B in jumps if w != 0]
 
 
-def _hamiltonian(params: SystemParams, x: Operator) -> sp.csr_matrix:
+def _field(space: Space, field_op) -> sp.csr_matrix:
+    """`embed_field(space, field_op)`, sparse, formed without a d×d array."""
+    if isinstance(space, SpaceDims):
+        field = sp.csr_matrix(field_op(space.fock_cutoff).matrix)
+        return sp.kron(sp.identity(2), field, format="csr")
+    return sp.csr_matrix(embed_field(space, field_op).matrix)
+
+
+def _hamiltonian(params: SystemParams, space: Space, x: sp.csr_matrix) -> sp.csr_matrix:
     """delta_C x†x, plus delta_A sigma_ee + g0 (sigma_eg x + h.c.) on the
-    composite space, on x's space as a sparse matrix."""
-    xs = sp.csr_matrix(x.matrix)
-    h = params.delta_C * (xs.conj().T @ xs)
-    if isinstance(x.space, SpaceDims):
-        s_ee = sp.csr_matrix(lift(atom_sigma("e", "e"), "atom", x.space).matrix)
-        s_eg = sp.csr_matrix(lift(atom_sigma("e", "g"), "atom", x.space).matrix)
-        coupling = s_eg @ xs
+    composite space, for the sparse field operator x on this space."""
+    h = params.delta_C * (x.conj().T @ x)
+    if isinstance(space, SpaceDims):
+        eye = sp.identity(space.fock_cutoff)
+        s_ee, s_eg = (sp.kron(atom_sigma("e", j).matrix, eye, format="csr") for j in "eg")
+        coupling = s_eg @ x
         h = h + params.delta_A * s_ee + params.g0 * (coupling + coupling.conj().T)
     return h
 
 
-def _jump_operators(c: Operator) -> list:
-    """(A, B) of each jump: the cavity's into the bath through c, then, on
-    the composite space, the atom's through sigma_ge."""
-    a = sp.csr_matrix(c.matrix)
+def _jump_operators(space: Space, a: sp.csr_matrix) -> list:
+    """(A, B) of each jump: the cavity's into the bath through the sparse
+    field operator a, then, on the composite space, the atom's through sigma_ge."""
     ad = a.conj().T.tocsr()
     operators = [(a, ad), (ad, a), (ad, ad), (a, a)]
-    if isinstance(c.space, SpaceDims):
-        s_ge = sp.csr_matrix(lift(atom_sigma("g", "e"), "atom", c.space).matrix)
+    if isinstance(space, SpaceDims):
+        s_ge = sp.kron(atom_sigma("g", "e").matrix, sp.identity(space.fock_cutoff), format="csr")
         operators.append((s_ge, s_ge.conj().T.tocsr()))
     return operators
 
@@ -213,8 +217,14 @@ def _make_plan(space: Space, h, operators) -> _Plan:
     products = [B @ A for A, B in operators]
     # K's pattern at any weights: every jump's at a nonzero one
     K = sp.coo_matrix(abs(h) + sum(abs(p) for p in products))
-    plan = _Plan(space, K.row, K.col, h.toarray()[K.row, K.col],
-                 tuple(p.toarray()[K.row, K.col] for p in products),
+
+    def on_pattern(m):
+        # m's entries at K's (scipy reads an empty pattern as a sparse matrix);
+        # adding 0.0 turns a -0.0 part into +0.0, as a dense copy would
+        values = sp.csr_matrix(m)[K.row, K.col] if K.nnz else np.zeros(0, m.dtype)
+        return np.asarray(values).ravel() + 0.0
+
+    plan = _Plan(space, K.row, K.col, on_pattern(h), tuple(map(on_pattern, products)),
                  tuple((A.tocsr(), B.tocsr()) for A, B in operators))
     _read_only((plan.row, plan.col, plan.h, *plan.products,
                 *(x for pair in plan.jumps for m in pair for x in (m.data, m.indices, m.indptr))))
@@ -224,8 +234,8 @@ def _make_plan(space: Space, h, operators) -> _Plan:
 @shared_cache(maxsize=2)
 def _plan(params: SystemParams, space: Space) -> _Plan:
     """The lab-frame generator's plan; the two most recent are kept."""
-    a = embed_field(space, annihilation)
-    return _make_plan(space, _hamiltonian(params, a), _jump_operators(a))
+    a = _field(space, annihilation)
+    return _make_plan(space, _hamiltonian(params, space, a), _jump_operators(space, a))
 
 
 def _at(plan: _Plan, weights) -> Superoperator:
@@ -315,6 +325,7 @@ def build_bogoliubov_liouvillian(params: SystemParams, bath: SqueezedBath,
             f"got phi = {bath.phi}, delta_A = {params.delta_A}, delta_C = {params.delta_C}"
         )
     ch, sh = float(np.cosh(bath.r)), float(np.sinh(bath.r))
-    b = embed_field(space, partial(bogoliubov_b, bath.r))
-    plan = _make_plan(space, _hamiltonian(params, ch * b + sh * b.dag()), _jump_operators(b))
+    b = _field(space, partial(bogoliubov_b, bath.r))
+    plan = _make_plan(space, _hamiltonian(params, space, ch * b + sh * b.conj().T),
+                      _jump_operators(space, b))
     return _at(plan, _weights(params, 0.0, 0.0))

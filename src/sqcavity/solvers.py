@@ -142,9 +142,12 @@ def make_density_matrix(space: Space, raw: np.ndarray) -> DensityMatrix:
     Non-finite entries, a Hermiticity error max |raw - raw†| above
     HERM_TOL |Re tr raw| and negative eigenvalues below the tolerance abort
     the run: they signal a cutoff or solver failure that must not leak into
-    results.
+    results. The eigenvalues are taken of the two excitation-parity blocks
+    when no entry between them is nonzero, as in every steady state.
     """
     raw = np.asarray(raw, dtype=complex)
+    if raw.shape != (space.dim, space.dim):
+        raise CorruptedStateError(f"state shape {raw.shape} on a space of dimension {space.dim}")
     herm_err = float(np.abs(raw - raw.conj().T).max())
     # any non-finite entry leaves a non-finite difference at its place
     if not math.isfinite(herm_err):
@@ -157,8 +160,10 @@ def make_density_matrix(space: Space, raw: np.ndarray) -> DensityMatrix:
         raise CorruptedStateError(f"hermiticity error {herm_err:.3e} exceeds {HERM_TOL:.0e} |tr|")
     trace_err = float(abs(tr - 1.0))
     m = m / tr.real
-    eigs = np.linalg.eigvalsh(m)
-    min_eig = float(eigs[0])
+    # m is Hermitian: its parity blocks are apart where this one is zero
+    even, odd = (np.flatnonzero(_excitations(space) % 2 == k) for k in (0, 1))
+    blocks = [m] if np.any(m[np.ix_(even, odd)]) else [m[np.ix_(k, k)] for k in (even, odd)]
+    min_eig = min(float(np.linalg.eigvalsh(block)[0]) for block in blocks)
     if min_eig < MIN_EIG_TOL:
         raise CorruptedStateError(
             f"minimum eigenvalue {min_eig:.3e} below tolerance {MIN_EIG_TOL:.0e}"
@@ -681,7 +686,8 @@ class _Fronts(NamedTuple):
     fronts whose updates g takes, in the order they are added, and
     `halves`, when the last front has two children or more, splits the
     fronts before it into its first child's subtree and the others', which
-    can be factorized apart.
+    can be factorized apart. `entries`, `places`, `rows` and `into` are
+    int32, as the fold's `indptr` is; `_fronts` refuses larger fronts.
     """
 
     first: np.ndarray
@@ -749,7 +755,7 @@ def _fronts(plan, phase: bool) -> _Fronts | None:
     column = np.repeat(np.arange(m), np.diff(fold.indptr))
     entry_front = np.repeat(np.arange(n_fronts), end - first)[np.minimum(fold.indices, column)]
     entries = np.argsort(entry_front.astype(np.uint16) if n_fronts <= 1 << 16 else entry_front,
-                         kind="stable")
+                         kind="stable").astype(np.int32)
     entry_ptr = np.searchsorted(entry_front[entries], np.arange(n_fronts + 1))
     children = np.argsort(parent[:-1], kind="stable")
     child_ptr = np.searchsorted(parent[:-1][children], np.arange(n_fronts + 1))
@@ -758,7 +764,7 @@ def _fronts(plan, phase: bool) -> _Fronts | None:
     # the place of each unknown among the rows of one front at a time, and
     # the rows of that front, marked while they are gathered
     place, local, seen = np.empty(m, dtype=np.intp), np.arange(m), np.zeros(m, dtype=bool)
-    places, rows, into = np.empty(entries.size, dtype=np.intp), [], [local[:0]] * n_fronts
+    places, rows, into = np.empty(entries.size, dtype=np.int32), [], [local[:0]] * n_fronts
     for f, (a, b, e0, e1, c0, c1) in enumerate(zip(*(
             bound.tolist() for bound in (first, end, entry_ptr[:-1], entry_ptr[1:],
                                          child_ptr[:-1], child_ptr[1:])))):
@@ -774,17 +780,18 @@ def _fronts(plan, phase: bool) -> _Fronts | None:
             into[child] = place[rows[child]]
     p, q = end - first, np.array([front_rows.size for front_rows in rows])
     row_ptr = np.concatenate([[0], np.cumsum(q)])
-    rows = np.concatenate(rows)
+    rows = np.concatenate(rows, dtype=np.int32)
     # a child's first row before its parent's first pivot is a row that
-    # the parent does not hold
+    # the parent does not hold; the places of a front must fit in int32
     handing = np.flatnonzero(q)
-    if np.any(rows[row_ptr[handing]] < first[parent[handing]]):
+    if (np.any(rows[row_ptr[handing]] < first[parent[handing]])
+            or np.max((p + q) * (p + q + 1)) >= 1 << 31):
         return None
     if np.sum(p * (2 / 3 * p * p + 2 * q * (p + q))) < _FRONT_FLOPS * n_fronts:
         return None
     top = children[child_ptr[-2]:]
     fronts = _Fronts(first=first, end=end, rows=rows, row_ptr=row_ptr, entries=entries,
-                     places=places, entry_ptr=entry_ptr, into=np.concatenate(into),
+                     places=places, entry_ptr=entry_ptr, into=np.concatenate(into, dtype=np.int32),
                      children=children, child_ptr=child_ptr,
                      halves=(range(top[0] + 1), range(top[0] + 1, n_fronts - 1))
                      if top.size >= 2 else None)
@@ -796,20 +803,20 @@ class _SingularFront(Exception):
     """A front's pivot block is singular."""
 
 
-def _factor_fronts(fronts: _Fronts, values: np.ndarray, rhs: np.ndarray, solved: list,
+def _factor_fronts(fronts: _Fronts, data: np.ndarray, rhs: np.ndarray, solved: list,
                    updates: list, span: range):
     """Eliminate the fronts of `span`, in order, carrying the right-hand
-    side: each front's array is assembled from the system's values, the
-    right-hand side's pivot rows and its children's updates;
-    X = F11^-1 [F12 | b], by an LU with partial pivoting among the pivot
-    rows, goes to `solved`, and the update [F22 | b] - F21 X, copied out,
-    to `updates`. The fronts are assembled one after another in one
-    workspace, the size of the largest, like the frontal stack of
-    multifrontal codes, so that its pages are faulted in once per call,
-    not once per front.
-    The updates are added through flat indices, which numpy adds without
-    holding the interpreter lock, unlike its 2-D fancy and small slice
-    adds."""
+    side: each front's array is assembled from its entries of the system's
+    `data`, gathered front by front, the right-hand side's pivot rows and
+    its children's updates; X = F11^-1 [F12 | b], by an LU with partial
+    pivoting among the pivot rows, goes to `solved`, and the transposed
+    update ([F22 | b] - F21 X)^T, (q + 1) × q, formed in the array of its
+    product X^T F21^T, to `updates`. The fronts are assembled one after
+    another in one workspace, the size of the largest, like the frontal
+    stack of multifrontal codes, so that its pages are faulted in once per
+    call, not once per front.
+    The updates are added through flat indices, in order, which numpy adds
+    without the interpreter lock, unlike its 2-D fancy and small slice adds."""
     sizes = (fronts.end - fronts.first + np.diff(fronts.row_ptr))[span.start:span.stop]
     workspace = np.empty(int(np.max(sizes * (sizes + 1), initial=0)))
     for f in span:
@@ -820,18 +827,19 @@ def _factor_fronts(fronts: _Fronts, values: np.ndarray, rhs: np.ndarray, solved:
         flat.fill(0.0)
         front = flat.reshape((n, n + 1), order="F")
         a, b = fronts.entry_ptr[f], fronts.entry_ptr[f + 1]
-        flat[fronts.places[a:b]] = values[a:b]
+        flat[fronts.places[a:b]] = data[fronts.entries[a:b]]
         front[:p, n] = rhs[first:end]
         for child in fronts.children[fronts.child_ptr[f]:fronts.child_ptr[f + 1]].tolist():
             update, updates[child] = updates[child], None
-            into = fronts.into[fronts.row_ptr[child]:fronts.row_ptr[child + 1]]
-            flat[np.add.outer(np.append(into, n) * n, into)] += update.T
+            into = fronts.into[fronts.row_ptr[child]:fronts.row_ptr[child + 1]].astype(np.intp)
+            flat[np.add.outer(np.append(into, n) * n, into)] += update
         try:
             x = np.linalg.solve(front[:p, :p], front[:p, p:])
         except np.linalg.LinAlgError:
             raise _SingularFront(f) from None
         if n > p:
-            updates[f] = front[p:, p:] - front[p:, :p] @ x
+            update = x.T @ front[p:, :p].T
+            updates[f] = np.subtract(front[p:, p:].T, update, out=update)
         solved[f] = x
 
 
@@ -842,11 +850,12 @@ def _multifrontal(system: sp.csc_matrix, rhs: np.ndarray, fronts: _Fronts,
     right-hand side carried along, the two halves of the tree on two
     threads if `threads` > 1; return x and each front's X (p × (q + 1),
     `_factor_fronts`). Each front's update is added to its parent in the
-    fixed order of `children`, so nothing depends on the threads.
-    _SingularFront where a pivot block is singular."""
+    fixed order of `children`, so nothing depends on the threads; each
+    front gathers its own values. _SingularFront where a pivot block is
+    singular."""
     n_fronts = fronts.first.size
     solved, updates = [None] * n_fronts, [None] * n_fronts
-    factor = partial(_factor_fronts, fronts, system.data[fronts.entries], rhs, solved, updates)
+    factor = partial(_factor_fronts, fronts, system.data, rhs, solved, updates)
     if threads > 1 and fronts.halves:
         with ThreadPoolExecutor(max_workers=1) as pool:
             other = pool.submit(factor, fronts.halves[1])
@@ -859,10 +868,8 @@ def _multifrontal(system: sp.csc_matrix, rhs: np.ndarray, fronts: _Fronts,
         factor(range(n_fronts))
     x = np.empty(rhs.size)
     for f in reversed(range(n_fronts)):
-        eliminated = solved[f]
-        q = eliminated.shape[1] - 1
-        x[fronts.first[f]:fronts.end[f]] = eliminated[:, q] - eliminated[:, :q] @ x[
-            fronts.rows[fronts.row_ptr[f]:fronts.row_ptr[f + 1]]]
+        rows = fronts.rows[fronts.row_ptr[f]:fronts.row_ptr[f + 1]]
+        x[fronts.first[f]:fronts.end[f]] = solved[f][:, -1] - solved[f][:, :-1] @ x[rows]
     return x, solved
 
 

@@ -76,7 +76,8 @@ class TestSqueezedBath:
 
 
 def hamiltonian(params, space):
-    return liouvillian._hamiltonian(params, embed_field(space, annihilation)).toarray()
+    a = sp.csr_matrix(embed_field(space, annihilation).matrix)
+    return liouvillian._hamiltonian(params, space, a).toarray()
 
 
 class TestHamiltonian:
@@ -360,10 +361,11 @@ def one_pass_assembly(params, x, c, n_th, m_corr):
     the cavity's jump operator into a bath with (N, M). The reference the
     planned matrix must equal under ==: the same pattern and values, though
     a zero real or imaginary part may differ in sign."""
-    operators = liouvillian._jump_operators(c)
+    operators = liouvillian._jump_operators(c.space, sp.csr_matrix(c.matrix))
     weights = liouvillian._weights(params, n_th, m_corr)
-    K = liouvillian._no_jump_part(liouvillian._hamiltonian(params, x), weights,
-                                  [B @ A for A, B in operators])
+    K = liouvillian._no_jump_part(
+        liouvillian._hamiltonian(params, x.space, sp.csr_matrix(x.matrix)), weights,
+        [B @ A for A, B in operators])
     return kron_sum(x.space, K, [(w, A, B) for w, (A, B) in zip(weights, operators)])
 
 
@@ -473,6 +475,33 @@ def assert_identical(fast, reference):
         assert np.array_equal(getattr(fast, name), getattr(reference, name))
 
 
+def dense_plan(params, space, c, x=None):
+    """The plan of the model whose cavity decays through c and whose H
+    holds the field operator x (c where None), its operators lifted and
+    its values read through dense d×d arrays."""
+    x = c if x is None else x
+    xs, a = sp.csr_matrix(x.matrix), sp.csr_matrix(c.matrix)
+    h = params.delta_C * (xs.conj().T @ xs)
+    operators = [(a, a.conj().T.tocsr()), (a.conj().T.tocsr(), a),
+                 (a.conj().T.tocsr(), a.conj().T.tocsr()), (a, a)]
+    if isinstance(space, SpaceDims):
+        s_ee, s_eg, s_ge = (sp.csr_matrix(lift(atom_sigma(*levels), "atom", space).matrix)
+                            for levels in ("ee", "eg", "ge"))
+        coupling = s_eg @ xs
+        h = h + params.delta_A * s_ee + params.g0 * (coupling + coupling.conj().T)
+        operators.append((s_ge, s_ge.conj().T.tocsr()))
+    products = [B @ A for A, B in operators]
+    K = sp.coo_matrix(abs(h) + sum(abs(p) for p in products))
+    return liouvillian._Plan(space, K.row, K.col, h.toarray()[K.row, K.col],
+                             tuple(p.toarray()[K.row, K.col] for p in products),
+                             tuple((A.tocsr(), B.tocsr()) for A, B in operators))
+
+
+def plan_arrays(plan):
+    return [plan.row, plan.col, plan.h, *plan.products,
+            *(x for pair in plan.jumps for m in pair for x in (m.data, m.indices, m.indptr))]
+
+
 class TestPlannedGenerator:
     """Both frames' generators are put together from a plan, the lab
     frame's cached per (params, space): the same matrix as the one-pass
@@ -569,8 +598,25 @@ class TestPlannedGenerator:
         for bath, L in zip(baths, built):
             assert_identical(L, one_pass(params, bath, space))
 
+    @pytest.mark.parametrize("params, space", [
+        (ATOM, SpaceDims(2)), (ATOM, SpaceDims(40)), (SystemParams(), FieldSpace(2)),
+        (SystemParams(), FieldSpace(40)),
+        (SystemParams(delta_A=1.5, delta_C=-0.7, g0=15.0, gamma=0.8), SpaceDims(12)),
+        (SystemParams(delta_C=0.3, kappa=2.0), FieldSpace(12))])
+    def test_plan_matches_the_dense_lift(self, params, space):
+        # the plan's operators are embedded and lifted sparse; byte for
+        # byte they are those made through dense d×d arrays, in both frames
+        planned = [liouvillian._plan.__wrapped__(params, space)]
+        dense = [dense_plan(params, space, embed_field(space, annihilation))]
+        if params.delta_A == params.delta_C == 0:
+            planned.append(build_bogoliubov_liouvillian(params, SqueezedBath(0.5), space).plan)
+            b = embed_field(space, partial(bogoliubov_b, 0.5))
+            dense.append(dense_plan(params, space, b, np.cosh(0.5) * b + np.sinh(0.5) * b.dag()))
+        for mine, theirs in zip(planned, dense, strict=True):
+            for a, b in zip(plan_arrays(mine), plan_arrays(theirs), strict=True):
+                assert a.dtype == b.dtype
+                assert a.tobytes() == b.tobytes()
+
     def test_plan_is_read_only(self):
         plan = liouvillian._plan(ATOM, SpaceDims(6))
-        arrays = [plan.row, plan.col, plan.h, *plan.products]
-        arrays += [x for pair in plan.jumps for m in pair for x in (m.data, m.indices, m.indptr)]
-        assert not any(array.flags.writeable for array in arrays)
+        assert not any(array.flags.writeable for array in plan_arrays(plan))

@@ -1298,6 +1298,25 @@ class TestMultifrontal:
         assert np.abs(fallback.matrix - multifrontal.matrix).max() <= 1e-13
         solvers._fronts.cache_clear()
 
+    def test_lu_memory_stays_within_its_factors_and_one_front(self):
+        # one thread at cutoff 100 (10 100 unknowns): beside the factors X
+        # the LU holds the largest front's workspace and a few of the largest
+        # updates, no copy of the system's values and no second temporary
+        # per update
+        L = build_liouvillian(ATOM, SqueezedBath(1.2), SpaceDims(100))
+        system, rhs, fronts = system_and_fronts(L)
+        p, q = fronts.end - fronts.first, np.diff(fronts.row_ptr)
+        bound = 8 * (np.sum(p * (q + 1)) + np.max((p + q) * (p + q + 1))
+                     + 3 * np.max(q * (q + 1)))
+        tracemalloc.start()
+        try:
+            solve = solvers.spsolve(system, rhs, fronts, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert solve.path == "multifrontal"
+        assert peak < bound
+
     def test_small_folds_take_superlu(self):
         # below _MULTIFRONTAL_MIN unknowns, and the empty cavity's fold at
         # phi = 0, whose fronts average too few flops
@@ -1453,6 +1472,10 @@ class TestStateValidation:
         with pytest.raises(CorruptedStateError, match="non-finite"):
             make_density_matrix(FieldSpace(2), m)
 
+    def test_state_of_another_dimension_aborts(self):
+        with pytest.raises(CorruptedStateError, match=r"shape \(3, 3\) on a space of dimension 2"):
+            make_density_matrix(FieldSpace(2), np.eye(3) / 3)
+
     def test_non_hermitian_state_aborts(self):
         # hermitized, this would be diag(0.5, 0.5) + 0.5 sigma_x, a valid
         # state, with a Hermiticity error of 1
@@ -1475,3 +1498,25 @@ class TestStateValidation:
         rho = make_density_matrix(FieldSpace(2), m)
         assert rho.diagnostics.min_eigenvalue == pytest.approx(-eps, rel=1e-3)
         assert rho.matrix[1, 1].real == pytest.approx(-eps, rel=1e-3)
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_liouvillian(ATOM, SqueezedBath(0.8), SpaceDims(60)),
+        lambda: empty_cavity_liouvillian(1.0, 90)], ids=["atom_c60", "empty_c90"])
+    def test_min_eigenvalue_from_the_parity_blocks(self, build, monkeypatch):
+        rho = steady_state(build(), epsilon=math.inf)
+        d, eigvalsh = rho.space.dim, np.linalg.eigvalsh
+        full = eigvalsh(rho.matrix)[0]
+        shapes = []
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda m: shapes.append(m.shape) or eigvalsh(m))
+        checked = make_density_matrix(rho.space, rho.matrix)
+        assert shapes == [(d // 2, d // 2)] * 2
+        assert abs(checked.diagnostics.min_eigenvalue - full) <= 1e-14
+        # one coherence between basis states 0 (even) and 1 (odd), small
+        # enough to leave the state positive where state 1 is empty
+        mixed = rho.matrix.copy()
+        mixed[0, 1] = mixed[1, 0] = 1e-9
+        shapes.clear()
+        checked = make_density_matrix(rho.space, mixed)
+        assert shapes == [(d, d)]
+        assert abs(checked.diagnostics.min_eigenvalue - eigvalsh(mixed)[0]) <= 1e-14
