@@ -14,16 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CorruptedStateError, InvalidDimensionError
-from .operators import (
-    FieldSpace,
-    Operator,
-    SpaceDims,
-    annihilation,
-    atom_sigma,
-    embed_field,
-    lift,
-    number_operator,
-)
+from .operators import FieldSpace, Operator, SpaceDims
 from .solvers import (
     DEFAULT_EPSILON,
     DensityMatrix,
@@ -57,8 +48,7 @@ def expectation(rho: DensityMatrix, op: Operator) -> complex:
     return complex(np.einsum("ij,ji->", rho.matrix, op.matrix))
 
 
-def _real_expectation(rho: DensityMatrix, op: Operator, what: str) -> float:
-    value = expectation(rho, op)
+def _real(value: complex, what: str) -> float:
     if abs(value.imag) > IMAG_TOL:
         raise CorruptedStateError(
             f"{what} has imaginary part {value.imag:.3e}; state is corrupted"
@@ -66,23 +56,37 @@ def _real_expectation(rho: DensityMatrix, op: Operator, what: str) -> float:
     return float(value.real)
 
 
+def _field_moment(rho: DensityMatrix, k: int, weights: np.ndarray) -> complex:
+    """Tr(rho O) for the field operator O whose entries are
+    O_{n, n+k} = weights[n]: sum_n weights[n] rho_{n+k, n}, summed over
+    the atom-diagonal blocks on the composite space."""
+    if not isinstance(rho.space, (FieldSpace, SpaceDims)):
+        raise InvalidDimensionError(f"expected a field or composite space, got {rho.space}")
+    n = rho.fock_cutoff
+    return complex(sum(np.diagonal(rho.matrix[a:a + n, a:a + n], -k) @ weights
+                       for a in range(0, rho.space.dim, n)))
+
+
 def mean_photon_number(rho: DensityMatrix) -> float:
-    """<a†a>, valid on composite and field-only states."""
-    n_op = embed_field(rho.space, number_operator)
-    return _real_expectation(rho, n_op, "mean photon number")
+    """<a†a> = sum_n n rho_nn, valid on composite and field-only states."""
+    return _real(_field_moment(rho, 0, np.arange(rho.fock_cutoff, dtype=float)),
+                 "mean photon number")
 
 
 def pair_amplitude(rho: DensityMatrix) -> complex:
-    """<aa>; its magnitude is the phase-sensitive two-photon moment."""
-    return expectation(rho, embed_field(rho.space, lambda n: annihilation(n) @ annihilation(n)))
+    """<aa> = sum_n sqrt((n + 1)(n + 2)) rho_{n+2, n}; its magnitude is the
+    phase-sensitive two-photon moment."""
+    n = np.arange(rho.fock_cutoff - 2, dtype=float)
+    return _field_moment(rho, 2, np.sqrt((n + 1) * (n + 2)))
 
 
 def atom_excited_population(rho: DensityMatrix) -> float:
-    """Excited-state population rho_ee of the atom."""
+    """Excited-state population rho_ee of the atom, the trace of rho's
+    atom-excited block."""
     if not isinstance(rho.space, SpaceDims):
         raise InvalidDimensionError("atom population requires a composite state")
-    s_ee = lift(atom_sigma("e", "e"), "atom", rho.space)
-    return _real_expectation(rho, s_ee, "excited-state population")
+    excited = rho.matrix.diagonal()[rho.fock_cutoff:]
+    return _real(complex(excited.sum()), "excited-state population")
 
 
 def photon_distribution(rho: DensityMatrix, guard: int | None = None) -> PhotonDistribution:

@@ -70,7 +70,8 @@ class StateDiagnostics:
     `tail_mass` the value `check_truncation` measured on the solution over
     the top `guard` Fock levels, `lu_unknowns` the number of real unknowns
     of the folded system, `lu_fill` the number of entries the LU that ran
-    stored (`spsolve`): SuperLU's nnz(L + U), or the fronts' X, Σ p (q + 1),
+    stored (`spsolve`): SuperLU's nnz(L + U), or the X of the fronts with
+    children, Σ p (q + 1) over them,
     `lu_path` that LU, "multifrontal", "SuperLU" or "SuperLU after ..."
     naming why the multifrontal LU was given up, `lu_threads` the threads
     it ran on, and `seconds` the seconds of each stage, in order: "block"
@@ -683,7 +684,9 @@ class _Fronts(NamedTuple):
     after the pivots, goes to its parent: the rows and columns to the
     parent's `into` (aligned with `rows`), the right-hand side to the
     parent's last column. children[child_ptr[g]:child_ptr[g + 1]] are the
-    fronts whose updates g takes, in the order they are added, and
+    fronts whose updates g takes, in the order they are added; a front
+    without children, a leaf of the tree, holds the system's values alone
+    in its pivot block, so the LU keeps no X for it (`_multifrontal`).
     `halves`, when the last front has two children or more, splits the
     fronts before it into its first child's subtree and the others', which
     can be factorized apart. `entries`, `places`, `rows` and `into` are
@@ -809,7 +812,8 @@ def _factor_fronts(fronts: _Fronts, data: np.ndarray, rhs: np.ndarray, solved: l
     side: each front's array is assembled from its entries of the system's
     `data`, gathered front by front, the right-hand side's pivot rows and
     its children's updates; X = F11^-1 [F12 | b], by an LU with partial
-    pivoting among the pivot rows, goes to `solved`, and the transposed
+    pivoting among the pivot rows, goes to `solved` where the front has
+    children and is dropped at a leaf of the tree, and the transposed
     update ([F22 | b] - F21 X)^T, (q + 1) × q, formed in the array of its
     product X^T F21^T, to `updates`. The fronts are assembled one after
     another in one workspace, the size of the largest, like the frontal
@@ -840,7 +844,51 @@ def _factor_fronts(fronts: _Fronts, data: np.ndarray, rhs: np.ndarray, solved: l
         if n > p:
             update = x.T @ front[p:, :p].T
             updates[f] = np.subtract(front[p:, p:].T, update, out=update)
-        solved[f] = x
+        solved[f] = x if fronts.child_ptr[f + 1] > fronts.child_ptr[f] else None
+
+
+def _solve_leaves(fronts: _Fronts, system: sp.csc_matrix, residual: np.ndarray, x: np.ndarray,
+                  leaves: np.ndarray):
+    """Solve the pivot blocks of these fronts without children against
+    `residual`, b - F12 x at their pivots, into x. A leaf's F11 is
+    system[a:b, a:b] for its pivots [a, b): the rows of the fronts before
+    it lie in their ancestors. Blocks of one pivot count are stacked, in
+    chunks no larger than the largest front's workspace, each assembled by
+    one scatter of its columns' entries; none is padded, so each meets the
+    same LAPACK call in any stack."""
+    indptr, indices = system.indptr, system.indices
+    sizes = fronts.end - fronts.first + np.diff(fronts.row_ptr)
+    workspace = np.empty(int(np.max(sizes * (sizes + 1))))
+    pivots = fronts.end[leaves] - fronts.first[leaves]
+    for p in np.unique(pivots).tolist():
+        group, step = leaves[pivots == p], max(workspace.size // (p * p), 1)
+        for stack in (group[k:k + step] for k in range(0, group.size, step)):
+            # row i of the stack's t-th column, of a leaf from a on, goes to
+            # place t p + i - a of its blocks, transposed
+            first = np.repeat(fronts.first[stack], p)
+            columns = first + np.tile(np.arange(p), stack.size)
+            count = indptr[columns + 1] - indptr[columns]
+            at = np.arange(count.sum()) + np.repeat(indptr[columns] - np.cumsum(count) + count,
+                                                    count)
+            rows = indices[at]
+            block = rows < np.repeat(first + p, count)
+            place = rows + np.repeat(np.arange(columns.size) * p - first, count)
+            blocks = workspace[:columns.size * p].reshape(stack.size, p, p)
+            blocks.fill(0.0)
+            blocks.reshape(-1)[place[block]] = system.data[at[block]]
+            columns = columns.reshape(stack.size, p)
+            x[columns] = np.linalg.solve(blocks.transpose(0, 2, 1),
+                                         residual[columns][:, :, None])[:, :, 0]
+
+
+def _at_once(run, first, second):
+    """run(first) on this thread while a second thread runs run(second)."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        other = pool.submit(run, second)
+        try:
+            run(first)
+        finally:
+            other.result()
 
 
 def _multifrontal(system: sp.csc_matrix, rhs: np.ndarray, fronts: _Fronts,
@@ -848,29 +896,35 @@ def _multifrontal(system: sp.csc_matrix, rhs: np.ndarray, fronts: _Fronts,
     """Solve system @ x = rhs by the multifrontal LU of `fronts` (Duff &
     Reid, ACM TOMS 9, 302 (1983); Liu, SIAM Rev. 34, 82 (1992)) with the
     right-hand side carried along, the two halves of the tree on two
-    threads if `threads` > 1; return x and each front's X (p × (q + 1),
-    `_factor_fronts`). Each front's update is added to its parent in the
-    fixed order of `children`, so nothing depends on the threads; each
-    front gathers its own values. _SingularFront where a pivot block is
-    singular."""
+    threads if `threads` > 1; return x and the X (p × (q + 1),
+    `_factor_fronts`) of each front with children, in order.
+    Each front's update is added to its parent in the fixed order of
+    `children`, so nothing depends on the threads; each front gathers its
+    own values. The back-substitution solves those fronts top-down, then
+    each half's leaves, whose rows all belong to them (`_solve_leaves`).
+    _SingularFront where a pivot block is singular."""
     n_fronts = fronts.first.size
     solved, updates = [None] * n_fronts, [None] * n_fronts
     factor = partial(_factor_fronts, fronts, system.data, rhs, solved, updates)
-    if threads > 1 and fronts.halves:
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            other = pool.submit(factor, fronts.halves[1])
-            try:
-                factor(fronts.halves[0])
-            finally:
-                other.result()
+    two = threads > 1 and fronts.halves is not None
+    if two:
+        _at_once(factor, *fronts.halves)
         factor(range(n_fronts - 1, n_fronts))
     else:
         factor(range(n_fronts))
-    x = np.empty(rhs.size)
+    x = np.zeros(rhs.size)
     for f in reversed(range(n_fronts)):
-        rows = fronts.rows[fronts.row_ptr[f]:fronts.row_ptr[f + 1]]
-        x[fronts.first[f]:fronts.end[f]] = solved[f][:, -1] - solved[f][:, :-1] @ x[rows]
-    return x, solved
+        if solved[f] is not None:
+            rows = fronts.rows[fronts.row_ptr[f]:fronts.row_ptr[f + 1]]
+            x[fronts.first[f]:fronts.end[f]] = solved[f][:, -1] - solved[f][:, :-1] @ x[rows]
+    # x is 0 at the leaves' pivots, so this is b - F12 x at each of them
+    leaf = partial(_solve_leaves, fronts, system, rhs - system @ x, x)
+    leaves = np.flatnonzero(np.diff(fronts.child_ptr) == 0)
+    if two:
+        _at_once(leaf, *np.split(leaves, [np.searchsorted(leaves, fronts.halves[1].start)]))
+    else:
+        leaf(leaves)
+    return x, [block for block in solved if block is not None]
 
 
 class LUSolve(NamedTuple):
@@ -896,7 +950,9 @@ def spsolve(system: sp.csc_matrix, rhs: np.ndarray, fronts: _Fronts | None = Non
     unknowns.
 
     With `fronts` the multifrontal LU runs (`_multifrontal`), on `threads`
-    threads, at most 2; it stores each front's X, Σ p (q + 1) entries. It
+    threads, at most 2; it stores the X of each front with children,
+    Σ p (q + 1) entries over them, and solves the leaves' pivot blocks
+    again in the back-substitution. It
     falls back to SuperLU where a pivot block is singular or the solution's
     backward error exceeds _BACKWARD_ERROR, and the path says why. Without
     fronts SuperLU runs, on one thread, and stores nnz(L + U) entries.
@@ -905,13 +961,13 @@ def spsolve(system: sp.csc_matrix, rhs: np.ndarray, fronts: _Fronts | None = Non
     if fronts is not None:
         threads = min(threads, 2) if fronts.halves else 1
         try:
-            x, solved = _multifrontal(system, rhs, fronts, threads)
+            x, kept = _multifrontal(system, rhs, fronts, threads)
         except _SingularFront as exc:
             path = f"SuperLU after a singular pivot block in front {exc.args[0]}"
         else:
             error = _backward_error(system, x, rhs)
             if error <= _BACKWARD_ERROR:
-                return LUSolve(x, sum(block.size for block in solved), "multifrontal", threads)
+                return LUSolve(x, sum(block.size for block in kept), "multifrontal", threads)
             path = f"SuperLU after a multifrontal backward error of {error:.1e}"
     lu = splu(system, permc_spec="NATURAL", diag_pivot_thresh=0.1,
               options=dict(SymmetricMode=True))

@@ -17,6 +17,7 @@ from sqcavity import (
     SqueezedBath,
     SystemParams,
     WignerGrid,
+    annihilation,
     atom_excited_population,
     atom_sigma,
     build_liouvillian,
@@ -34,6 +35,7 @@ from sqcavity import (
     wigner,
     wigner_integral,
 )
+from sqcavity.operators import embed_field
 from conftest import squeezed_photon_numbers
 
 
@@ -93,6 +95,24 @@ class TestMoments:
         aa = pair_amplitude(rho)
         assert abs(abs(aa) - np.cosh(0.5) * np.sinh(0.5)) < 1e-6
         assert abs(np.angle(aa)) < 1e-8  # phase 0 bath
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_liouvillian(SystemParams(g0=15.0, gamma=1.0), SqueezedBath(0.8),
+                                  SpaceDims(60)),
+        lambda: build_liouvillian(SystemParams(), SqueezedBath(0.8), FieldSpace(90)),
+        lambda: build_liouvillian(SystemParams(g0=15.0, gamma=1.0),
+                                  SqueezedBath(0.5, phi=0.7), SpaceDims(30)),
+    ], ids=["atom_c60", "empty_c90", "phase"])
+    def test_moments_read_from_the_entries_match_the_operators(self, build):
+        rho = steady_state(build())
+        n_op = embed_field(rho.space, number_operator)
+        aa = embed_field(rho.space, lambda n: annihilation(n) @ annihilation(n))
+        expected_n, expected_aa = expectation(rho, n_op), expectation(rho, aa)
+        assert abs(mean_photon_number(rho) - expected_n.real) <= 1e-14 * abs(expected_n)
+        assert abs(pair_amplitude(rho) - expected_aa) <= 1e-14 * abs(expected_aa)
+        if isinstance(rho.space, SpaceDims):
+            expected_ee = expectation(rho, lift(atom_sigma("e", "e"), "atom", rho.space))
+            assert abs(atom_excited_population(rho) - expected_ee.real) <= 1e-14 * abs(expected_ee)
 
     def test_corrupted_state_detected(self):
         m = np.zeros((4, 4), dtype=complex)

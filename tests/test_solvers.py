@@ -1217,9 +1217,11 @@ class TestMultifrontal:
         reference, solve = solvers.spsolve(system, rhs), solvers.spsolve(system, rhs, fronts, 2)
         assert (solve.path, solve.threads) == ("multifrontal", 2)
         assert np.abs(solve.x - reference.x).max() <= 1e-13 * np.abs(reference.x).max()
-        # each front keeps X = F11^-1 [F12 | b] alone
+        # each front with children keeps X = F11^-1 [F12 | b] alone; the
+        # leaves keep nothing
         p, q = fronts.end - fronts.first, np.diff(fronts.row_ptr)
-        assert solve.fill == int(np.sum(p * (q + 1))) < reference.fill
+        kept = np.diff(fronts.child_ptr) > 0
+        assert solve.fill == int(np.sum((p * (q + 1))[kept])) < reference.fill
 
     @pytest.mark.parametrize("case", sorted(MULTIFRONTAL_CASES))
     def test_front_rows_cover_the_elimination_and_lie_in_ancestors(self, case,
@@ -1265,9 +1267,45 @@ class TestMultifrontal:
         one, factors_one = solvers._multifrontal(system, rhs, fronts, 1)
         two, factors_two = solvers._multifrontal(system, rhs, fronts, 2)
         assert one.tobytes() == two.tobytes()
-        assert len(factors_one) == len(factors_two) == fronts.first.size
-        for a, b in zip(factors_one, factors_two):
+        # the X of the fronts with children alone, in order
+        kept = np.flatnonzero(np.diff(fronts.child_ptr) > 0)
+        assert len(factors_one) == len(factors_two) == kept.size < fronts.first.size
+        p, q = fronts.end - fronts.first, np.diff(fronts.row_ptr)
+        for f, a, b in zip(kept, factors_one, factors_two):
+            assert a.shape == b.shape == (p[f], q[f] + 1)
             assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_liouvillian(ATOM, SqueezedBath(1.2), SpaceDims(100)),
+        lambda: build_liouvillian(ATOM, SqueezedBath(0.5, phi=0.7), SpaceDims(60)),
+    ], ids=["atom_c100", "phase_c60"])
+    def test_leaves_solved_again_match_a_back_substitution_that_keeps_every_x(self, build):
+        # the leaves' X formed here from the system alone, their fronts
+        # having no children, and every front's X used top-down
+        system, rhs, fronts = system_and_fronts(build())
+        n_fronts = fronts.first.size
+        x, kept = solvers._multifrontal(system, rhs, fronts, 2)
+        every, updates = [None] * n_fronts, [None] * n_fronts
+        solvers._factor_fronts(fronts, system.data, rhs, every, updates, range(n_fronts))
+        with_children = np.flatnonzero(np.diff(fronts.child_ptr) > 0)
+        assert [a.tobytes() for a in kept] == [every[f].tobytes() for f in with_children]
+        leaves = np.flatnonzero(np.diff(fronts.child_ptr) == 0)
+        assert leaves.size > 0 and all(every[f] is None for f in leaves)
+        for f in leaves.tolist():
+            a, b = fronts.first[f], fronts.end[f]
+            p, n = b - a, b - a + fronts.row_ptr[f + 1] - fronts.row_ptr[f]
+            front = np.zeros(n * (n + 1))
+            e0, e1 = fronts.entry_ptr[f], fronts.entry_ptr[f + 1]
+            front[fronts.places[e0:e1]] = system.data[fronts.entries[e0:e1]]
+            front = front.reshape((n, n + 1), order="F")
+            front[:p, n] = rhs[a:b]
+            every[f] = np.linalg.solve(front[:p, :p], front[:p, p:])
+        expected = np.empty(rhs.size)
+        for f in reversed(range(n_fronts)):
+            rows = fronts.rows[fronts.row_ptr[f]:fronts.row_ptr[f + 1]]
+            x_f = every[f]
+            expected[fronts.first[f]:fronts.end[f]] = x_f[:, -1] - x_f[:, :-1] @ expected[rows]
+        assert np.abs(x - expected).max() <= 1e-14 * np.abs(expected).max()
 
     def test_singular_front_takes_superlu(self, every_fold_multifrontal):
         # the first pivot row of the first front keeps its entries in that
@@ -1299,14 +1337,15 @@ class TestMultifrontal:
         solvers._fronts.cache_clear()
 
     def test_lu_memory_stays_within_its_factors_and_one_front(self):
-        # one thread at cutoff 100 (10 100 unknowns): beside the factors X
-        # the LU holds the largest front's workspace and a few of the largest
-        # updates, no copy of the system's values and no second temporary
-        # per update
+        # one thread at cutoff 100 (10 100 unknowns): beside the X of the
+        # fronts with children the LU holds the largest front's workspace
+        # and a few of the largest updates, no X of a leaf, no copy of the
+        # system's values and no second temporary per update
         L = build_liouvillian(ATOM, SqueezedBath(1.2), SpaceDims(100))
         system, rhs, fronts = system_and_fronts(L)
         p, q = fronts.end - fronts.first, np.diff(fronts.row_ptr)
-        bound = 8 * (np.sum(p * (q + 1)) + np.max((p + q) * (p + q + 1))
+        kept = np.diff(fronts.child_ptr) > 0
+        bound = 8 * (np.sum((p * (q + 1))[kept]) + np.max((p + q) * (p + q + 1))
                      + 3 * np.max(q * (q + 1)))
         tracemalloc.start()
         try:
