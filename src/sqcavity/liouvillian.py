@@ -53,14 +53,7 @@ import scipy.sparse as sp
 
 from ._cache import shared_cache
 from .errors import UnsupportedFrameError
-from .operators import (
-    Space,
-    SpaceDims,
-    annihilation,
-    atom_sigma,
-    bogoliubov_b,
-    embed_field,
-)
+from .operators import Space, SpaceDims, annihilation, atom_sigma, bogoliubov_b, embed_field
 
 
 @dataclass(frozen=True)
@@ -194,10 +187,10 @@ def _read_only(arrays):
 @dataclass(frozen=True, eq=False)
 class _Plan:
     """The bath-free part of one model's generator: the pattern (row, col)
-    K has at any jump weights, H and the products B_j A_j as values on it,
-    and the jump operators (A_j, B_j) as sparse matrices. Compared and
-    hashed by identity, so what is derived from a plan is cached per plan.
-    Read-only."""
+    K has at any jump weights, no entry repeated, H and the products
+    B_j A_j as values on it, and the jump operators (A_j, B_j) as sparse
+    matrices. Compared and hashed by identity, so what is derived from a
+    plan is cached per plan. Read-only."""
 
     space: Space
     row: np.ndarray
@@ -206,10 +199,27 @@ class _Plan:
     products: tuple
     jumps: tuple
 
-    def operator(self, values) -> sp.csr_matrix:
-        """The d×d matrix with these values on the plan's pattern."""
+    @cached_property
+    def layout(self) -> tuple:
+        """The pattern's CSR layout, found once per plan, read-only: the order
+        that sorts the entries by (row, col), the CSR indices and indptr of
+        that order, the place of each entry's transpose in the pattern (-1
+        where it is absent), and each jump's B_jᵀ in CSR form."""
         d = self.space.dim
-        return sp.csr_matrix((values, (self.row, self.col)), shape=(d, d))
+        key = self.row.astype(np.int64) * d + self.col
+        order = np.argsort(key, kind="stable")
+        key, flipped = key[order], self.col.astype(np.int64) * d + self.row
+        at = np.minimum(np.searchsorted(key, flipped), key.size - 1)
+        transposed = tuple(B.T.tocsr() for _, B in self.jumps)
+        _read_only([x for m in transposed for x in (m.data, m.indices, m.indptr)])
+        return (*_read_only((order, self.col[order].astype(np.int32),
+                             np.searchsorted(key, np.arange(d + 1) * d).astype(np.int32),
+                             np.where(key[at] == flipped, order[at], -1))), transposed)
+
+    def operator(self, values: np.ndarray) -> sp.csr_matrix:
+        """The d×d matrix with these values on the plan's pattern (`layout`)."""
+        order, indices, indptr = self.layout[:3]
+        return sp.csr_matrix((values[order], indices, indptr), shape=(self.space.dim,) * 2)
 
 
 def _make_plan(space: Space, h, operators) -> _Plan:
@@ -283,11 +293,12 @@ class Superoperator:
     def trace_residual(self) -> float:
         """max |vec(I)^T L|; zero for any trace-preserving generator. Entry
         (k, l) of vec(I)^T L is entry (l, k) of K + K† + sum_j w_j B_j A_j,
-        which is summed on the d×d space."""
-        K = self.plan.operator(self.k)
+        summed on K's pattern, plus K†'s lone conj(K) entries where a transpose is absent."""
+        k, flip = self.k, self.plan.layout[3]
         jumps = sum((w * p for w, p in zip(self.weights, self.plan.products) if w != 0),
-                    np.zeros_like(self.k))
-        return float(np.abs((K + K.conj().T + self.plan.operator(jumps)).data).max(initial=0.0))
+                    np.zeros_like(k))
+        k_adjoint = np.where(flip >= 0, k.conj()[flip], 0)
+        return float(np.abs(np.concatenate([k + k_adjoint + jumps, k[flip < 0]])).max(initial=0))
 
     def act(self, rho: np.ndarray) -> np.ndarray:
         """L(rho) for a d×d rho, in the Lindblad form
@@ -295,9 +306,9 @@ class Superoperator:
         needs no d²×d² matrix."""
         K = self.plan.operator(self.k)
         out = K @ rho + (K.conj() @ rho.T).T  # rho K† = (conj(K) rho^T)^T
-        for w, (A, B) in zip(self.weights, self.plan.jumps):
+        for w, (A, _), B_t in zip(self.weights, self.plan.jumps, self.plan.layout[4]):
             if w != 0:
-                out += w * (A @ (B.T @ rho.T).T)
+                out += w * (A @ (B_t @ rho.T).T)
         return out
 
 
@@ -322,8 +333,7 @@ def build_bogoliubov_liouvillian(params: SystemParams, bath: SqueezedBath,
     if bath.phi != 0.0 or params.delta_A != 0.0 or params.delta_C != 0.0:
         raise UnsupportedFrameError(
             "the squeezed-frame generator is only defined at phi = delta_A = delta_C = 0, "
-            f"got phi = {bath.phi}, delta_A = {params.delta_A}, delta_C = {params.delta_C}"
-        )
+            f"got phi = {bath.phi}, delta_A = {params.delta_A}, delta_C = {params.delta_C}")
     ch, sh = float(np.cosh(bath.r)), float(np.sinh(bath.r))
     b = _field(space, partial(bogoliubov_b, bath.r))
     plan = _make_plan(space, _hamiltonian(params, space, ch * b + sh * b.conj().T),

@@ -166,9 +166,8 @@ def make_density_matrix(space: Space, raw: np.ndarray) -> DensityMatrix:
     blocks = [m] if np.any(m[np.ix_(even, odd)]) else [m[np.ix_(k, k)] for k in (even, odd)]
     min_eig = min(float(np.linalg.eigvalsh(block)[0]) for block in blocks)
     if min_eig < MIN_EIG_TOL:
-        raise CorruptedStateError(
-            f"minimum eigenvalue {min_eig:.3e} below tolerance {MIN_EIG_TOL:.0e}"
-        )
+        raise CorruptedStateError(f"minimum eigenvalue {min_eig:.3e} below tolerance "
+                                  f"{MIN_EIG_TOL:.0e}")
     return DensityMatrix(space, m, StateDiagnostics(trace_err, herm_err, min_eig))
 
 
@@ -191,7 +190,6 @@ def suggest_fock_cutoff(r: float, epsilon: float = DEFAULT_EPSILON) -> int:
         return n_max
     p = 1.0 / math.cosh(r)
     target = epsilon / 10.0
-    n_star = 2
     for m in range(1, n_max):
         p *= t2 * (2 * m - 1) / (2 * m)
         # remaining tail bounded by geometric series with ratio tanh²r
@@ -717,6 +715,7 @@ _FRONT_FLOPS = 1e6
 # a multifrontal solution whose backward error exceeds this is solved
 # again by SuperLU; both read 1e-21 to 2e-18 on the folds measured
 _BACKWARD_ERROR = 1e-14
+_SUPERLU_RELAX, _SUPERLU_PANEL = 1, 1  # SuperLU's relax and panel_size (`spsolve`)
 
 
 @shared_cache(maxsize=4)
@@ -946,16 +945,16 @@ def _backward_error(system: sp.csc_matrix, x: np.ndarray, rhs: np.ndarray) -> fl
 
 def spsolve(system: sp.csc_matrix, rhs: np.ndarray, fronts: _Fronts | None = None,
             threads: int = 1) -> LUSolve:
-    """Solve system @ x = rhs by a sparse LU in the given order of the
-    unknowns.
+    """Solve system @ x = rhs by a sparse LU in the given order of the unknowns.
 
     With `fronts` the multifrontal LU runs (`_multifrontal`), on `threads`
     threads, at most 2; it stores the X of each front with children,
     Σ p (q + 1) entries over them, and solves the leaves' pivot blocks
-    again in the back-substitution. It
-    falls back to SuperLU where a pivot block is singular or the solution's
-    backward error exceeds _BACKWARD_ERROR, and the path says why. Without
-    fronts SuperLU runs, on one thread, and stores nnz(L + U) entries.
+    again in the back-substitution. It falls back to SuperLU where a pivot
+    block is singular or the solution's backward error exceeds
+    _BACKWARD_ERROR, and the path says why. Without fronts SuperLU runs, on
+    one thread, with no supernode relaxation and one-column panels
+    (_SUPERLU_RELAX, _SUPERLU_PANEL), and stores nnz(L + U) entries.
     """
     path = "SuperLU"
     if fronts is not None:
@@ -969,8 +968,11 @@ def spsolve(system: sp.csc_matrix, rhs: np.ndarray, fronts: _Fronts | None = Non
             if error <= _BACKWARD_ERROR:
                 return LUSolve(x, sum(block.size for block in kept), "multifrontal", threads)
             path = f"SuperLU after a multifrontal backward error of {error:.1e}"
-    lu = splu(system, permc_spec="NATURAL", diag_pivot_thresh=0.1,
-              options=dict(SymmetricMode=True))
+    # the dissection order's supernodes are small, so (1, 1) runs faster and
+    # faults fewer pages than scipy's (10, 20) on the folds SuperLU serves
+    # first (BENCH_superlu_panels.json); relax > panel_size corrupts its heap
+    lu = splu(system, permc_spec="NATURAL", diag_pivot_thresh=0.1, relax=_SUPERLU_RELAX,
+              panel_size=_SUPERLU_PANEL, options=dict(SymmetricMode=True))
     return LUSolve(lu.solve(rhs), int(lu.nnz), path, 1)
 
 
@@ -1008,7 +1010,8 @@ def steady_state(L: Superoperator, guard: int | None = None,
     and the residual max |L(rho)| of the full generator (`L.act`) must stay
     below RESIDUAL_TOL or, for large entries, 1e-14 max|K|, otherwise the
     kernel is considered degenerate. An invalid guard or epsilon is refused
-    before anything is factorized.
+    before anything is factorized. A MemoryError in a stage is a SolverError
+    naming the stage and the fold's unknowns.
 
     L itself must be finite and trace-preserving: max |vec(I)^T L| at most
     TRACE_TOL or, for large entries, whose round-off the trace row sums,
@@ -1027,40 +1030,48 @@ def steady_state(L: Superoperator, guard: int | None = None,
         if stage:
             seconds[stage] = clock[-1] - clock[-2]
 
-    fold, system = _block(L)
-    fronts = _fronts(L.plan, _fold_phase(L))
-    lap("block")
-    m = system.shape[0]
-    rhs = np.zeros(m)
-    rhs[-1] = 1.0
-    # numpy's and scipy's OpenBLAS pools on one thread each, so that idle
-    # pool threads do not spin on the cores other solving threads need;
-    # the multifrontal LU gets the threads that the sweep leaves each
-    # point, its two halves on two Python threads whose LAPACK calls run
-    # without the interpreter lock. Inside a sweep, which holds the budget
-    # already, the sweep's share holds.
-    with thread_budget() as threads:
-        lap()
-        try:
-            sol, fill, path, threads = spsolve(system, rhs, fronts, threads)
-        except Exception as exc:  # pragma: no cover - solver backend failure
-            raise NonUniqueSteadyStateError(f"sparse LU solve failed: {exc}") from exc
-        lap("LU")
-        if not np.all(np.isfinite(sol)):
-            raise NonUniqueSteadyStateError("sparse LU solve returned non-finite entries")
-        # a part left out stays +0.0
-        full = np.zeros(d * d, dtype=complex)
-        full.view(float)[fold.rho_places] = np.concatenate([sol, -sol])[fold.solution_places]
-        raw = unvec(full, d)
-        lap("unfold")
-        # the tail first: a cutoff far too small also leaves a state that is
-        # not positive, and the cutoff is what the error must name
-        tail = check_truncation(DensityMatrix(L.space, raw), guard, epsilon)
-        lap("tail")
-        rho = make_density_matrix(L.space, raw)
-        lap("validate")
-        residual = float(np.abs(L.act(rho.matrix)).max())
-        lap("residual")
+    try:
+        fold, system = _block(L)
+        fronts = _fronts(L.plan, _fold_phase(L))
+        lap("block")
+        m = system.shape[0]
+        rhs = np.zeros(m)
+        rhs[-1] = 1.0
+        # numpy's and scipy's OpenBLAS pools on one thread each, so that idle
+        # pool threads do not spin on the cores other solving threads need;
+        # the multifrontal LU gets the threads that the sweep leaves each
+        # point, its two halves on two Python threads whose LAPACK calls run
+        # without the interpreter lock. Inside a sweep, which holds the budget
+        # already, the sweep's share holds.
+        with thread_budget() as threads:
+            lap()
+            try:
+                sol, fill, path, threads = spsolve(system, rhs, fronts, threads)
+            except MemoryError:
+                raise
+            except Exception as exc:  # pragma: no cover - solver backend failure
+                raise NonUniqueSteadyStateError(f"sparse LU solve failed: {exc}") from exc
+            lap("LU")
+            if not np.all(np.isfinite(sol)):
+                raise NonUniqueSteadyStateError("sparse LU solve returned non-finite entries")
+            # a part left out stays +0.0
+            full = np.zeros(d * d, dtype=complex)
+            full.view(float)[fold.rho_places] = np.concatenate([sol, -sol])[fold.solution_places]
+            raw = unvec(full, d)
+            lap("unfold")
+            # the tail first: a cutoff far too small also leaves a state that is
+            # not positive, and the cutoff is what the error must name
+            tail = check_truncation(DensityMatrix(L.space, raw), guard, epsilon)
+            lap("tail")
+            rho = make_density_matrix(L.space, raw)
+            lap("validate")
+            residual = float(np.abs(L.act(rho.matrix)).max())
+            lap("residual")
+    except MemoryError:
+        stage = ("block", "LU", "unfold", "tail", "validate", "residual")[len(seconds)]
+        unknowns = int(_slots(_sector_maps(L.space), _fold_phase(L))[0, -1]) + 1
+        raise SolverError(f"out of memory in stage {stage!r} of a fold of {unknowns} unknowns; "
+                          "lower the cutoff, or set SIM_THREADS=1 to solve one point at a time")
     bound = max(RESIDUAL_TOL, 1e-14 * scale)
     if residual > bound:
         raise NonUniqueSteadyStateError(
@@ -1097,11 +1108,9 @@ def evolve(L: Superoperator, rho0: DensityMatrix, t_end: float, dt: float,
     h = t_end / n_steps
     norm = float(abs(L.matrix).sum(axis=1).max())
     if max(dt, h) * norm > RK4_RADIUS:
-        raise StepTooLargeError(
-            f"dt = {dt:g} (grid step {h:g}) exceeds the stability guard "
-            f"{RK4_RADIUS:g} / ||L||_inf = {RK4_RADIUS / norm:g}"
-        )
-    sample_steps = sorted({int(round(t / h)) for t in sample_times})
+        raise StepTooLargeError(f"dt = {dt:g} (grid step {h:g}) exceeds the stability guard "
+                                f"{RK4_RADIUS:g} / ||L||_inf = {RK4_RADIUS / norm:g}")
+    samples = {int(round(t / h)) for t in sample_times}
 
     mat = L.matrix
     v = vec(rho0.matrix).astype(complex)
@@ -1113,23 +1122,17 @@ def evolve(L: Superoperator, rho0: DensityMatrix, t_end: float, dt: float,
         rho = unvec(state, L.dim)
         drift = abs(rho.trace() - 1.0)
         if drift > 1e-8:
-            raise DivergenceError(
-                f"trace drift {drift:.3e} exceeds 1e-8 at t = {step * h:g}"
-            )
+            raise DivergenceError(f"trace drift {drift:.3e} exceeds 1e-8 at t = {step * h:g}")
         out.append((step * h, make_density_matrix(L.space, rho)))
 
-    targets = iter(sample_steps)
-    next_target = next(targets, None)
-    if next_target == 0:
+    if 0 in samples:
         record(0, v)
-        next_target = next(targets, None)
     for step in range(1, n_steps + 1):
         k1 = mat @ v
         k2 = mat @ (v + 0.5 * h * k1)
         k3 = mat @ (v + 0.5 * h * k2)
         k4 = mat @ (v + h * k3)
         v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if step == next_target:
+        if step in samples:
             record(step, v)
-            next_target = next(targets, None)
     return out

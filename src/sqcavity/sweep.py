@@ -270,14 +270,15 @@ def solve_point(config: SweepConfig, r: float, build=None):
     build_seconds = time.perf_counter() - start
     rho = steady_state(L, guard=config.guard, epsilon=config.epsilon)
     diag = rho.diagnostics
-    log.debug("solved r = %r: cutoff %d, guard %d, %d LU unknowns, residual %.3e, "
-              "min eigenvalue %.3e, tail mass %.3e, LU fill %d (%s, %d threads), build %.3f s, "
-              "%s of %.3f s",
-              r, config.fock_cutoff, diag.guard, diag.lu_unknowns, diag.residual,
-              diag.min_eigenvalue, diag.tail_mass, diag.lu_fill, diag.lu_path, diag.lu_threads,
-              build_seconds,
-              ", ".join(f"{stage} {seconds:.3f} s" for stage, seconds in diag.seconds.items()),
-              time.perf_counter() - start)
+    if log.isEnabledFor(logging.DEBUG):  # the stages are joined only for a record
+        log.debug("solved r = %r: cutoff %d, guard %d, %d LU unknowns, residual %.3e, "
+                  "min eigenvalue %.3e, tail mass %.3e, LU fill %d (%s, %d threads), "
+                  "build %.3f s, %s of %.3f s",
+                  r, config.fock_cutoff, diag.guard, diag.lu_unknowns, diag.residual,
+                  diag.min_eigenvalue, diag.tail_mass, diag.lu_fill, diag.lu_path,
+                  diag.lu_threads, build_seconds,
+                  ", ".join(f"{stage} {seconds:.3f} s" for stage, seconds in diag.seconds.items()),
+                  time.perf_counter() - start)
     return rho
 
 

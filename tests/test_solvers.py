@@ -911,6 +911,101 @@ class TestPlanPath:
         assert matrix_trace_residual(broken) == pytest.approx(0.6, abs=1e-14 * scale)
 
 
+def coo_operator(plan, values):
+    """The d×d matrix with these values on the plan's pattern, by scipy's
+    COO sort on every call, as `_Plan.operator` formed it before the plan
+    cached its CSR layout."""
+    d = plan.space.dim
+    return sp.csr_matrix((values, (plan.row, plan.col)), shape=(d, d))
+
+
+def reference_trace_residual(L):
+    """max |vec(I)^T L| as the sparse sum K + K† + sum_j w_j B_j A_j on the
+    d×d space: the formula of `Superoperator.trace_residual` before it read
+    the plan's cached layout."""
+    K = coo_operator(L.plan, L.k)
+    jumps = sum((w * p for w, p in zip(L.weights, L.plan.products) if w != 0),
+                np.zeros_like(L.k))
+    return float(np.abs((K + K.conj().T + coo_operator(L.plan, jumps)).data).max(initial=0.0))
+
+
+def reference_act(L, rho):
+    """L(rho) in the Lindblad form with K from `coo_operator` and each B_jᵀ
+    the transposed view of B_j: `Superoperator.act` before the plan cached
+    its layout and its transposed jump factors."""
+    K = coo_operator(L.plan, L.k)
+    out = K @ rho + (K.conj() @ rho.T).T
+    for w, (A, B) in zip(L.weights, L.plan.jumps):
+        if w != 0:
+            out += w * (A @ (B.T @ rho.T).T)
+    return out
+
+
+def one_sided_generator(seed=3):
+    """A point of a test-built plan on FieldSpace(6) whose pattern is
+    one-sided: a random upper-triangular h and the one jump (a†, a†), whose
+    product a†a† lies two below the diagonal, so most entries have no
+    transpose in the pattern; the entries are stored in a shuffled order,
+    not by (row, col)."""
+    rng, space = np.random.default_rng(seed), FieldSpace(6)
+    h = sp.csr_matrix(np.triu(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))))
+    ad = sp.csr_matrix(annihilation(6).matrix).conj().T.tocsr()
+    product = ad @ ad
+    pattern = sp.coo_matrix(abs(h) + abs(product))
+    shuffle = rng.permutation(pattern.nnz)
+    row, col = pattern.row[shuffle], pattern.col[shuffle]
+    plan = liouvillian._Plan(space, row, col, h.toarray()[row, col],
+                             (product.toarray()[row, col],), ((ad, ad),))
+    return liouvillian._at(plan, (0.7 - 0.2j,))
+
+
+LAYOUT_CASES = {**SECTOR_CASES, **PHASE_BROKEN_CASES, "one_sided": one_sided_generator,
+                "zero": lambda: zero_generator(FieldSpace(3))}
+
+
+class TestCachedLayout:
+    """Each plan lays its pattern out in CSR form once (`_Plan.layout`); the
+    operator, the trace check and the action read it, bitwise as the COO
+    path they replace did (`coo_operator`, `reference_trace_residual`,
+    `reference_act`), for any plan: the builders', a trace-broken one, a
+    test-built one with a one-sided pattern in shuffled order and the empty
+    pattern of the zero generator."""
+
+    @pytest.mark.parametrize("case", sorted(LAYOUT_CASES))
+    def test_checks_are_bitwise_those_of_the_coo_path(self, case, rng):
+        L = LAYOUT_CASES[case]()
+        x = rng.normal(size=(L.dim, L.dim)) + 1j * rng.normal(size=(L.dim, L.dim))
+        for M in (L, trace_broken(L)):
+            K, reference = M.plan.operator(M.k), coo_operator(M.plan, M.k)
+            for got, want in ((K.indices, reference.indices), (K.indptr, reference.indptr),
+                              (K.data, reference.data)):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert M.trace_residual() == reference_trace_residual(M)
+            assert M.act(x).tobytes() == reference_act(M, x).tobytes()
+
+    def test_one_sided_pattern_has_absent_transposes(self):
+        L = one_sided_generator()
+        transpose = L.plan.layout[3]
+        assert 0 < np.count_nonzero(transpose < 0) < transpose.size
+        present = transpose >= 0
+        assert np.array_equal(L.plan.row[transpose[present]], L.plan.col[present])
+        assert np.array_equal(L.plan.col[transpose[present]], L.plan.row[present])
+        # K† adds |K| at an entry absent from the pattern: the residual
+        # reaches max |k| there
+        assert L.trace_residual() >= np.abs(L.k[transpose < 0]).max()
+
+    def test_layout_is_laid_out_once_and_read_only(self):
+        L = SECTOR_CASES["atom"]()
+        layout = L.plan.layout
+        assert layout is L.plan.layout
+        arrays = [*layout[:4], *(x for m in layout[4] for x in (m.data, m.indices, m.indptr))]
+        assert not any(array.flags.writeable for array in arrays)
+        # every matrix the plan forms shares its read-only index arrays
+        K = L.plan.operator(L.k)
+        assert np.shares_memory(K.indices, layout[1]) and np.shares_memory(K.indptr, layout[2])
+        assert not (K.indices.flags.writeable or K.indptr.flags.writeable)
+
+
 def colamd_block_solve(L):
     """The parity block solved as before nested dissection: even sector in
     vec order, trace row in place of rho_00's row, COLAMD column order.
@@ -1367,6 +1462,74 @@ class TestMultifrontal:
         L = build_liouvillian(ATOM, SqueezedBath(0.6), SpaceDims(80))
         assert steady_state(L, epsilon=math.inf).diagnostics.lu_path == "multifrontal"
         solvers._fronts.cache_clear()
+
+
+# the folds SuperLU factorizes first: below _MULTIFRONTAL_MIN unknowns,
+# or, for the empty cavity at phi = 0, with fronts too light
+SUPERLU_FIRST_CASES = {
+    "atom_c30": lambda: build_liouvillian(ATOM, SqueezedBath(0.5), SpaceDims(30)),
+    "atom_c60": lambda: build_liouvillian(ATOM, SqueezedBath(0.6), SpaceDims(60)),
+    "empty_c90": lambda: empty_cavity_liouvillian(0.5, 90),
+    "empty_c150": lambda: empty_cavity_liouvillian(1.0, 150),
+    "detuned_c40": lambda: build_liouvillian(SystemParams(delta_A=0.5, g0=15.0, gamma=1.0),
+                                             SqueezedBath(0.4), SpaceDims(40)),
+    "empty_c90_phi": lambda: build_liouvillian(SystemParams(), SqueezedBath(0.5, phi=0.7),
+                                               FieldSpace(90)),
+}
+
+
+class TestSuperLUSettings:
+    """SuperLU runs with one constant supernode relaxation and panel size,
+    sized to the dissection order, and solves as it does at scipy's
+    defaults. No pair with relax > panel_size is ever run: SuperLU has
+    corrupted its heap on such pairs."""
+
+    def test_relax_is_at_most_the_panel_size(self):
+        assert 1 <= solvers._SUPERLU_RELAX <= solvers._SUPERLU_PANEL
+
+    @pytest.mark.parametrize("case", sorted(SUPERLU_FIRST_CASES))
+    def test_agrees_with_superlu_at_scipys_defaults(self, case):
+        system, rhs, fronts = system_and_fronts(SUPERLU_FIRST_CASES[case]())
+        assert fronts is None
+        solve = solvers.spsolve(system, rhs)
+        default = splu(system, permc_spec="NATURAL", diag_pivot_thresh=0.1,
+                       options=dict(SymmetricMode=True))
+        reference = default.solve(rhs)
+        assert (solve.path, solve.threads) == ("SuperLU", 1)
+        assert np.abs(solve.x - reference).max() <= 1e-13 * np.abs(reference).max()
+        assert solve.fill <= default.nnz
+
+
+def out_of_memory(*args, **kwargs):
+    """A stand-in for a stage that runs out of memory; nothing is allocated."""
+    raise MemoryError("Unable to allocate 1.00 TiB for an array with shape (137438953472,)")
+
+
+class TestOutOfMemory:
+    """A MemoryError while a point is solved, in forming the fold and its
+    fronts or in the LU, is a SolverError that names the stage and the
+    fold's unknowns and says what to change; the stages raise it by
+    monkeypatching alone."""
+
+    @pytest.mark.parametrize("phi", [0.0, 0.7])
+    @pytest.mark.parametrize("target, stage", [("_block", "block"), ("spsolve", "LU")])
+    def test_names_the_stage_and_the_unknowns(self, target, stage, phi, monkeypatch):
+        L = build_liouvillian(ATOM, SqueezedBath(0.5, phi), SpaceDims(12))
+        unknowns = solvers._block(L)[1].shape[0]
+        assert unknowns == (156 if phi == 0 else 288)
+        monkeypatch.setattr(solvers, target, out_of_memory)
+        with pytest.raises(SolverError) as info:
+            steady_state(L)
+        assert not isinstance(info.value, NonUniqueSteadyStateError)
+        assert str(info.value) == (
+            f"out of memory in stage {stage!r} of a fold of {unknowns} unknowns; lower the "
+            "cutoff, or set SIM_THREADS=1 to solve one point at a time")
+        assert isinstance(info.value.__context__, MemoryError)
+
+    def test_fronts_running_out_of_memory_name_the_block(self, monkeypatch):
+        monkeypatch.setattr(solvers, "_fronts", out_of_memory)
+        with pytest.raises(SolverError, match="^out of memory in stage 'block' of a fold of 2070 "):
+            steady_state(empty_cavity_liouvillian(0.5, 90))
 
 
 class TestTruncationCheck:

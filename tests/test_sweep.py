@@ -318,6 +318,22 @@ class TestCli:
         assert "RuntimeWarning" not in err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("target, stage", [("_block", "block"), ("spsolve", "LU")])
+    def test_out_of_memory_exit_code(self, target, stage, tmp_path, capsys, monkeypatch):
+        # a MemoryError, raised here by a stand-in, names the point, the
+        # stage and the fold's 110 unknowns: 10 states of each parity, of
+        # whose pairs 55 are representatives
+        def out_of_memory(*args):
+            raise MemoryError("Unable to allocate 1.00 TiB")
+
+        monkeypatch.setattr(solvers, target, out_of_memory)
+        assert main(["--no-atom", "--r", "0.3", "--cutoff", "20",
+                     "--out", str(tmp_path / "x.csv")]) == 3
+        assert capsys.readouterr().err == (
+            f"solver error: at r = 0.3: out of memory in stage {stage!r} of a fold of 110 "
+            "unknowns; lower the cutoff, or set SIM_THREADS=1 to solve one point at a time\n")
+        assert not (tmp_path / "x.csv").exists()
+
     def test_truncation_error_exit_code(self, tmp_path):
         assert main([
             "--mode", "moments_sweep", "--no-atom", "--r", "1.2",
